@@ -264,6 +264,26 @@ class Tape:
 
         return self._register(a.value[:, start:stop].copy(), "slice_cols", (a,), backward)
 
+    def take_rows(self, a: Node, spans: list[tuple[int, int]]) -> Node:
+        """Rows a[lo:hi] of each (lo, hi) span, stacked in order; spans may repeat."""
+        for lo, hi in spans:
+            if a.value.ndim < 1 or not (0 <= lo <= hi <= a.shape[0]):
+                raise GraphError(f"take_rows: bad range [{lo}:{hi}] for shape {a.shape}")
+        if list(spans) == [(0, a.shape[0])]:
+            return a
+        value = (a.value[spans[0][0]:spans[0][1]] if len(spans) == 1 else
+                 np.concatenate([a.value[lo:hi] for lo, hi in spans]))
+
+        def backward(g):
+            full = np.zeros_like(a.value)
+            at = 0
+            for lo, hi in spans:
+                full[lo:hi] += g[at:at + hi - lo]
+                at += hi - lo
+            self._accum(a, full)
+
+        return self._register(value, "take_rows", (a,), backward)
+
     def reshape(self, a: Node, shape: tuple) -> Node:
         if int(np.prod(shape)) != a.value.size:
             raise GraphError(f"reshape: cannot view {a.shape} as {shape}")
@@ -390,6 +410,16 @@ class Tape:
     # ---- backward sweep ------------------------------------------------------
 
     def backward(self, output: Node, seed=None) -> None:
+        """One reversed sweep; afterwards the graph is released.
+
+        The sweep drops the tape's node list and every backward closure, so
+        the nodes, closures and tape hold no reference cycle and are freed
+        when the caller lets go of them; gradients stay readable through
+        ``grad``. A second sweep on the same tape is an error.
+        """
+        if self._ran_backward:
+            raise GraphError("backward: this tape's graph was released by an "
+                             "earlier backward")
         if output.tape is not self:
             raise GraphError("backward: output from a different tape")
         if seed is None:
@@ -407,6 +437,8 @@ class Tape:
         for node in reversed(self.nodes):
             if node.grad is not None and node._backward is not None:
                 node._backward(node.grad)
+            node._backward = None
+        self.nodes = []
         self._ran_backward = True
 
     def grad(self, node: Node) -> np.ndarray:

@@ -238,7 +238,9 @@ def report_from_csv(text: str) -> list[EvalReport]:
         step_s, task_s, s, k, a = line.split(",")
         rep = by_step.setdefault(int(step_s),
                                  EvalReport(int(step_s), [], [], []))
-        assert int(task_s) == len(rep.task_success)
+        if int(task_s) != len(rep.task_success):
+            raise ValueError(f"report row for step {step_s} has task id {task_s}, "
+                             f"expected {len(rep.task_success)}")
         rep.task_success.append(float(s))
         rep.task_kendall.append(float(k))
         rep.task_alignment.append(float(a))

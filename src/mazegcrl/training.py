@@ -1,4 +1,4 @@
-"""Training losses and the optimization loop.
+"""Training losses and the optimization step.
 
 The value function is trained by an expectile temporal-difference objective
 against a slowly updated target copy, optionally augmented with a continuity
@@ -9,6 +9,20 @@ high-level policy regresses onto the bottleneck representation of a state
 ``subgoal_steps`` ahead while the low-level policy imitates dataset actions
 conditioned on that representation.
 
+One step is one graph. ``_graph`` builds every loss on a single ``Tape``.
+States (obs, next_obs, subgoal) and goals (value_goal, rand_goal,
+policy_goal, subgoal) are stacked so that each network runs at most once
+on the tape, over the rows some loss differentiates through, and at most
+once in plain NumPy, over the rows only the TD target and the AWR
+advantages read; those reuse the tape's values where they exist. Every
+(state, goal) pair is then scored in latent space from row slices. The
+target heads pair with the online bottleneck. ``train_step`` runs one
+backward sweep over value + high-level + low-level loss, so the bottleneck
+receives the value and policy gradients together (the policies read it
+through ``stop_gradient`` when ``rep_grad_from_policy`` is false), then
+takes one Adam step per parameter group and smooths the target. The loss
+functions (``td_loss``, ``value_loss``, ...) read the same graph.
+
 Baselines fall out as configurations: (MLP, flat, continuity 0) is the
 expectile-TD flat agent, (MLP, hierarchical) its hierarchical counterpart,
 and ``objective="bc"`` is goal-conditioned behavior cloning.
@@ -16,9 +30,8 @@ and ``objective="bc"`` is goal-conditioned behavior cloning.
 
 from __future__ import annotations
 
-import copy
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -36,7 +49,14 @@ from .autodiff import (
     polyak_update,
 )
 from .maze import MazeSpec
-from .values import LiftedValue, ValueArchitecture, make_subgoal_rep, make_value_arch, value
+from .values import (  # noqa: F401  (value is re-exported as training.value)
+    LiftedValue,
+    ValueArchitecture,
+    make_subgoal_rep,
+    make_value_arch,
+    score,
+    value,
+)
 
 __all__ = [
     "TrainConfig",
@@ -44,7 +64,6 @@ __all__ = [
     "PolicyPair",
     "LearnerState",
     "init_learner",
-    "snapshot",
     "state_tree",
     "load_state_tree",
     "expectile_loss",
@@ -224,11 +243,6 @@ def init_learner(config: TrainConfig, spec: MazeSpec,
     return state
 
 
-def snapshot(state: LearnerState) -> LearnerState:
-    """Independent deep copy safe to hand to concurrent evaluators."""
-    return copy.deepcopy(state)
-
-
 # ---- loss primitives ---------------------------------------------------------------
 
 
@@ -256,96 +270,60 @@ def continuity_threshold(discount: float, v_mean: float) -> float:
     return 1.0 + (1.0 - discount) * abs(v_mean)
 
 
-# ---- loss builders -------------------------------------------------------------------
+# ---- the step graph -------------------------------------------------------------------
 
 
-def _lift_value(tape: Tape, state: LearnerState, trainable: bool = True):
-    rep_l = (LiftedMlp(tape, state.rep, trainable=trainable, name="rep")
-             if state.rep is not None else None)
-    return LiftedValue(tape, state.arch, rep=rep_l, trainable=trainable), rep_l
+_INPUTS = ("obs", "next_obs", "value_goal", "rand_goal", "policy_goal", "subgoal")
 
 
-def _target_value(state: LearnerState, s: np.ndarray, g: np.ndarray) -> np.ndarray:
-    return value(state.target_arch, state.rep, s, g)
+def _plan(requests, done) -> list[tuple[str, str | None, list[str]]]:
+    """One pass per network over every requested name not in ``done``.
+
+    ``requests`` holds (chain, names) pairs: each name runs through the
+    networks of its chain in order. Returns (network, previous network,
+    names) in an order where each network follows its predecessor.
+    """
+    passes: dict[str, tuple[str | None, list[str]]] = {}
+    for chain, names in requests:
+        for depth, net in enumerate(chain):
+            _, todo = passes.setdefault(net, (chain[depth - 1] if depth else None, []))
+            todo.extend(n for n in names if (net, n) not in done and n not in todo)
+    return [(net, prev, names) for net, (prev, names) in passes.items() if names]
 
 
-def _advantage(state: LearnerState, s_hi: np.ndarray, s_lo: np.ndarray,
-               goal: np.ndarray) -> np.ndarray:
-    """V(s_hi, goal) - V(s_lo, goal) with one stacked forward pass."""
-    n = len(goal)
-    both = value(state.arch, state.rep, np.concatenate([s_hi, s_lo]),
-                 np.concatenate([goal, goal]))
-    return both[:n] - both[n:]
+def _encode(requests, nets, apply, gather, inputs, done=None) -> dict:
+    """Row blocks (source, lo, hi) keyed by (network, name).
+
+    Each network runs once, on the stacked rows of all its names. Works on
+    tape nodes and plain arrays alike: ``gather`` stacks a list of blocks
+    and ``apply(net, x)`` runs a network. ``inputs`` holds each name's raw
+    rows; blocks in ``done`` are reused instead of recomputed.
+    """
+    out = dict(done or {})
+    for net, prev, names in _plan(requests, out):
+        parts = [inputs[n] if prev is None else out[(prev, n)] for n in names]
+        y = apply(nets[net], gather(parts))
+        lo = 0
+        for n, (_, a, b) in zip(names, parts):
+            out[(net, n)] = (y, lo, lo + b - a)
+            lo += b - a
+    return out
 
 
-def _value_objective(tape: Tape, state: LearnerState, batch: dict,
-                     config: TrainConfig):
-    """TD + weighted continuity objective on one tape; returns (node, info)."""
-    obs = state.normalize(batch["obs"])
-    next_obs = state.normalize(batch["next_obs"])
-    goal = state.normalize(batch["value_goal"])
-    lifted, rep_l = _lift_value(tape, state)
-
-    v = lifted(tape.constant(obs, "obs"), tape.constant(goal, "value_goal"))
-    tv = _target_value(state, next_obs, goal)
-    bootstrap = (batch["reward"]
-                 + config.discount * (1.0 - batch["done"]) * tv)
-    err = tape.sub(tape.constant(bootstrap, "td_target"), v)
-    weights = expectile_weights(err.value, config.expectile)
-    td = tape.reduce_mean(tape.mul(tape.constant(weights), tape.square(err)))
-
-    v_mean = float(v.value.mean())
-    delta = continuity_threshold(config.discount, v_mean)
-    info = {"td_loss": float(td.value), "v_mean": v_mean, "delta": delta,
-            "continuity_loss": 0.0}
-    if config.continuity_weight == 0.0:
-        return td, info, lifted, rep_l
-
-    rand_goal = state.normalize(batch["rand_goal"])
-    rg = tape.constant(rand_goal, "rand_goal")
-    gap = tape.sub(lifted(tape.constant(obs), rg),
-                   lifted(tape.constant(next_obs), rg))
-    hinge = tape.relu(tape.sub(tape.square(gap), tape.constant(delta * delta)))
-    cont = tape.reduce_mean(hinge)
-    info["continuity_loss"] = float(cont.value)
-    total = tape.add(td, tape.mul(tape.constant(config.continuity_weight), cont))
-    return total, info, lifted, rep_l
+def _gather_plain(blocks) -> np.ndarray:
+    if len(blocks) == 1:
+        src, lo, hi = blocks[0]
+        return src[lo:hi]
+    return np.concatenate([src[lo:hi] for src, lo, hi in blocks])
 
 
-def td_loss(state: LearnerState, batch: dict, config: TrainConfig | None = None) -> float:
-    config = config or state.config
-    tape = Tape()
-    saved = config.continuity_weight
-    try:
-        config.continuity_weight = 0.0
-        node, info, _, _ = _value_objective(tape, state, batch, config)
-    finally:
-        config.continuity_weight = saved
-    _check_finite(info["td_loss"], "td_loss", state.step)
-    return info["td_loss"]
+def _pair_blocks(z, inputs, s_chain, g_chain, pairs):
+    """State and goal latent blocks of the (state, goal) name pairs."""
+    def latent(chain, name):
+        return z[(chain[-1], name)] if chain else inputs[name]
 
-
-def continuity_loss(state: LearnerState, batch: dict,
-                    config: TrainConfig | None = None) -> float:
-    config = config or state.config
-    obs = state.normalize(batch["obs"])
-    next_obs = state.normalize(batch["next_obs"])
-    rand_goal = state.normalize(batch["rand_goal"])
-    v_mean = float(value(state.arch, state.rep, obs,
-                         state.normalize(batch["value_goal"])).mean())
-    delta = continuity_threshold(config.discount, v_mean)
-    gap = (value(state.arch, state.rep, obs, rand_goal)
-           - value(state.arch, state.rep, next_obs, rand_goal))
-    return float(np.maximum(gap * gap - delta * delta, 0.0).mean())
-
-
-def value_loss(state: LearnerState, batch: dict,
-               config: TrainConfig | None = None) -> float:
-    config = config or state.config
-    tape = Tape()
-    node, info, _, _ = _value_objective(tape, state, batch, config)
-    _check_finite(float(node.value), "value_loss", state.step)
-    return float(node.value)
+    return ([latent(s_chain, s) for s, _ in pairs],
+            [latent(g_chain, g) for _, g in pairs])
 
 
 def _gaussian_logprob(tape: Tape, mean: Node, log_std: Node, target: Node) -> Node:
@@ -360,97 +338,150 @@ def _gaussian_logprob(tape: Tape, mean: Node, log_std: Node, target: Node) -> No
     return tape.sub(tape.sub(half, logdet), tape.constant(const))
 
 
-def _policy_objective_high(tape: Tape, state: LearnerState, batch: dict,
-                           config: TrainConfig, temperature: float):
-    if not config.hierarchical or state.policies.high is None:
+def _policy_loss(tape: Tape, policy: GaussianPolicy, prefix: str, inputs: Node,
+                 target: Node, weights: np.ndarray) -> tuple[Node, dict[str, Node]]:
+    """Weighted negative log-likelihood and the policy's parameter leaves."""
+    net = LiftedMlp(tape, policy.net, name=f"{prefix}.net")
+    log_std = tape.leaf(policy.log_std, f"{prefix}.log_std")
+    logp = _gaussian_logprob(tape, net(inputs), log_std, target)
+    loss = tape.neg(tape.reduce_mean(tape.mul(tape.constant(weights), logp)))
+    leaves = net.tree(f"{prefix}/net")
+    leaves[f"{prefix}/log_std"] = log_std
+    return loss, leaves
+
+
+@dataclass
+class _Graph:
+    tape: Tape
+    losses: dict[str, Node]              # "value", "high", "low" as built
+    params: dict[str, dict[str, Node]]   # Adam group -> parameter name -> leaf
+    info: dict[str, float]
+
+
+def _graph(state: LearnerState, batch: dict, config: TrainConfig,
+           losses: set[str]) -> _Graph:
+    """Build the requested losses on one tape.
+
+    ``losses`` is a subset of {"td", "continuity", "high", "low"}. Each
+    input stack runs through each network at most once on the tape (the
+    rows some loss differentiates through) and at most once in plain NumPy
+    (the rows only the TD target and the AWR advantages read), reusing the
+    tape's values. Pairs are scored in latent space from row slices.
+    """
+    hier = config.hierarchical
+    if "high" in losses and (not hier or state.policies.high is None):
         raise GraphError("high_policy_loss requires hierarchical mode")
-    obs = state.normalize(batch["obs"])
-    goal = state.normalize(batch["policy_goal"])
-    sub = state.normalize(batch["subgoal"])
-    adv = _advantage(state, sub, obs, goal)
-    w = awr_weights(adv, temperature)
+    bc = config.objective == "bc"
+    size = len(batch["obs"])
+    x_all = np.concatenate([state.normalize(batch[k]) for k in _INPUTS])
+    tape = Tape()
+    x_node = tape.constant(x_all, "inputs")
+    spans = {k: (i * size, (i + 1) * size) for i, k in enumerate(_INPUTS)}
+    tape_in = {k: (x_node, *span) for k, span in spans.items()}
+    plain_in = {k: (x_all, *span) for k, span in spans.items()}
 
-    rep_l = LiftedMlp(tape, state.rep, trainable=config.rep_grad_from_policy,
-                      name="rep")
-    target = rep_l(tape.constant(sub, "subgoal"))
-    pol = state.policies.high
-    net = LiftedMlp(tape, pol.net, name="high.net")
-    log_std = tape.leaf(pol.log_std, "high.log_std")
-    mean = net(tape.concat(tape.constant(obs), tape.constant(goal)))
-    logp = _gaussian_logprob(tape, mean, log_std, target)
-    loss = tape.neg(tape.reduce_mean(tape.mul(tape.constant(w), logp)))
-    nodes = pol_tree_nodes(net, log_std, "high")
-    return loss, nodes, rep_l
+    def gather(blocks) -> Node:  # tape blocks of one source node
+        return tape.take_rows(blocks[0][0], [(lo, hi) for _, lo, hi in blocks])
 
+    def row_blocks(node, n):
+        return [tape.take_rows(node, [(i * size, (i + 1) * size)]) for i in range(n)]
 
-def _policy_objective_low(tape: Tape, state: LearnerState, batch: dict,
-                          config: TrainConfig, temperature: float):
-    obs = state.normalize(batch["obs"])
-    next_obs = state.normalize(batch["next_obs"])
-    rep_l = None
-    if config.objective == "bc":
-        w = np.ones(len(obs))
-        cond = tape.constant(state.normalize(batch["policy_goal"]), "policy_goal")
-    elif config.hierarchical:
-        sub = state.normalize(batch["subgoal"])
-        w = awr_weights(_advantage(state, next_obs, obs, sub), temperature)
-        rep_l = LiftedMlp(tape, state.rep, trainable=config.rep_grad_from_policy,
-                          name="rep")
-        cond = rep_l(tape.constant(sub, "subgoal"))
+    s_chain, g_chain = state.arch.chains(hier)
+    rep = LiftedMlp(tape, state.rep, name="rep") if hier else None
+    info: dict[str, float] = {}
+    out: dict[str, Node] = {}
+    params: dict[str, dict[str, Node]] = {}
+
+    # rows that some loss differentiates through: one tape pass per network
+    value_pairs = []
+    if losses & {"td", "continuity"}:
+        value_pairs = [("obs", "value_goal")]
+        if "continuity" in losses:
+            value_pairs += [("obs", "rand_goal"), ("next_obs", "rand_goal")]
+        lifted = LiftedValue(tape, state.arch, rep=rep)
+        nets = dict(lifted.nets, rep=rep)
+        params["value"] = lifted.tree("value")
+        if rep is not None:
+            params["value"].update({f"rep/{k}": n for k, n in rep.tree("rep").items()})
     else:
-        goal = state.normalize(batch["policy_goal"])
-        w = awr_weights(_advantage(state, next_obs, obs, goal), temperature)
-        cond = tape.constant(goal, "policy_goal")
-    pol = state.policies.low
-    net = LiftedMlp(tape, pol.net, name="low.net")
-    log_std = tape.leaf(pol.log_std, "low.log_std")
-    mean = net(tape.concat(tape.constant(obs), cond))
-    logp = _gaussian_logprob(tape, mean, log_std,
-                             tape.constant(batch["action"], "action"))
-    loss = tape.neg(tape.reduce_mean(tape.mul(tape.constant(w), logp)))
-    nodes = pol_tree_nodes(net, log_std, "low")
-    return loss, nodes, rep_l
+        nets = {"rep": rep}
+    requests = [(s_chain, [s for s, _ in value_pairs]),
+                (g_chain, [g for _, g in value_pairs])]
+    policy_rep = hier and bool(losses & {"high", "low"})
+    if policy_rep:
+        requests.append((("rep",), ["subgoal"]))
+    z = _encode(requests, nets, LiftedMlp.__call__, gather, tape_in)
 
+    # rows only read as values: the TD target and the AWR advantages
+    def target(chain):
+        return tuple(n if n == "rep" else f"target.{n}" for n in chain)
 
-def pol_tree_nodes(net: LiftedMlp, log_std: Node, prefix: str) -> dict[str, Node]:
-    nodes = {}
-    for i, (wn, bn) in enumerate(zip(net.weights, net.biases)):
-        nodes[f"{prefix}/net.w{i}"] = wn
-        nodes[f"{prefix}/net.b{i}"] = bn
-    nodes[f"{prefix}/log_std"] = log_std
-    return nodes
+    adv_pairs = []
+    if "high" in losses:
+        adv_pairs += [("subgoal", "policy_goal"), ("obs", "policy_goal")]
+    if "low" in losses and not bc:
+        goal = "subgoal" if hier else "policy_goal"
+        adv_pairs += [("next_obs", goal), ("obs", goal)]
+    requests = [(s_chain, [s for s, _ in adv_pairs]),
+                (g_chain, [g for _, g in adv_pairs])]
+    if "td" in losses:
+        requests += [(target(s_chain), ["next_obs"]), (target(g_chain), ["value_goal"])]
+    plain_nets = dict(state.arch.nets, rep=state.rep)
+    plain_nets.update({f"target.{k}": v for k, v in state.target_arch.nets.items()})
+    zp = _encode(requests, plain_nets, mlp_apply, _gather_plain, plain_in,
+                 done={k: (y.value, lo, hi) for k, (y, lo, hi) in z.items()})
 
+    if value_pairs:
+        zs, zg = _pair_blocks(z, tape_in, s_chain, g_chain, value_pairs)
+        v, *rand = row_blocks(lifted.score(gather(zs), gather(zg)), len(value_pairs))
+        v_mean = float(v.value.mean())
+        delta = continuity_threshold(config.discount, v_mean)
+        info.update(v_mean=v_mean, delta=delta, continuity_loss=0.0)
+        if "td" in losses:
+            zs, zg = _pair_blocks(zp, plain_in, target(s_chain), target(g_chain),
+                                  [("next_obs", "value_goal")])
+            tv = score(state.target_arch, _gather_plain(zs), _gather_plain(zg))
+            bootstrap = batch["reward"] + config.discount * (1.0 - batch["done"]) * tv
+            err = tape.sub(tape.constant(bootstrap, "td_target"), v)
+            weights = expectile_weights(err.value, config.expectile)
+            out["value"] = tape.reduce_mean(
+                tape.mul(tape.constant(weights), tape.square(err)))
+            info["td_loss"] = float(out["value"].value)
+        if rand:
+            gap = tape.sub(*rand)
+            hinge = tape.relu(tape.sub(tape.square(gap), tape.constant(delta * delta)))
+            cont = tape.reduce_mean(hinge)
+            info["continuity_loss"] = float(cont.value)
+            if "value" in out:
+                out["value"] = tape.add(out["value"], tape.mul(
+                    tape.constant(config.continuity_weight), cont))
 
-def high_policy_loss(state: LearnerState, batch: dict,
-                     temperature: float | None = None) -> float:
-    config = state.config
-    tape = Tape()
-    loss, _, _ = _policy_objective_high(
-        tape, state, batch, config,
-        config.high_temp if temperature is None else temperature)
-    _check_finite(float(loss.value), "high_policy_loss", state.step)
-    return float(loss.value)
-
-
-def low_policy_loss(state: LearnerState, batch: dict,
-                    temperature: float | None = None) -> float:
-    config = state.config
-    tape = Tape()
-    loss, _, _ = _policy_objective_low(
-        tape, state, batch, config,
-        config.low_temp if temperature is None else temperature)
-    _check_finite(float(loss.value), "low_policy_loss", state.step)
-    return float(loss.value)
-
-
-def gcbc_loss(state: LearnerState, batch: dict) -> float:
-    """Uniform-weight goal-conditioned cloning (flat mode only)."""
-    if state.config.hierarchical:
-        raise GraphError("gcbc_loss requires flat mode")
-    config = replace(state.config, objective="bc")
-    tape = Tape()
-    loss, _, _ = _policy_objective_low(tape, state, batch, config, 1.0)
-    return float(loss.value)
+    adv = []
+    if adv_pairs:
+        zs, zg = _pair_blocks(zp, plain_in, s_chain, g_chain, adv_pairs)
+        both = score(state.arch, _gather_plain(zs), _gather_plain(zg))
+        adv = [both[i * size:(i + 1) * size] - both[(i + 1) * size:(i + 2) * size]
+               for i in range(0, len(adv_pairs), 2)]
+    obs = gather([tape_in["obs"]])
+    if policy_rep:
+        rep_sub = gather([z[("rep", "subgoal")]])
+        if not config.rep_grad_from_policy:
+            rep_sub = tape.stop_gradient(rep_sub)
+    if "high" in losses:
+        out["high"], params["high"] = _policy_loss(
+            tape, state.policies.high, "high",
+            tape.concat(obs, gather([tape_in["policy_goal"]])), rep_sub,
+            awr_weights(adv[0], config.high_temp))
+    if "low" in losses:
+        if bc:
+            weights, cond = np.ones(size), gather([tape_in["policy_goal"]])
+        else:
+            weights = awr_weights(adv[-1], config.low_temp)
+            cond = rep_sub if hier else gather([tape_in["policy_goal"]])
+        out["low"], params["low"] = _policy_loss(
+            tape, state.policies.low, "low", tape.concat(obs, cond),
+            tape.constant(batch["action"], "action"), weights)
+    return _Graph(tape, out, params, info)
 
 
 def _check_finite(x: float, what: str, step: int) -> None:
@@ -458,83 +489,105 @@ def _check_finite(x: float, what: str, step: int) -> None:
         raise GraphError(f"{what}: non-finite at training step {step}")
 
 
+# ---- losses, read from the step graph ---------------------------------------------------
+
+
+def td_loss(state: LearnerState, batch: dict, config: TrainConfig | None = None) -> float:
+    info = _graph(state, batch, config or state.config, {"td"}).info
+    _check_finite(info["td_loss"], "td_loss", state.step)
+    return info["td_loss"]
+
+
+def continuity_loss(state: LearnerState, batch: dict,
+                    config: TrainConfig | None = None) -> float:
+    return _graph(state, batch, config or state.config, {"continuity"}).info[
+        "continuity_loss"]
+
+
+def value_loss(state: LearnerState, batch: dict,
+               config: TrainConfig | None = None) -> float:
+    config = config or state.config
+    loss = float(_graph(state, batch, config, _value_losses(config)).losses["value"].value)
+    _check_finite(loss, "value_loss", state.step)
+    return loss
+
+
+def high_policy_loss(state: LearnerState, batch: dict,
+                     temperature: float | None = None) -> float:
+    config = state.config
+    if temperature is not None:
+        config = replace(config, high_temp=temperature)
+    loss = float(_graph(state, batch, config, {"high"}).losses["high"].value)
+    _check_finite(loss, "high_policy_loss", state.step)
+    return loss
+
+
+def low_policy_loss(state: LearnerState, batch: dict,
+                    temperature: float | None = None) -> float:
+    config = state.config
+    if temperature is not None:
+        config = replace(config, low_temp=temperature)
+    loss = float(_graph(state, batch, config, {"low"}).losses["low"].value)
+    _check_finite(loss, "low_policy_loss", state.step)
+    return loss
+
+
+def gcbc_loss(state: LearnerState, batch: dict) -> float:
+    """Uniform-weight goal-conditioned cloning (flat mode only)."""
+    if state.config.hierarchical:
+        raise GraphError("gcbc_loss requires flat mode")
+    config = replace(state.config, objective="bc")
+    return float(_graph(state, batch, config, {"low"}).losses["low"].value)
+
+
+def _value_losses(config: TrainConfig) -> set[str]:
+    return {"td", "continuity"} if config.continuity_weight else {"td"}
+
+
 # ---- optimization step -----------------------------------------------------------------
 
-
-def _grads_for(tape: Tape, nodes: dict[str, Node]) -> dict[str, np.ndarray]:
-    return {name: tape.grad(node) for name, node in nodes.items()}
+_LOSS_NAMES = {"value": "value_loss", "high": "high_policy_loss",
+               "low": "low_policy_loss"}
 
 
 def train_step(state: LearnerState, batch: dict,
                config: TrainConfig | None = None) -> tuple[LearnerState, dict]:
     """One optimization step over all parameter groups, then target smoothing."""
     config = config or state.config
-    hier = config.hierarchical
-    metrics = {}
-
-    # value group (encoders, trunk, and the bottleneck via the value loss)
+    losses = {"low"}
     if config.objective != "bc":
-        tape = Tape()
-        total, info, lifted, rep_l = _value_objective(tape, state, batch, config)
-        _check_finite(float(total.value), "value_loss", state.step)
-        tape.backward(total)
-        value_nodes = lifted.tree("value")
-        if rep_l is not None:
-            value_nodes.update({f"rep/{k}": n
-                                for k, n in rep_l.tree("rep").items()})
-        value_grads = _grads_for(tape, value_nodes)
-        metrics.update(info)
-    else:
-        value_grads = None
-        metrics.update({"td_loss": float("nan"), "continuity_loss": float("nan"),
-                        "v_mean": float("nan"), "delta": float("nan")})
+        losses |= _value_losses(config)
+    if config.hierarchical:
+        losses.add("high")
+    graph = _graph(state, batch, config, losses)
+    tape = graph.tape
+    for name, node in graph.losses.items():
+        _check_finite(float(node.value), _LOSS_NAMES[name], state.step)
+    total, *rest = graph.losses.values()
+    for node in rest:
+        total = tape.add(total, node)
+    tape.backward(total)
+    grads = {group: {name: tape.grad(node) for name, node in leaves.items()}
+             for group, leaves in graph.params.items()}
 
-    # high-level policy
-    high_grads = None
-    rep_from_high = None
-    if hier:
-        tape_h = Tape()
-        loss_h, nodes_h, rep_lh = _policy_objective_high(
-            tape_h, state, batch, config, config.high_temp)
-        _check_finite(float(loss_h.value), "high_policy_loss", state.step)
-        tape_h.backward(loss_h)
-        high_grads = _grads_for(tape_h, nodes_h)
-        if config.rep_grad_from_policy:
-            rep_from_high = {f"rep/{k}": tape_h.grad(n)
-                             for k, n in rep_lh.tree("rep").items()}
-        metrics["high_policy_loss"] = float(loss_h.value)
-    else:
-        metrics["high_policy_loss"] = float("nan")
-
-    # low-level policy
-    tape_l = Tape()
-    loss_l, nodes_l, rep_ll = _policy_objective_low(
-        tape_l, state, batch, config, config.low_temp)
-    _check_finite(float(loss_l.value), "low_policy_loss", state.step)
-    tape_l.backward(loss_l)
-    low_grads = _grads_for(tape_l, nodes_l)
-    rep_from_low = None
-    if hier and config.rep_grad_from_policy and rep_ll is not None:
-        rep_from_low = {f"rep/{k}": tape_l.grad(n)
-                        for k, n in rep_ll.tree("rep").items()}
-    metrics["low_policy_loss"] = float(loss_l.value)
-
-    # one Adam step per group; bottleneck gradients are summed across losses
-    if value_grads is not None:
-        for extra in (rep_from_high, rep_from_low):
-            if extra:
-                for name, g in extra.items():
-                    value_grads[name] = value_grads[name] + g
-        adam_step(_value_group(state), value_grads, state.opt_value, config.lr)
-    if high_grads is not None:
-        adam_step(state.policies.high.tree("high"), high_grads,
+    # one Adam step per group; the bottleneck's gradient sums every loss
+    if "value" in grads:
+        adam_step(_value_group(state), grads["value"], state.opt_value, config.lr)
+    if "high" in grads:
+        adam_step(state.policies.high.tree("high"), grads["high"],
                   state.opt_high, config.lr)
-    adam_step(state.policies.low.tree("low"), low_grads, state.opt_low, config.lr)
+    adam_step(state.policies.low.tree("low"), grads["low"], state.opt_low, config.lr)
 
     if config.objective != "bc":
         polyak_update(state.target_arch.tree(), state.arch.tree(),
                       config.target_rate)
     state.step += 1
+    nan = float("nan")
+    metrics = {"td_loss": nan, "continuity_loss": nan, "v_mean": nan, "delta": nan}
+    metrics.update(graph.info)
+    for name in ("high", "low"):
+        node = graph.losses.get(name)
+        metrics[_LOSS_NAMES[name]] = nan if node is None else float(node.value)
     metrics["step"] = state.step
     return state, metrics
 

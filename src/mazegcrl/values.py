@@ -39,6 +39,7 @@ __all__ = [
     "make_value_arch",
     "make_subgoal_rep",
     "value",
+    "score",
     "LiftedValue",
     "iqe_distance",
     "mrn_distance",
@@ -73,6 +74,19 @@ class ValueArchitecture:
         if self.raw_alpha is not None:
             out["raw_alpha"] = self.raw_alpha
         return out
+
+    def chains(self, bottleneck: bool) -> tuple[tuple[str, ...], tuple[str, ...]]:
+        """Networks states and goals pass through before the score, in order.
+
+        ``"rep"`` names the goal bottleneck; the other names are keys of
+        ``nets``. The MLP kind scores raw inputs and never uses the bottleneck.
+        """
+        if self.kind == "MLP":
+            return (), ()
+        pre = ("rep",) if bottleneck else ()
+        if self.kind == "LAN":
+            return ("phi_s",), (*pre, "phi_g")
+        return (*pre, "phi"), (*pre, "phi")
 
     def copy(self) -> "ValueArchitecture":
         return ValueArchitecture(
@@ -129,7 +143,7 @@ def make_subgoal_rep(rng: np.random.Generator, state_dim: int,
     return init_mlp(rng, [state_dim, *tuple(hidden), rep_dim])
 
 
-# ---- distance heads (plain numpy) ------------------------------------------------
+# ---- distance kernels (plain numpy) ----------------------------------------------
 
 
 def _row_norms(diff: np.ndarray) -> np.ndarray:
@@ -206,26 +220,19 @@ def hilbert_distance(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.sqrt(((x - y) ** 2).sum()))
 
 
-# ---- plain batched forward ---------------------------------------------------------
+# ---- heads: encode, then score in latent space ------------------------------------
 
 
-def value(arch: ValueArchitecture, rep: MlpParams | None,
-          s: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """V(s, g) for batches (B, state_dim) x (B, state_dim) -> (B,)."""
-    s = np.asarray(s, dtype=np.float64)
-    g = np.asarray(g, dtype=np.float64)
+def _run_chain(apply, nets: dict, chain: tuple[str, ...], x):
+    for name in chain:
+        x = apply(nets[name], x)
+    return x
+
+
+def score(arch: ValueArchitecture, zs: np.ndarray, zg: np.ndarray) -> np.ndarray:
+    """V from encoded states and goals, row by row; (B, ·) x (B, ·) -> (B,)."""
     if arch.kind == "MLP":
-        return mlp_apply(arch.nets["trunk"], np.concatenate([s, g], axis=1))[:, 0]
-    if arch.kind == "LAN":
-        gg = mlp_apply(rep, g) if rep is not None else g
-        zs = mlp_apply(arch.nets["phi_s"], s)
-        zg = mlp_apply(arch.nets["phi_g"], gg)
-        return -_row_norms(zs - zg)
-    if rep is not None:
-        s = mlp_apply(rep, s)
-        g = mlp_apply(rep, g)
-    zs = mlp_apply(arch.nets["phi"], s)
-    zg = mlp_apply(arch.nets["phi"], g)
+        return mlp_apply(arch.nets["trunk"], np.concatenate([zs, zg], axis=1))[:, 0]
     if arch.kind == "IQE":
         kk, ll = arch.iqe_shape
         measure, _ = interval_union_measure(zs.reshape(-1, kk, ll),
@@ -236,10 +243,18 @@ def value(arch: ValueArchitecture, rep: MlpParams | None,
         sym = _row_norms(zs[:, :d] - zg[:, :d])
         asym = np.maximum(zs[:, d:] - zg[:, d:], 0.0).max(axis=1)
         return -(sym + asym)
-    return -_row_norms(zs - zg)  # Hilbert
+    return -_row_norms(zs - zg)  # LAN, Hilbert
 
 
-# ---- tape forward -------------------------------------------------------------------
+def value(arch: ValueArchitecture, rep: MlpParams | None,
+          s: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """V(s, g) for batches (B, state_dim) x (B, state_dim) -> (B,)."""
+    s = np.asarray(s, dtype=np.float64)
+    g = np.asarray(g, dtype=np.float64)
+    nets = dict(arch.nets, rep=rep)
+    s_chain, g_chain = arch.chains(rep is not None)
+    return score(arch, _run_chain(mlp_apply, nets, s_chain, s),
+                 _run_chain(mlp_apply, nets, g_chain, g))
 
 
 def _iqe_measure_node(tape: Tape, u: Node, v: Node) -> Node:
@@ -260,7 +275,11 @@ def _iqe_measure_node(tape: Tape, u: Node, v: Node) -> Node:
 
 
 class LiftedValue:
-    """Tape view of a ValueArchitecture (optionally with the goal bottleneck)."""
+    """Tape view of a ValueArchitecture (optionally with the goal bottleneck).
+
+    Callers that encode inputs themselves run ``nets`` (and ``rep``) along
+    ``arch.chains`` and score the latents with ``score``.
+    """
 
     def __init__(self, tape: Tape, arch: ValueArchitecture,
                  rep: LiftedMlp | None = None, trainable: bool = True,
@@ -276,20 +295,18 @@ class LiftedValue:
             self.raw_alpha = make(arch.raw_alpha, f"{name}.raw_alpha")
 
     def __call__(self, s: Node, g: Node) -> Node:
+        nets = dict(self.nets, rep=self.rep)
+        s_chain, g_chain = self.arch.chains(self.rep is not None)
+        return self.score(_run_chain(LiftedMlp.__call__, nets, s_chain, s),
+                          _run_chain(LiftedMlp.__call__, nets, g_chain, g))
+
+    def score(self, zs: Node, zg: Node) -> Node:
+        """Tape counterpart of ``score``."""
         t = self.tape
         kind = self.arch.kind
         if kind == "MLP":
-            out = self.nets["trunk"](t.concat(s, g))
+            out = self.nets["trunk"](t.concat(zs, zg))
             return t.reshape(out, (out.value.shape[0],))
-        if kind == "LAN":
-            gg = self.rep(g) if self.rep is not None else g
-            diff = t.sub(self.nets["phi_s"](s), self.nets["phi_g"](gg))
-            return t.neg(t.l2norm_rows(diff))
-        if self.rep is not None:
-            s = self.rep(s)
-            g = self.rep(g)
-        zs = self.nets["phi"](s)
-        zg = self.nets["phi"](g)
         if kind == "IQE":
             kk, ll = self.arch.iqe_shape
             batch = zs.value.shape[0]
@@ -306,7 +323,7 @@ class LiftedValue:
             resid = t.relu(t.sub(t.slice_cols(zs, d, zs.value.shape[1]),
                                  t.slice_cols(zg, d, zg.value.shape[1])))
             return t.neg(t.add(sym, t.reduce_max(resid, axis=1)))
-        return t.neg(t.l2norm_rows(t.sub(zs, zg)))  # Hilbert
+        return t.neg(t.l2norm_rows(t.sub(zs, zg)))  # LAN, Hilbert
 
     def tree(self, prefix: str) -> dict[str, Node]:
         out = {}

@@ -109,6 +109,17 @@ def test_grad_before_backward_rejected():
         tape.grad(x)
 
 
+def test_backward_releases_the_graph():
+    tape = Tape()
+    x = tape.leaf([1.0, 2.0])
+    y = tape.reduce_sum(tape.square(x))
+    tape.backward(y)
+    assert tape.nodes == [] and y._backward is None
+    assert np.array_equal(tape.grad(x), [2.0, 4.0])
+    with pytest.raises(GraphError, match="released"):
+        tape.backward(y)
+
+
 def test_backward_requires_scalar_without_seed():
     tape = Tape()
     x = tape.leaf([1.0, 2.0])
@@ -165,6 +176,8 @@ OPS = [
     ("max1", lambda t, a: t.reduce_max(a, axis=1), 1),
     ("clip", lambda t, a: t.clip(a, -0.5, 0.5), 1),
     ("slice", lambda t, a: t.slice_cols(a, 1, 3), 1),
+    ("take_rows", lambda t, a: t.mul(t.take_rows(a, [(1, 3), (0, 2), (1, 2)]),
+                                     t.constant(np.arange(20.0).reshape(5, 4))), 1),
     ("reshape", lambda t, a: t.reshape(a, (12,)), 1),
 ]
 

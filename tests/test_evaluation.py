@@ -276,6 +276,13 @@ def test_report_csv_round_trip():
     assert E.report_to_csv(back) == text
 
 
+def test_report_csv_rejects_out_of_order_task_ids():
+    text = E.report_to_csv([E.EvalReport(100, [0.2, 1.0], [0.5, 0.75], [0.9, -0.1])])
+    header, first, second = text.strip().split("\n")
+    with pytest.raises(ValueError, match="task id"):
+        E.report_from_csv("\n".join([header, second, first]))
+
+
 def test_landscape_csv_round_trip():
     spec = builtin_layout("medium")
     fn = lambda states, g: -np.hypot(states[:, 0] - g[0], states[:, 1] - g[1])

@@ -1,0 +1,175 @@
+"""The one-graph train_step: agreement with the three-tape oracle, structure, memory."""
+
+import gc
+import math
+import platform
+import resource
+import weakref
+
+import numpy as np
+import pytest
+
+from mazegcrl import autodiff, data, maze, values
+from mazegcrl import training as T
+from mazegcrl.data import sample_batch
+from mazegcrl.training import TrainConfig, init_learner, train_step
+from tests import oracle_step
+
+CONFIGS = [dict(arch_kind=kind, hierarchical=hier, continuity_weight=wc)
+           for kind in values.KINDS for hier in (False, True) for wc in (0.0, 1.0)]
+CONFIGS += [dict(arch_kind="MLP", hierarchical=False, objective="bc"),
+            dict(arch_kind="LAN", hierarchical=False, objective="bc"),
+            dict(arch_kind="LAN", hierarchical=True, continuity_weight=1.0,
+                 rep_grad_from_policy=False),
+            dict(arch_kind="IQE", hierarchical=True, rep_grad_from_policy=False),
+            dict(arch_kind="MLP", hierarchical=True, rep_grad_from_policy=False)]
+
+
+def config_id(cfg):
+    return "-".join(f"{k}={v}" for k, v in cfg.items())
+
+
+@pytest.fixture(scope="module")
+def medium():
+    spec = maze.builtin_layout("medium")
+    return spec, data.collect_navigate(spec, 2000, 0.5, seed=0)
+
+
+def batches(spec, ds, cfg, n, seed=123):
+    rng = np.random.default_rng(seed)
+    return [sample_batch(ds, cfg.batch_size, cfg.value_goal_ratios,
+                         cfg.policy_goal_ratios, cfg.discount, cfg.subgoal_steps,
+                         spec.goal_radius, rng) for _ in range(n)]
+
+
+def activate_continuity(state, batch_list):
+    """Large values and distant next states, so the continuity hinge is active.
+
+    At initialization the values are near zero and one transition moves
+    them far less than the threshold, so the hinge would contribute nothing.
+    """
+    for arch in (state.arch, state.target_arch):
+        for net in arch.nets.values():
+            net.weights[-1] *= 3000.0
+            net.biases[-1] *= 3000.0
+    for batch in batch_list:
+        batch["next_obs"] = batch["rand_goal"][::-1].copy()
+
+
+CASES = [(cfg, False) for cfg in CONFIGS]
+CASES += [(cfg, True) for cfg in CONFIGS if cfg.get("continuity_weight")]
+
+
+@pytest.mark.parametrize("overrides, hinge", CASES, ids=[
+    config_id(cfg) + ("-active-hinge" if hinge else "") for cfg, hinge in CASES])
+def test_matches_three_tape_oracle_for_twenty_steps(medium, overrides, hinge):
+    spec, ds = medium
+    cfg = TrainConfig(batch_size=64, seed=3, **overrides)
+    new, old = init_learner(cfg, spec), init_learner(cfg, spec)
+    batch_list = batches(spec, ds, cfg, 20)
+    if hinge:
+        activate_continuity(new, batch_list)
+        activate_continuity(old, [])
+    for step, batch in enumerate(batch_list):
+        new, m_new = train_step(new, batch)
+        old, m_old = oracle_step.train_step(old, batch)
+        assert not hinge or step > 0 or m_old["continuity_loss"] > 0.0
+        assert set(m_new) == set(m_old)
+        for k, a in m_new.items():
+            b = m_old[k]
+            assert (math.isnan(a) and math.isnan(b)) or abs(a - b) <= 1e-10 * max(
+                1.0, abs(b)), (step, k, a, b)
+    # absolute as well as relative: with a shared encoder (MRN, Hilbert) the
+    # last bias cancels in zs - zg, so its gradient is rounding noise that Adam
+    # scales by 1/eps, and the two steps sum that noise in different orders
+    t_new, t_old = T.state_tree(new), T.state_tree(old)
+    assert set(t_new) == set(t_old)
+    for name in t_new:
+        np.testing.assert_allclose(t_new[name], t_old[name], rtol=1e-10,
+                                   atol=1e-10, err_msg=name)
+
+
+@pytest.fixture
+def counts(monkeypatch):
+    """Tapes, backward sweeps, tape MLP passes and plain MLP passes made."""
+    seen = {"tapes": 0, "backward": 0, "tape_mlp": 0, "plain_mlp": 0}
+
+    def counting(fn, key):
+        def wrapper(*args, **kwargs):
+            seen[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(autodiff.Tape, "__init__",
+                        counting(autodiff.Tape.__init__, "tapes"))
+    monkeypatch.setattr(autodiff.Tape, "backward",
+                        counting(autodiff.Tape.backward, "backward"))
+    monkeypatch.setattr(autodiff.LiftedMlp, "__call__",
+                        counting(autodiff.LiftedMlp.__call__, "tape_mlp"))
+    plain = counting(autodiff.mlp_apply, "plain_mlp")
+    for module in (autodiff, values, T):
+        if hasattr(module, "mlp_apply"):
+            monkeypatch.setattr(module, "mlp_apply", plain)
+    return seen
+
+
+@pytest.mark.parametrize("overrides", CONFIGS, ids=config_id)
+def test_one_tape_and_one_backward_per_step(medium, counts, overrides):
+    spec, ds = medium
+    cfg = TrainConfig(batch_size=32, **overrides)
+    state = init_learner(cfg, spec)
+    for batch in batches(spec, ds, cfg, 2):
+        before = dict(counts)
+        state, _ = train_step(state, batch)
+        assert counts["tapes"] - before["tapes"] == 1
+        assert counts["backward"] - before["backward"] == 1
+
+
+def test_lan_hierarchical_continuity_encodes_each_stack_once(medium, counts):
+    spec, ds = medium
+    cfg = TrainConfig(arch_kind="LAN", hierarchical=True, continuity_weight=1.0,
+                      batch_size=32)
+    state = init_learner(cfg, spec)
+    (batch,) = batches(spec, ds, cfg, 1)
+    train_step(state, batch)
+    # tape: rep, phi_s, phi_g, high and low policy; plain: target phi_s and
+    # phi_g, phi_s(subgoal), rep(policy goal), phi_g(policy goal, subgoal)
+    assert counts["tape_mlp"] <= 5
+    assert counts["plain_mlp"] <= 5
+
+
+def test_step_graph_is_freed_without_the_cycle_collector(medium, monkeypatch):
+    spec, ds = medium
+    cfg = TrainConfig(arch_kind="IQE", hierarchical=True, continuity_weight=1.0,
+                      batch_size=32)
+    state = init_learner(cfg, spec)
+    (batch,) = batches(spec, ds, cfg, 1)
+    tapes = []
+    init = autodiff.Tape.__init__
+
+    def remember(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        tapes.append(weakref.ref(self))
+
+    monkeypatch.setattr(autodiff.Tape, "__init__", remember)
+    gc.disable()
+    try:
+        train_step(state, batch)
+        assert len(tapes) == 1 and tapes[0]() is None
+    finally:
+        gc.enable()
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc heap tuning")
+def test_steps_reuse_heap_memory_instead_of_faulting_it_in(medium):
+    spec, ds = medium
+    cfg = TrainConfig(arch_kind="IQE", hierarchical=False, batch_size=256)
+    state = init_learner(cfg, spec)
+    batch_list = batches(spec, ds, cfg, 15)
+    for batch in batch_list[:5]:
+        state, _ = train_step(state, batch)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for batch in batch_list[5:]:
+        state, _ = train_step(state, batch)
+    # without the heap thresholds set on import, each step faults in ~1500 pages
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 10 * 50
