@@ -123,6 +123,7 @@ class Tape:
         self.nodes: list[Node] = []
         self.validate = validate
         self._ran_backward = False
+        self._released = False
 
     # ---- node construction -------------------------------------------------
 
@@ -409,17 +410,29 @@ class Tape:
 
     # ---- backward sweep ------------------------------------------------------
 
+    def release(self) -> None:
+        """Drop the tape's node list and every backward closure.
+
+        Nodes point at their tape and closures at their input nodes, so a
+        built graph is a reference cycle that only the cycle collector would
+        free. Once released, nodes, closures and tape are freed when the
+        caller lets go of them; node values and gradients stay readable, but
+        no backward sweep can run any more. Callers that only read values
+        release the tape themselves; ``backward`` releases it after its sweep.
+        """
+        for node in self.nodes:
+            node._backward = None
+        self.nodes = []
+        self._released = True
+
     def backward(self, output: Node, seed=None) -> None:
         """One reversed sweep; afterwards the graph is released.
 
-        The sweep drops the tape's node list and every backward closure, so
-        the nodes, closures and tape hold no reference cycle and are freed
-        when the caller lets go of them; gradients stay readable through
-        ``grad``. A second sweep on the same tape is an error.
+        Gradients stay readable through ``grad``. A sweep on a released tape
+        (a second backward, or after ``release``) is an error.
         """
-        if self._ran_backward:
-            raise GraphError("backward: this tape's graph was released by an "
-                             "earlier backward")
+        if self._released:
+            raise GraphError("backward: this tape's graph was released")
         if output.tape is not self:
             raise GraphError("backward: output from a different tape")
         if seed is None:
@@ -438,8 +451,8 @@ class Tape:
             if node.grad is not None and node._backward is not None:
                 node._backward(node.grad)
             node._backward = None
-        self.nodes = []
         self._ran_backward = True
+        self.release()
 
     def grad(self, node: Node) -> np.ndarray:
         if not self._ran_backward:

@@ -2,7 +2,12 @@
 
 Rollouts are deterministic: policies act through their means and the
 dynamics are deterministic, so trials differ only through a small start
-jitter drawn from the caller's RNG. Value quality is scalarized two ways:
+jitter drawn from the caller's RNG. ``evaluate`` rolls every trial of
+every task out together: one actor call and one ``maze.step_batch`` per
+time step. Finished trials are frozen in place rather than dropped, so the
+actor always sees the same batch shape; a matrix product's bits for a row
+can depend on how many rows the BLAS kernel is handed, so shrinking the
+batch could change actions. Value quality is scalarized two ways:
 Kendall order consistency counts strictly increasing value pairs along a
 shortest cell path to the goal, and the temporal-alignment score is the
 Spearman rank correlation between the value landscape over free cells and
@@ -114,38 +119,47 @@ def _jittered_starts(spec: MazeSpec, start, n: int,
 
 
 def _rollout_success(actor, spec: MazeSpec, starts: np.ndarray,
-                     goal, max_steps: int) -> np.ndarray:
-    """Roll every trial forward under actor(positions, goals) -> actions."""
-    n = len(starts)
-    pos = starts.copy()
-    goal_arr = np.broadcast_to(np.asarray(goal, dtype=np.float64), (n, 2)).copy()
-    done = np.linalg.norm(pos - goal_arr, axis=1) <= spec.goal_radius
+                     goals, max_steps: int) -> np.ndarray:
+    """Roll every trial forward under actor(positions, goals) -> actions.
+
+    ``goals`` is one goal for all rows or one per row, so trials of many
+    tasks share a rollout. The actor sees every row at every step, finished
+    ones included, and ``np.where`` keeps finished rows in place: a fixed
+    batch shape keeps each row's actions independent of when others finish.
+    """
+    pos = np.array(starts, dtype=np.float64)
+    goals = np.broadcast_to(np.asarray(goals, dtype=np.float64), pos.shape)
+    done = np.linalg.norm(pos - goals, axis=1) <= spec.goal_radius
     for _ in range(max_steps):
         if done.all():
             break
-        actions = actor(pos, goal_arr)
-        for i in range(n):
-            if done[i]:
-                continue
-            pos[i] = maze.step(spec, (pos[i, 0], pos[i, 1]),
-                               (actions[i, 0], actions[i, 1]))
-        done |= np.linalg.norm(pos - goal_arr, axis=1) <= spec.goal_radius
+        moved = maze.step_batch(spec, pos, actor(pos, goals))
+        pos = np.where(done[:, None], pos, moved)
+        done |= np.linalg.norm(pos - goals, axis=1) <= spec.goal_radius
     return done
 
 
 def evaluate(state: LearnerState, spec: MazeSpec, tasks: tuple[Task, ...],
              trials_per_task: int, rng: np.random.Generator) -> EvalReport:
-    """Success rates plus per-task order-consistency diagnostics."""
+    """Success rates plus per-task order-consistency diagnostics.
+
+    Every task's starts are drawn first, in task order, then all trials
+    roll out in one batch of tasks x trials rows.
+    """
     if trials_per_task < 1:
         raise ValueError("trials_per_task must be at least 1")
     value_fn = learner_value_fn(state)
     actor = lambda pos, goals: act_batch(state, pos, goals)
-    success, kendall, alignment = [], [], []
+    starts = np.array([_jittered_starts(spec, task.start, trials_per_task, rng)
+                       for task in tasks]).reshape(-1, 2)
+    goals = np.repeat(np.array([task.goal for task in tasks],
+                               dtype=np.float64).reshape(-1, 2),
+                      trials_per_task, axis=0)
+    done = _rollout_success(actor, spec, starts, goals, spec.max_episode_steps)
+    success = [float(d.mean())
+               for d in done.reshape(len(tasks), trials_per_task)]
+    kendall, alignment = [], []
     for task in tasks:
-        starts = _jittered_starts(spec, task.start, trials_per_task, rng)
-        done = _rollout_success(actor, spec, starts, task.goal,
-                                spec.max_episode_steps)
-        success.append(float(done.mean()))
         reference = maze.optimal_trajectory(spec, task)
         kendall.append(kendall_consistency(value_fn, reference, task.goal))
         alignment.append(temporal_alignment(value_fn, spec, task.goal))

@@ -30,6 +30,7 @@ __all__ = [
     "builtin_layout",
     "LAYOUT_NAMES",
     "step",
+    "step_batch",
     "reward",
     "bfs_distance",
     "distance_field",
@@ -159,6 +160,37 @@ def step(spec: MazeSpec, s: State, a: Action) -> State:
     if _is_wall_at(spec, nx, ny):
         ny = y
     return (nx, ny)
+
+
+def _walls_at(spec: MazeSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Row-wise ``_is_wall_at``; cells outside the grid are walls."""
+    cs = spec.cell_size
+    r = np.floor(y / cs)
+    c = np.floor(x / cs)
+    h, w = spec.walls.shape
+    inside = (r >= 0) & (r < h) & (c >= 0) & (c < w)
+    hit = np.ones(inside.shape, dtype=bool)
+    hit[inside] = spec.walls[r[inside].astype(np.intp), c[inside].astype(np.intp)]
+    return hit
+
+
+def step_batch(spec: MazeSpec, positions: np.ndarray,
+               actions: np.ndarray) -> np.ndarray:
+    """``step`` applied to each row of (N, 2) positions and actions.
+
+    Every row equals the scalar ``step`` bit for bit. ``np.fmin``/``np.fmax``
+    clamp a NaN action component to -1 as Python's ``min``/``max`` do
+    (``np.clip`` would pass it through). Data collection keeps the scalar
+    ``step``: it advances one transition at a time between RNG draws.
+    """
+    pos = np.asarray(positions, dtype=np.float64)
+    a = np.fmin(1.0, np.fmax(-1.0, np.asarray(actions, dtype=np.float64)))
+    x, y = pos[:, 0], pos[:, 1]
+    nx = x + spec.step_length * a[:, 0]
+    nx = np.where(_walls_at(spec, nx, y), x, nx)
+    ny = y + spec.step_length * a[:, 1]
+    ny = np.where(_walls_at(spec, nx, ny), y, ny)
+    return np.stack([nx, ny], axis=1)
 
 
 def reward(s: State, g: State, radius: float) -> tuple[float, bool]:

@@ -492,22 +492,34 @@ def _check_finite(x: float, what: str, step: int) -> None:
 # ---- losses, read from the step graph ---------------------------------------------------
 
 
+def _read_graph(state: LearnerState, batch: dict, config: TrainConfig,
+                losses: set[str]) -> tuple[dict[str, float], dict[str, float]]:
+    """Loss values and info of a graph that no backward will sweep.
+
+    The tape is released before returning, so the graph is freed at once
+    instead of waiting for the cycle collector.
+    """
+    graph = _graph(state, batch, config, losses)
+    graph.tape.release()
+    return {k: float(node.value) for k, node in graph.losses.items()}, graph.info
+
+
 def td_loss(state: LearnerState, batch: dict, config: TrainConfig | None = None) -> float:
-    info = _graph(state, batch, config or state.config, {"td"}).info
+    _, info = _read_graph(state, batch, config or state.config, {"td"})
     _check_finite(info["td_loss"], "td_loss", state.step)
     return info["td_loss"]
 
 
 def continuity_loss(state: LearnerState, batch: dict,
                     config: TrainConfig | None = None) -> float:
-    return _graph(state, batch, config or state.config, {"continuity"}).info[
-        "continuity_loss"]
+    _, info = _read_graph(state, batch, config or state.config, {"continuity"})
+    return info["continuity_loss"]
 
 
 def value_loss(state: LearnerState, batch: dict,
                config: TrainConfig | None = None) -> float:
     config = config or state.config
-    loss = float(_graph(state, batch, config, _value_losses(config)).losses["value"].value)
+    loss = _read_graph(state, batch, config, _value_losses(config))[0]["value"]
     _check_finite(loss, "value_loss", state.step)
     return loss
 
@@ -517,7 +529,7 @@ def high_policy_loss(state: LearnerState, batch: dict,
     config = state.config
     if temperature is not None:
         config = replace(config, high_temp=temperature)
-    loss = float(_graph(state, batch, config, {"high"}).losses["high"].value)
+    loss = _read_graph(state, batch, config, {"high"})[0]["high"]
     _check_finite(loss, "high_policy_loss", state.step)
     return loss
 
@@ -527,7 +539,7 @@ def low_policy_loss(state: LearnerState, batch: dict,
     config = state.config
     if temperature is not None:
         config = replace(config, low_temp=temperature)
-    loss = float(_graph(state, batch, config, {"low"}).losses["low"].value)
+    loss = _read_graph(state, batch, config, {"low"})[0]["low"]
     _check_finite(loss, "low_policy_loss", state.step)
     return loss
 
@@ -537,7 +549,7 @@ def gcbc_loss(state: LearnerState, batch: dict) -> float:
     if state.config.hierarchical:
         raise GraphError("gcbc_loss requires flat mode")
     config = replace(state.config, objective="bc")
-    return float(_graph(state, batch, config, {"low"}).losses["low"].value)
+    return _read_graph(state, batch, config, {"low"})[0]["low"]
 
 
 def _value_losses(config: TrainConfig) -> set[str]:

@@ -120,6 +120,17 @@ def test_backward_releases_the_graph():
         tape.backward(y)
 
 
+def test_release_frees_the_graph_and_keeps_values():
+    tape = Tape()
+    x = tape.leaf([1.0, 2.0])
+    y = tape.reduce_sum(tape.square(x))
+    tape.release()
+    assert tape.nodes == [] and y._backward is None
+    assert float(y.value) == 5.0
+    with pytest.raises(GraphError, match="released"):
+        tape.backward(y)
+
+
 def test_backward_requires_scalar_without_seed():
     tape = Tape()
     x = tape.leaf([1.0, 2.0])

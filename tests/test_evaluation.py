@@ -9,6 +9,7 @@ from mazegcrl import data, evaluation as E, maze
 from mazegcrl.data import Trajectory, expert_action
 from mazegcrl.maze import Task, builtin_layout
 from mazegcrl.training import TrainConfig, init_learner
+from tests import oracle_eval
 from tests.test_maze import corridor_spec
 
 
@@ -118,6 +119,126 @@ def test_trials_validated():
     state = zero_policy_learner(spec)
     with pytest.raises(ValueError):
         E.evaluate(state, spec, spec.tasks, 0, np.random.default_rng(0))
+
+
+def test_empty_task_set_gives_empty_report():
+    spec = builtin_layout("medium")
+    state = zero_policy_learner(spec)
+    report = E.evaluate(state, spec, (), 5, np.random.default_rng(0))
+    assert report == E.EvalReport(state.step, [], [], [])
+
+
+def test_actor_called_once_per_step_across_all_tasks(monkeypatch):
+    spec = builtin_layout("medium")
+    state = zero_policy_learner(spec)
+    calls = []
+    act = E.act_batch
+
+    def counted(*args):
+        out = act(*args)
+        calls.append(len(out))
+        return out
+
+    monkeypatch.setattr(E, "act_batch", counted)
+    E.evaluate(state, spec, spec.tasks, 4, np.random.default_rng(0))
+    # the zero policy never arrives, so the rollout runs its whole budget
+    assert len(calls) == spec.max_episode_steps
+    assert set(calls) == {len(spec.tasks) * 4}
+
+
+# ---- batched rollouts against the per-task reference ------------------------------
+
+
+def near_tasks(spec):
+    """Goals 0.6 and 0.9 cells right of each canonical start, where free."""
+    tasks = [Task(t.start, (t.start[0] + dx * spec.cell_size, t.start[1]))
+             for t in spec.tasks for dx in (0.6, 0.9)]
+    return tuple(t for t in tasks if maze.is_valid_state(spec, t.goal))
+
+
+@pytest.mark.parametrize("trials", [20, 50])
+@pytest.mark.parametrize("kind,hierarchical", [("LAN", True), ("MLP", False)])
+@pytest.mark.parametrize("layout", ["medium", "giant"])
+def test_evaluate_matches_per_task_reference(layout, kind, hierarchical, trials):
+    spec = builtin_layout(layout)
+    state = init_learner(TrainConfig(arch_kind=kind, hierarchical=hierarchical,
+                                     seed=1), spec)
+    tasks = spec.tasks + near_tasks(spec)
+    got = E.evaluate(state, spec, tasks, trials, np.random.default_rng(4))
+    want = oracle_eval.evaluate(state, spec, tasks, trials,
+                                np.random.default_rng(4))
+    assert got == want
+    assert any(s > 0.0 for s in got.task_success)
+
+
+def corridor_tasks(spec):
+    """Row-1 tasks of the giant layout: goals right of the start are reached
+    by a policy pushing right after different numbers of steps, goals left
+    of it never are."""
+    tasks = []
+    for c0, c1 in ((1, 4), (2, 9), (3, 14), (5, 20), (10, 3), (1, 1)):
+        tasks.append(Task(maze.cell_center(spec, (1, c0)),
+                          maze.cell_center(spec, (1, c1))))
+    return tuple(tasks)
+
+
+@pytest.mark.parametrize("trials", [20, 50])
+def test_evaluate_matches_reference_when_trials_succeed(trials):
+    spec = builtin_layout("giant")
+    state = zero_policy_learner(spec, bias=(1.0, 0.0))
+    tasks = corridor_tasks(spec)
+    got = E.evaluate(state, spec, tasks, trials, np.random.default_rng(7))
+    want = oracle_eval.evaluate(state, spec, tasks, trials,
+                                np.random.default_rng(7))
+    assert got == want
+    assert got.task_success[:4] == [1.0] * 4 and got.task_success[4] == 0.0
+
+
+def test_expert_rollout_matches_reference_when_trials_finish_apart():
+    spec = builtin_layout("medium")
+    trials = 20
+
+    def expert_actor(pos, goals):
+        out = np.zeros_like(pos)
+        for i in range(len(pos)):
+            out[i] = expert_action(spec, tuple(pos[i]), tuple(goals[i]), 0.0,
+                                   None)
+        return out
+
+    rng = np.random.default_rng(3)
+    starts = [E._jittered_starts(spec, t.start, trials, rng) for t in spec.tasks]
+    goals = np.repeat([t.goal for t in spec.tasks], trials, axis=0)
+    finish = np.full(len(goals), -1)
+    for budget in range(spec.max_episode_steps + 1):
+        got = E._rollout_success(expert_actor, spec, np.concatenate(starts),
+                                 goals, budget)
+        want = np.concatenate([
+            oracle_eval.rollout_success(expert_actor, spec, s, t.goal, budget)
+            for s, t in zip(starts, spec.tasks)])
+        assert np.array_equal(got, want), budget
+        finish[(finish < 0) & got] = budget
+        if got.all():
+            break
+    assert (finish >= 0).all()
+    assert len(set(finish.tolist())) > len(spec.tasks)
+
+    # finished trials stay where they arrived while the others run on
+    seen = []
+
+    def recording_actor(pos, goals):
+        seen.append(pos.copy())
+        return expert_actor(pos, goals)
+
+    E._rollout_success(recording_actor, spec, np.concatenate(starts), goals,
+                       spec.max_episode_steps)
+    seen = np.array(seen)
+    arrived = np.linalg.norm(seen - goals, axis=2) <= spec.goal_radius
+    waited = 0
+    for i in np.flatnonzero(arrived.any(axis=0)):
+        first = int(arrived[:, i].argmax())
+        assert (seen[first:, i] == seen[first, i]).all()
+        waited += len(seen) - 1 - first
+    assert waited > 0
 
 
 # ---- Kendall order consistency -----------------------------------------------------

@@ -4,6 +4,8 @@ import heapq
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mazegcrl import maze
 from mazegcrl.maze import MazeError, MazeSpec, Task, builtin_layout
@@ -119,6 +121,43 @@ def test_step_never_enters_wall_fuzz(name):
     rows = np.floor(out[:, 1] / spec.cell_size).astype(int)
     cols = np.floor(out[:, 0] / spec.cell_size).astype(int)
     assert not spec.walls[rows, cols].any()
+
+
+_LAYOUTS = {name: builtin_layout(name) for name in maze.LAYOUT_NAMES}
+
+
+@st.composite
+def positions_and_actions(draw):
+    spec = _LAYOUTS[draw(st.sampled_from(maze.LAYOUT_NAMES))]
+    h, w = spec.shape
+    n = draw(st.integers(1, 40))
+    # positions reach three cells past every edge of the grid
+    xs = st.floats(-3.0 * spec.cell_size, (w + 3) * spec.cell_size)
+    ys = st.floats(-3.0 * spec.cell_size, (h + 3) * spec.cell_size)
+    pos = draw(st.lists(st.tuples(xs, ys), min_size=n, max_size=n))
+    # any float, NaN, +-inf, huge and subnormal included
+    acts = draw(st.lists(st.tuples(st.floats(), st.floats()), min_size=n, max_size=n))
+    return spec, np.array(pos, dtype=np.float64), np.array(acts, dtype=np.float64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=positions_and_actions())
+def test_step_batch_equals_scalar_step_bit_for_bit(case):
+    spec, pos, acts = case
+    out = maze.step_batch(spec, pos, acts)
+    assert out.shape == pos.shape and out.dtype == np.float64
+    for i in range(len(pos)):
+        want = np.array(maze.step(spec, (pos[i, 0], pos[i, 1]),
+                                  (acts[i, 0], acts[i, 1])), dtype=np.float64)
+        assert out[i].tobytes() == want.tobytes(), (pos[i], acts[i])
+
+
+def test_step_batch_clamps_nan_action_to_minus_one():
+    spec = corridor_spec(10)
+    out = maze.step_batch(spec, np.array([[5.5, 1.5], [5.5, 1.5]]),
+                          np.array([[np.nan, 0.0], [np.inf, -0.0]]))
+    assert out.tolist() == [[5.5 - spec.step_length, 1.5],
+                            [5.5 + spec.step_length, 1.5]]
 
 
 # ---- reward --------------------------------------------------------------------

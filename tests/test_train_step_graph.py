@@ -160,6 +160,32 @@ def test_step_graph_is_freed_without_the_cycle_collector(medium, monkeypatch):
         gc.enable()
 
 
+@pytest.mark.parametrize("reader", ["td_loss", "continuity_loss", "value_loss",
+                                    "high_policy_loss", "low_policy_loss",
+                                    "gcbc_loss"])
+def test_loss_readers_free_their_graph_without_the_cycle_collector(
+        medium, monkeypatch, reader):
+    spec, ds = medium
+    cfg = TrainConfig(arch_kind="LAN", hierarchical=reader != "gcbc_loss",
+                      continuity_weight=1.0, batch_size=32)
+    state = init_learner(cfg, spec)
+    (batch,) = batches(spec, ds, cfg, 1)
+    tapes = []
+    init = autodiff.Tape.__init__
+
+    def remember(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        tapes.append(weakref.ref(self))
+
+    monkeypatch.setattr(autodiff.Tape, "__init__", remember)
+    gc.disable()
+    try:
+        assert math.isfinite(getattr(T, reader)(state, batch))
+        assert len(tapes) == 1 and tapes[0]() is None
+    finally:
+        gc.enable()
+
+
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc heap tuning")
 def test_steps_reuse_heap_memory_instead_of_faulting_it_in(medium):
     spec, ds = medium
