@@ -41,9 +41,6 @@ __all__ = [
     "value",
     "score",
     "LiftedValue",
-    "iqe_distance",
-    "mrn_distance",
-    "hilbert_distance",
     "interval_union_measure",
     "tensors_to_text",
     "tensors_from_text",
@@ -153,71 +150,45 @@ def _row_norms(diff: np.ndarray) -> np.ndarray:
 def interval_union_measure(u: np.ndarray, v: np.ndarray):
     """Union measure of intervals [u_j, max(u_j, v_j)] per component.
 
-    Inputs have shape (B, K, L); returns (measure (B, K), aux) where aux
-    carries the sweep-line bookkeeping the backward pass needs.
+    ``u`` and ``v`` have the same shape (B, K, L). Returns ``(measure,
+    layout)``: the measure has shape (B, K); ``layout`` is the sorted layout
+    ``(index, starts, v_sorted, ends, cover)``, each of shape (L, B·K) with one
+    column per component. ``index`` holds the flat (B, K, L) positions in
+    stable order of the starts, ``starts``/``v_sorted`` are ``u``/``v`` read
+    through it, ``ends = max(starts, v_sorted)`` and ``cover[j]`` is the right
+    edge covered before sorted interval j. No subgradient is built here; the
+    tape primitive derives them from the layout inside its backward pass, so
+    plain-NumPy scores never pay for them.
+
+    Sorted interval j adds ``max(ends[j] - max(starts[j], cover[j]), 0)``, and
+    the gains are summed in sorted order. Summing the ±1 coverage changes of
+    the 2L sorted endpoints instead would add the same lengths in another
+    order and change the last bits of float64 measures.
     """
-    starts = u
-    ends = np.maximum(u, v)
-    order = np.argsort(starts, axis=-1, kind="stable")
-    s_sorted = np.take_along_axis(starts, order, axis=-1)
-    e_sorted = np.take_along_axis(ends, order, axis=-1)
+    if np.ndim(u) != 3 or np.shape(u) != np.shape(v):
+        raise ValueError("interval_union_measure expects two (B, K, L) arrays of "
+                         f"one shape, got {np.shape(u)} and {np.shape(v)}")
     b, k, nl = u.shape
-    measure = np.zeros((b, k))
-    cover = np.full((b, k), -np.inf)      # right edge covered so far
-    owner = np.zeros((b, k), dtype=np.int64)  # sorted index owning that edge
-    d_end = np.zeros((b, k, nl))          # d measure / d e_sorted
-    d_start = np.zeros((b, k, nl))        # d measure / d s_sorted
-    rows, cols = np.indices((b, k))
-    for j in range(nl):
-        s_j = s_sorted[..., j]
-        e_j = e_sorted[..., j]
-        fresh = s_j >= cover
-        extend = (~fresh) & (e_j > cover)
-        measure += np.where(fresh, e_j - s_j, np.where(extend, e_j - cover, 0.0))
-        d_end[..., j] += fresh | extend
-        d_start[..., j] -= fresh
-        if extend.any():
-            r, c = rows[extend], cols[extend]
-            d_end[r, c, owner[extend]] -= 1.0
-        moved = e_j > cover
-        cover = np.where(moved, e_j, cover)
-        owner = np.where(moved, j, owner)
-    aux = (order, np.asarray(u >= v), d_start, d_end)
-    return measure, aux
+    bk = b * k
+    order = np.argsort(u.reshape(bk, nl), axis=-1, kind="stable")
+    index = np.add(order.T, np.arange(0, bk * nl, nl), order="C")
+    starts = np.take(u, index)
+    v_sorted = np.take(v, index)
+    ends = np.maximum(starts, v_sorted)
+    cover = np.empty_like(ends)
+    cover[0] = -np.inf
+    for j in range(1, nl):
+        np.maximum(cover[j - 1], ends[j - 1], out=cover[j])
+    gain = np.maximum(ends - np.maximum(starts, cover), 0.0)
+    measure = np.zeros(bk)
+    for row in gain:
+        measure += row
+    return measure.reshape(b, k), (index, starts, v_sorted, ends, cover)
 
 
 def _iqe_reduce(measure: np.ndarray, raw_alpha: float) -> np.ndarray:
     alpha = 1.0 / (1.0 + np.exp(-raw_alpha))
     return alpha * measure.max(axis=1) + (1.0 - alpha) * measure.mean(axis=1)
-
-
-def iqe_distance(u: np.ndarray, v: np.ndarray, raw_alpha: float = 0.0) -> float:
-    """Maxmean-reduced interval quasimetric for one (K, L) endpoint pair."""
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if u.shape != v.shape or u.ndim != 2:
-        raise ValueError("iqe_distance expects matching (K, L) matrices")
-    measure, _ = interval_union_measure(u[None], v[None])
-    return float(_iqe_reduce(measure, raw_alpha)[0])
-
-
-def mrn_distance(x: np.ndarray, y: np.ndarray, sym_dim: int) -> float:
-    """Symmetric Euclidean part plus max of positive residuals."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape or x.ndim != 1 or not 1 <= sym_dim < x.size:
-        raise ValueError("mrn_distance expects equal vectors split by sym_dim")
-    sym = float(np.sqrt(((x[:sym_dim] - y[:sym_dim]) ** 2).sum()))
-    asym = float(np.maximum(x[sym_dim:] - y[sym_dim:], 0.0).max())
-    return sym + asym
-
-
-def hilbert_distance(x: np.ndarray, y: np.ndarray) -> float:
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape or x.ndim != 1:
-        raise ValueError("hilbert_distance expects equal-length vectors")
-    return float(np.sqrt(((x - y) ** 2).sum()))
 
 
 # ---- heads: encode, then score in latent space ------------------------------------
@@ -259,17 +230,33 @@ def value(arch: ValueArchitecture, rep: MlpParams | None,
 
 def _iqe_measure_node(tape: Tape, u: Node, v: Node) -> Node:
     """Interval-union measure as a custom primitive with exact subgradients."""
-    measure, (order, win_u, d_start, d_end) = interval_union_measure(u.value, v.value)
+    measure, (index, starts, v_sorted, ends, cover) = interval_union_measure(
+        u.value, v.value)
 
     def backward(g):
-        gs = g[..., None] * d_start
-        ge = g[..., None] * d_end
-        grad_starts = np.zeros_like(u.value)
-        grad_ends = np.zeros_like(u.value)
-        np.put_along_axis(grad_starts, order, gs, axis=-1)
-        np.put_along_axis(grad_ends, order, ge, axis=-1)
-        tape._accum(u, grad_starts + grad_ends * win_u)
-        tape._accum(v, grad_ends * (~win_u))
+        nl, bk = starts.shape
+        fresh = starts >= cover    # opens a new covered run: d/d start = -1
+        moved = ends > cover       # pushes the covered edge right
+        # flat sorted slot whose end is the covered edge before each step
+        owner = np.empty((nl, bk), dtype=np.intp)
+        owner[0] = np.arange(bk)
+        for j in range(1, nl):
+            owner[j] = np.where(moved[j - 1], owner[0] + (j - 1) * bk, owner[j - 1])
+        # extending a run moves the edge off its owner's end
+        taken = np.bincount(owner[moved & ~fresh], minlength=nl * bk)
+        d_end = (fresh | moved) - taken.reshape(nl, bk)
+        g = g.reshape(1, bk)
+        # 0 - fresh keeps zeros +0.0; -1.0 * fresh would give -0.0 and so
+        # flip the sign of zero gradients
+        grad_start = g * (0.0 - fresh)
+        grad_end = g * d_end
+        win_u = starts >= v_sorted
+        grad_u = np.empty(nl * bk)
+        grad_v = np.empty(nl * bk)
+        grad_u[index] = grad_start + grad_end * win_u
+        grad_v[index] = grad_end * ~win_u
+        tape._accum(u, grad_u.reshape(u.shape))
+        tape._accum(v, grad_v.reshape(v.shape))
 
     return tape.primitive(measure, (u, v), backward, name="iqe_union")
 

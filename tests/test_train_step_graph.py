@@ -13,7 +13,7 @@ from mazegcrl import autodiff, data, maze, values
 from mazegcrl import training as T
 from mazegcrl.data import sample_batch
 from mazegcrl.training import TrainConfig, init_learner, train_step
-from tests import oracle_step
+from tests import oracle_iqe, oracle_step
 
 CONFIGS = [dict(arch_kind=kind, hierarchical=hier, continuity_weight=wc)
            for kind in values.KINDS for hier in (False, True) for wc in (0.0, 1.0)]
@@ -87,6 +87,49 @@ def test_matches_three_tape_oracle_for_twenty_steps(medium, overrides, hinge):
     for name in t_new:
         np.testing.assert_allclose(t_new[name], t_old[name], rtol=1e-10,
                                    atol=1e-10, err_msg=name)
+
+
+@pytest.mark.parametrize("overrides, hinge", [
+    (dict(arch_kind="IQE", hierarchical=False, continuity_weight=0.0), False),
+    (dict(arch_kind="IQE", hierarchical=True, continuity_weight=1.0), True),
+], ids=["flat-wc0", "hier-wc1-active-hinge"])
+def test_iqe_kernel_trains_like_reference_kernel_bit_for_bit(
+        medium, monkeypatch, overrides, hinge):
+    spec, ds = medium
+    cfg = TrainConfig(batch_size=64, seed=3, **overrides)
+
+    def twenty_steps():
+        state = init_learner(cfg, spec)
+        batch_list = batches(spec, ds, cfg, 20)
+        if hinge:
+            activate_continuity(state, batch_list)
+        metrics = []
+        for batch in batch_list:
+            state, m = train_step(state, batch)
+            metrics.append(m)
+        return T.state_tree(state), metrics
+
+    tree, metrics = twenty_steps()
+    reference_calls = []
+    reference = oracle_iqe.interval_union_measure
+
+    def reference_measure(u, v):
+        reference_calls.append(u.shape)
+        return reference(u, v)
+
+    monkeypatch.setattr(values, "interval_union_measure", reference_measure)
+    monkeypatch.setattr(values, "_iqe_measure_node", oracle_iqe._iqe_measure_node)
+    monkeypatch.setattr(oracle_iqe, "interval_union_measure", reference_measure)
+    ref_tree, ref_metrics = twenty_steps()
+    assert len(reference_calls) == 3 * 20
+    assert not hinge or ref_metrics[0]["continuity_loss"] > 0.0
+    for step, (m, ref) in enumerate(zip(metrics, ref_metrics)):
+        assert set(m) == set(ref)
+        for k in m:
+            assert np.float64(m[k]).tobytes() == np.float64(ref[k]).tobytes(), (step, k)
+    assert set(tree) == set(ref_tree)
+    for name in tree:
+        assert tree[name].tobytes() == ref_tree[name].tobytes(), name
 
 
 @pytest.fixture

@@ -1,21 +1,24 @@
 """Value parameterizations: distance heads, quasimetric contracts, gradients."""
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mazegcrl.autodiff import LiftedMlp, MlpParams, Tape, finite_diff_grad, mlp_apply
 from mazegcrl import values as V
 from mazegcrl.values import (
     LiftedValue,
     ValueArchitecture,
-    hilbert_distance,
-    iqe_distance,
     interval_union_measure,
     make_subgoal_rep,
     make_value_arch,
-    mrn_distance,
     value,
 )
+from tests import oracle_iqe
+from tests.oracle_distances import hilbert_distance, iqe_distance, mrn_distance
 
 
 def rel_err(a, b):
@@ -106,6 +109,63 @@ def test_union_measure_matches_merge_oracle():
         for k in range(5):
             assert measure[b, k] == pytest.approx(
                 _union_oracle(u[b, k], v[b, k]), abs=1e-12)
+
+
+@pytest.mark.parametrize("u_shape, v_shape", [
+    ((5, 7), (5, 7)),
+    ((3, 2, 4), (3, 2)),
+    ((1, 2, 4), (4, 2, 4)),
+    ((4, 2, 4), (1, 2, 4)),
+    ((4, 2, 4), (4, 2, 5)),
+])
+def test_union_measure_rejects_bad_shapes(u_shape, v_shape):
+    match = f"{re.escape(str(u_shape))} and {re.escape(str(v_shape))}"
+    with pytest.raises(ValueError, match=match):
+        interval_union_measure(np.zeros(u_shape), np.zeros(v_shape))
+
+
+@st.composite
+def endpoint_pairs(draw):
+    """(B, K, L) start/end inputs and an upstream gradient for the measure."""
+    shape = (draw(st.integers(1, 64)), draw(st.integers(1, 8)), draw(st.integers(1, 12)))
+    case = draw(st.sampled_from(
+        ("floats", "ties", "u_eq_v", "v_le_u", "equal_starts", "signed_zeros")))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** rng.uniform(-3, 3)
+    u, v = rng.normal(size=(2, *shape)) * scale
+    if case == "ties":
+        u, v = rng.integers(-3, 4, size=(2, *shape)).astype(np.float64)
+    elif case == "u_eq_v":
+        v = u.copy()
+    elif case == "v_le_u":
+        v = u - np.abs(rng.normal(size=shape)) * rng.integers(0, 2, size=shape)
+    elif case == "equal_starts":
+        u = np.full(shape, u.flat[0])
+    elif case == "signed_zeros":
+        pool = np.array([-0.0, 0.0, -1.0, 1.0, 0.5])
+        u, v = pool[rng.integers(0, len(pool), size=(2, *shape))]
+    g = rng.normal(size=shape[:2]) * rng.integers(-1, 2, size=shape[:2])
+    return u, v, g
+
+
+def _measure_and_grads(measure_node, u, v, g):
+    tape = Tape()
+    un, vn = tape.leaf(u), tape.leaf(v)
+    measure = measure_node(tape, un, vn)
+    tape.backward(measure, seed=g)
+    return measure.value, tape.grad(un), tape.grad(vn)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=endpoint_pairs())
+def test_union_measure_and_grads_equal_reference_bytes(case):
+    u, v, g = case
+    want = _measure_and_grads(oracle_iqe._iqe_measure_node, u, v, g)
+    got = _measure_and_grads(V._iqe_measure_node, u, v, g)
+    plain, _ = interval_union_measure(u, v)
+    assert plain.tobytes() == want[0].tobytes()
+    for name, a, b in zip(("measure", "grad_u", "grad_v"), got, want):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
 
 
 def test_iqe_maxmean_mixing():
