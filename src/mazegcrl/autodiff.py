@@ -6,6 +6,12 @@ reversed pass with no recursion. Only the primitives needed by the value
 architectures and losses in this package are provided; this is not a
 general-purpose autodiff engine.
 
+``ARRAYS`` is the forward half of the primitives on plain arrays, under
+the same names and signatures, so a forward written once against an
+``ops`` argument runs on a tape (to be differentiated) or on arrays (read
+only, nothing recorded). The MLP layer loop is written that way once, in
+``mlp_forward``; ``mlp_apply`` and ``LiftedMlp`` call it.
+
 Everything is float64. Non-finite values are rejected at graph
 boundaries (leaves and requested outputs); ``Tape(validate=True)``
 additionally checks every intermediate, which is what the tests use.
@@ -14,7 +20,8 @@ additionally checks every intermediate, which is what the tests use.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -22,13 +29,14 @@ __all__ = [
     "GraphError",
     "Tape",
     "Node",
+    "ARRAYS",
     "MlpParams",
     "AdamState",
     "init_mlp",
+    "mlp_forward",
     "mlp_apply",
     "adam_step",
     "polyak_update",
-    "finite_diff_grad",
     "gelu_value",
 ]
 
@@ -50,7 +58,7 @@ def _as_f64(value) -> np.ndarray:
 
 
 class Node:
-    """One value in the graph. Created through Tape methods or operators."""
+    """One value in the graph, created through Tape methods."""
 
     __slots__ = ("tape", "value", "grad", "name", "needs_grad", "_backward")
 
@@ -65,28 +73,6 @@ class Node:
     @property
     def shape(self):
         return self.value.shape
-
-    # Scalar-flavored arithmetic sugar; arrays go through the Tape methods.
-    def __add__(self, other):
-        return self.tape.add(self, self.tape.wrap(other))
-
-    def __radd__(self, other):
-        return self.tape.add(self.tape.wrap(other), self)
-
-    def __sub__(self, other):
-        return self.tape.sub(self, self.tape.wrap(other))
-
-    def __rsub__(self, other):
-        return self.tape.sub(self.tape.wrap(other), self)
-
-    def __mul__(self, other):
-        return self.tape.mul(self, self.tape.wrap(other))
-
-    def __rmul__(self, other):
-        return self.tape.mul(self.tape.wrap(other), self)
-
-    def __neg__(self):
-        return self.tape.neg(self)
 
     def __repr__(self):
         return f"Node({self.name}, shape={self.value.shape})"
@@ -160,13 +146,6 @@ class Tape:
         node = Node(self, value, f"{name}#{len(self.nodes)}", needs_grad, None)
         self.nodes.append(node)
         return node
-
-    def wrap(self, other) -> Node:
-        if isinstance(other, Node):
-            if other.tape is not self:
-                raise GraphError("operands belong to different tapes")
-            return other
-        return self.constant(other, name="scalar")
 
     def primitive(self, value, inputs, backward, name="custom") -> Node:
         """Hook for caller-defined primitives with a hand-coded backward."""
@@ -331,15 +310,6 @@ class Tape:
 
         return self._register(out, "exp", (a,), backward)
 
-    def log(self, a: Node) -> Node:
-        if np.any(a.value <= 0.0):
-            raise GraphError("log: non-positive input")
-
-        def backward(g):
-            self._accum(a, g / a.value)
-
-        return self._register(np.log(a.value), "log", (a,), backward)
-
     def sigmoid(self, a: Node) -> Node:
         out = 1.0 / (1.0 + np.exp(-a.value))
 
@@ -462,6 +432,25 @@ class Tape:
         return node.grad
 
 
+# The forward half of the Tape primitives on plain arrays: same names, same
+# signatures and the same forward arithmetic, so one function body runs on a
+# tape or on arrays and gives the same bytes. Nothing is recorded or checked.
+# ``gelu`` looks ``gelu_value`` up at call time, so wrappers of it see calls.
+ARRAYS = SimpleNamespace(
+    constant=lambda value, name="const": _as_f64(value),
+    add=np.add, sub=np.subtract, mul=np.multiply, neg=np.negative,
+    matmul=np.matmul, reshape=np.reshape,
+    concat=lambda a, b: np.concatenate([a, b], axis=1),
+    slice_cols=lambda a, start, stop: a[:, start:stop],
+    gelu=lambda a: gelu_value(a),
+    relu=lambda a: np.where(a > 0.0, a, 0.0),
+    sigmoid=lambda a: 1.0 / (1.0 + np.exp(-a)),
+    l2norm_rows=lambda a: np.sqrt(np.einsum("ij,ij->i", a, a)),
+    reduce_sum=lambda a, axis=None: a.sum(axis=axis),
+    reduce_max=lambda a, axis: a.max(axis=axis),
+)
+
+
 # ---- dense networks -----------------------------------------------------------
 
 
@@ -514,19 +503,27 @@ def init_mlp(rng: np.random.Generator, sizes: list[int],
     return MlpParams(weights, biases)
 
 
+def mlp_forward(ops, net, x):
+    """Affine -> GELU per hidden layer, affine output, on ``ops`` (a Tape or ARRAYS).
+
+    ``net`` is an ``MlpParams`` on arrays and a ``LiftedMlp`` on a tape.
+    """
+    h = x
+    last = len(net.weights) - 1
+    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+        h = ops.add(ops.matmul(h, w), b)
+        if i < last:
+            h = ops.gelu(h)
+    return h
+
+
 def mlp_apply(params: MlpParams, x: np.ndarray) -> np.ndarray:
-    """Plain forward pass: affine -> GELU per hidden layer, affine output."""
+    """Plain forward pass of ``mlp_forward``; checks the input shape."""
     x = _as_f64(x)
     if x.ndim != 2 or x.shape[1] != params.in_dim:
         raise GraphError(f"mlp_apply: input shape {x.shape} does not match "
                          f"in_dim {params.in_dim}")
-    h = x
-    last = len(params.weights) - 1
-    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        h = h @ w + b
-        if i < last:
-            h = gelu_value(h)
-    return h
+    return mlp_forward(ARRAYS, params, x)
 
 
 class LiftedMlp:
@@ -540,21 +537,9 @@ class LiftedMlp:
         self.biases = [make(b, f"{name}.b{i}") for i, b in enumerate(params.biases)]
 
     def __call__(self, x: Node) -> Node:
-        t = self.tape
-        h = x
-        last = len(self.weights) - 1
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = t.add(t.matmul(h, w), b)
-            if i < last:
-                h = t.gelu(h)
-        return h
+        return mlp_forward(self.tape, self, x)
 
-    def tree(self, prefix: str) -> dict[str, Node]:
-        out = {}
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            out[f"{prefix}.w{i}"] = w
-            out[f"{prefix}.b{i}"] = b
-        return out
+    tree = MlpParams.tree  # the same names, here mapping to leaves
 
 
 # ---- optimizer ------------------------------------------------------------------
@@ -619,24 +604,3 @@ def polyak_update(target: dict[str, np.ndarray], online: dict[str, np.ndarray],
         dst *= 1.0 - rate
         dst += rate * src
     return target
-
-
-# ---- finite differences ----------------------------------------------------------
-
-
-def finite_diff_grad(fn, point: np.ndarray, step: float = 1e-5) -> np.ndarray:
-    """Central-difference gradient of a scalar function, per coordinate."""
-    if step <= 0.0:
-        raise ValueError("finite_diff_grad: step must be positive")
-    point = _as_f64(point)
-    flat = point.reshape(-1)
-    grad = np.zeros_like(flat)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + step
-        hi = fn(point.reshape(point.shape))
-        flat[i] = orig - step
-        lo = fn(point.reshape(point.shape))
-        flat[i] = orig
-        grad[i] = (hi - lo) / (2.0 * step)
-    return grad.reshape(point.shape)

@@ -128,9 +128,6 @@ class Dataset:
     def action_dim(self) -> int:
         return self.trajectories[0].actions.shape[1]
 
-    def state_at(self, traj_id: int, t: int) -> np.ndarray:
-        return self._all_states[self._state_offset[traj_id] + t]
-
 
 # ---- expert policy -----------------------------------------------------------
 
@@ -446,12 +443,18 @@ def dataset_from_text(text: str) -> Dataset:
     state_dim, action_dim, n_traj = int(head[2]), int(head[3]), int(head[4])
     pos = 1
     trajectories = []
-    for _ in range(n_traj):
+    for i in range(n_traj):
+        if pos >= len(lines):
+            raise ValueError(f"dataset ends at line {len(lines)}, before "
+                             f"trajectory {i} of {n_traj}")
         marker = lines[pos].split()
-        if marker[0] != "T":
+        if len(marker) != 2 or marker[0] != "T":
             raise ValueError(f"expected trajectory marker at line {pos + 1}")
         length = int(marker[1])
         pos += 1
+        if pos + 2 * length + 1 > len(lines):
+            raise ValueError(f"dataset ends at line {len(lines)}, inside "
+                             f"trajectory {i} (marker at line {pos})")
         states = np.empty((length + 1, state_dim))
         actions = np.empty((length, action_dim))
         for t in range(length):

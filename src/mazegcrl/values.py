@@ -15,6 +15,13 @@ between encoder outputs, so their values are never positive:
 In hierarchical mode a low-dimensional goal representation acts as a
 bottleneck: LAN applies it to the goal side only, the shared-encoder kinds
 apply it to both inputs.
+
+Each head is written once, in ``_score``, against the primitives of an
+``ops`` argument: ``LiftedValue.score`` runs it on a ``Tape`` (the value
+being trained) and ``score`` on ``autodiff.ARRAYS`` (the TD target, the AWR
+advantages and every evaluation value), so both compute the same bytes.
+The IQE measure is the one primitive picked per backend: the tape node with
+subgradients, or the bare sweep.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import (
-    GraphError,
+    ARRAYS,
     LiftedMlp,
     MlpParams,
     Node,
@@ -140,11 +147,7 @@ def make_subgoal_rep(rng: np.random.Generator, state_dim: int,
     return init_mlp(rng, [state_dim, *tuple(hidden), rep_dim])
 
 
-# ---- distance kernels (plain numpy) ----------------------------------------------
-
-
-def _row_norms(diff: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.einsum("ij,ij->i", diff, diff))
+# ---- IQE interval-union kernel (plain numpy) ---------------------------------------
 
 
 def interval_union_measure(u: np.ndarray, v: np.ndarray):
@@ -186,11 +189,6 @@ def interval_union_measure(u: np.ndarray, v: np.ndarray):
     return measure.reshape(b, k), (index, starts, v_sorted, ends, cover)
 
 
-def _iqe_reduce(measure: np.ndarray, raw_alpha: float) -> np.ndarray:
-    alpha = 1.0 / (1.0 + np.exp(-raw_alpha))
-    return alpha * measure.max(axis=1) + (1.0 - alpha) * measure.mean(axis=1)
-
-
 # ---- heads: encode, then score in latent space ------------------------------------
 
 
@@ -200,21 +198,40 @@ def _run_chain(apply, nets: dict, chain: tuple[str, ...], x):
     return x
 
 
-def score(arch: ValueArchitecture, zs: np.ndarray, zg: np.ndarray) -> np.ndarray:
-    """V from encoded states and goals, row by row; (B, ·) x (B, ·) -> (B,)."""
+def _score(ops, arch: ValueArchitecture, nets: dict, raw_alpha, zs, zg):
+    """V from encoded states and goals, row by row; (B, ·) x (B, ·) -> (B,).
+
+    The one definition of every head. ``ops`` is a ``Tape`` (``nets`` hold
+    ``LiftedMlp``s and ``raw_alpha`` is a node) or ``ARRAYS`` (``nets`` hold
+    ``MlpParams`` and ``raw_alpha`` is an array).
+    """
     if arch.kind == "MLP":
-        return mlp_apply(arch.nets["trunk"], np.concatenate([zs, zg], axis=1))[:, 0]
+        trunk, x = nets["trunk"], ops.concat(zs, zg)
+        # each backend's MLP entry point, so wrappers counting passes see it
+        out = trunk(x) if isinstance(ops, Tape) else mlp_apply(trunk, x)
+        return ops.reshape(out, (out.shape[0],))
     if arch.kind == "IQE":
         kk, ll = arch.iqe_shape
-        measure, _ = interval_union_measure(zs.reshape(-1, kk, ll),
-                                            zg.reshape(-1, kk, ll))
-        return -_iqe_reduce(measure, float(arch.raw_alpha))
+        batch = zs.shape[0]
+        measure = _iqe_measure(ops, ops.reshape(zs, (batch, kk, ll)),
+                               ops.reshape(zg, (batch, kk, ll)))
+        alpha = ops.sigmoid(raw_alpha)
+        one_minus = ops.sub(ops.constant(1.0), alpha)
+        mx = ops.reduce_max(measure, axis=1)
+        mean = ops.mul(ops.reduce_sum(measure, axis=1), ops.constant(1.0 / kk))
+        return ops.neg(ops.add(ops.mul(alpha, mx), ops.mul(one_minus, mean)))
     if arch.kind == "MRN":
-        d = arch.mrn_sym_dim
-        sym = _row_norms(zs[:, :d] - zg[:, :d])
-        asym = np.maximum(zs[:, d:] - zg[:, d:], 0.0).max(axis=1)
-        return -(sym + asym)
-    return -_row_norms(zs - zg)  # LAN, Hilbert
+        d, width = arch.mrn_sym_dim, zs.shape[1]
+        sym = ops.l2norm_rows(ops.sub(ops.slice_cols(zs, 0, d), ops.slice_cols(zg, 0, d)))
+        resid = ops.relu(ops.sub(ops.slice_cols(zs, d, width),
+                                 ops.slice_cols(zg, d, width)))
+        return ops.neg(ops.add(sym, ops.reduce_max(resid, axis=1)))
+    return ops.neg(ops.l2norm_rows(ops.sub(zs, zg)))  # LAN, Hilbert
+
+
+def score(arch: ValueArchitecture, zs: np.ndarray, zg: np.ndarray) -> np.ndarray:
+    """``_score`` on plain arrays: no tape, nothing recorded."""
+    return _score(ARRAYS, arch, arch.nets, arch.raw_alpha, zs, zg)
 
 
 def value(arch: ValueArchitecture, rep: MlpParams | None,
@@ -261,6 +278,13 @@ def _iqe_measure_node(tape: Tape, u: Node, v: Node) -> Node:
     return tape.primitive(measure, (u, v), backward, name="iqe_union")
 
 
+def _iqe_measure(ops, u, v):
+    """Interval-union measure: the tape primitive on a tape, the sweep on arrays."""
+    if isinstance(ops, Tape):
+        return _iqe_measure_node(ops, u, v)
+    return interval_union_measure(u, v)[0]
+
+
 class LiftedValue:
     """Tape view of a ValueArchitecture (optionally with the goal bottleneck).
 
@@ -288,29 +312,8 @@ class LiftedValue:
                           _run_chain(LiftedMlp.__call__, nets, g_chain, g))
 
     def score(self, zs: Node, zg: Node) -> Node:
-        """Tape counterpart of ``score``."""
-        t = self.tape
-        kind = self.arch.kind
-        if kind == "MLP":
-            out = self.nets["trunk"](t.concat(zs, zg))
-            return t.reshape(out, (out.value.shape[0],))
-        if kind == "IQE":
-            kk, ll = self.arch.iqe_shape
-            batch = zs.value.shape[0]
-            measure = _iqe_measure_node(
-                t, t.reshape(zs, (batch, kk, ll)), t.reshape(zg, (batch, kk, ll)))
-            alpha = t.sigmoid(self.raw_alpha)
-            one_minus = t.sub(t.constant(1.0), alpha)
-            mx = t.reduce_max(measure, axis=1)
-            mean = t.mul(t.reduce_sum(measure, axis=1), t.constant(1.0 / kk))
-            return t.neg(t.add(t.mul(alpha, mx), t.mul(one_minus, mean)))
-        if kind == "MRN":
-            d = self.arch.mrn_sym_dim
-            sym = t.l2norm_rows(t.sub(t.slice_cols(zs, 0, d), t.slice_cols(zg, 0, d)))
-            resid = t.relu(t.sub(t.slice_cols(zs, d, zs.value.shape[1]),
-                                 t.slice_cols(zg, d, zg.value.shape[1])))
-            return t.neg(t.add(sym, t.reduce_max(resid, axis=1)))
-        return t.neg(t.l2norm_rows(t.sub(zs, zg)))  # LAN, Hilbert
+        """``_score`` on this view's tape."""
+        return _score(self.tape, self.arch, self.nets, self.raw_alpha, zs, zg)
 
     def tree(self, prefix: str) -> dict[str, Node]:
         out = {}
@@ -343,9 +346,14 @@ def tensors_from_text(text: str) -> dict[str, np.ndarray]:
     pos = 0
     while pos < len(lines):
         head = lines[pos].split()
+        if not head:
+            raise ValueError(f"expected a tensor header at line {pos + 1}")
         name, dims = head[0], tuple(int(d) for d in head[1:])
         pos += 1
         n_rows = 1 if len(dims) < 2 else dims[0]
+        if pos + n_rows > len(lines):
+            raise ValueError(f"tensor file ends at line {len(lines)}, inside "
+                             f"tensor '{name}' (header at line {pos})")
         values = []
         for _ in range(n_rows):
             values.extend(float(x) for x in lines[pos].split())

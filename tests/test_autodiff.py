@@ -9,12 +9,12 @@ from mazegcrl.autodiff import (
     MlpParams,
     Tape,
     adam_step,
-    finite_diff_grad,
     gelu_value,
     init_mlp,
     mlp_apply,
     polyak_update,
 )
+from tests.finite_diff import finite_diff_grad
 
 
 def rel_err(a, b):
@@ -223,18 +223,6 @@ def test_primitive_gradients_match_finite_differences(name, op, arity):
         assert rel_err(grads[1], fd_b) < 1e-4, name
 
 
-def test_log_gradient():
-    rng = np.random.default_rng(3)
-    a0 = rng.uniform(0.5, 2.0, size=(3, 4))
-    tape = Tape()
-    a = tape.leaf(a0)
-    loss = tape.reduce_sum(tape.log(a))
-    tape.backward(loss)
-    fd = finite_diff_grad(
-        lambda v: float(np.log(v).sum()), a0, step=1e-6)
-    assert rel_err(tape.grad(a), fd) < 1e-4
-
-
 def test_broadcast_add_gradient():
     rng = np.random.default_rng(5)
     a0 = rng.normal(size=(4, 3))
@@ -320,6 +308,18 @@ def test_lifted_mlp_matches_plain_apply():
     tape = Tape()
     out = LiftedMlp(tape, params)(tape.constant(x))
     assert np.array_equal(out.value, mlp_apply(params, x))
+
+
+@pytest.mark.parametrize("sizes", [[3, 2], [3, 64, 5], [3, 64, 64, 64, 1]])
+def test_lifted_mlp_forward_equals_plain_bytes(sizes):
+    from mazegcrl.autodiff import LiftedMlp
+
+    rng = np.random.default_rng(4)
+    params = init_mlp(rng, sizes)
+    x = rng.normal(size=(1024, 3)) * 4.0
+    tape = Tape()
+    out = LiftedMlp(tape, params, trainable=False)(tape.constant(x))
+    assert out.value.tobytes() == mlp_apply(params, x).tobytes()
 
 
 def test_init_final_scale_shrinks_head():

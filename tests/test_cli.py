@@ -1,6 +1,7 @@
 """Configuration handling, CLI verbs, run artifacts, determinism."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import mazegcrl
 from mazegcrl import cli, data, evaluation as E, maze, training as T
 from mazegcrl.cli import (
     ConfigError,
@@ -280,8 +282,12 @@ def test_landscape_rejects_wall_goal(tmp_path):
 
 
 def run_cli(*args):
+    # the child imports the package from where this process imported it
+    root = str(Path(mazegcrl.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-m", "mazegcrl", *args],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path))
 
 
 def test_exit_code_and_category_on_unknown_key(tmp_path):
@@ -297,6 +303,31 @@ def test_exit_code_on_missing_dataset(tmp_path):
     assert r.returncode == 2
     category = r.stderr.splitlines()[0].split(":", 1)[0]
     assert category == "io"
+
+
+def test_truncated_dataset_exits_2_naming_the_last_line(tmp_path):
+    full = tmp_path / "full.dset"
+    r = run_cli("gen-data", "--out", str(full), "--set", "data.transitions=2000")
+    assert r.returncode == 0
+    cut = tmp_path / "cut.dset"
+    cut.write_bytes(full.read_bytes()[:2000])
+    r = run_cli("train", "--data", str(cut), "--out", str(tmp_path / "run"))
+    assert r.returncode == 2
+    first = r.stderr.splitlines()[0]
+    assert first.startswith("config: dataset ends at line "), r.stderr
+    assert "Traceback" not in r.stderr
+
+
+def test_truncated_checkpoint_exits_2_naming_the_last_line(tmp_path):
+    _gen_and_train(tmp_path, "train.steps=0")
+    ckpt = tmp_path / "run" / "ckpt_00000000.txt"
+    cut = tmp_path / "cut.txt"
+    cut.write_text(ckpt.read_text().split("\n")[0] + "\n")
+    r = run_cli("eval", "--ckpt", str(cut), "--out", str(tmp_path / "e.csv"))
+    assert r.returncode == 2
+    first = r.stderr.splitlines()[0]
+    assert first.startswith("config: tensor file ends at line 1, inside tensor "), r.stderr
+    assert "Traceback" not in r.stderr
 
 
 def test_cli_gen_data_succeeds(tmp_path):

@@ -13,16 +13,17 @@ from mazegcrl import autodiff, data, maze, values
 from mazegcrl import training as T
 from mazegcrl.data import sample_batch
 from mazegcrl.training import TrainConfig, init_learner, train_step
-from tests import oracle_iqe, oracle_step
+from tests import oracle_iqe, oracle_plain, oracle_step
 
-CONFIGS = [dict(arch_kind=kind, hierarchical=hier, continuity_weight=wc)
-           for kind in values.KINDS for hier in (False, True) for wc in (0.0, 1.0)]
-CONFIGS += [dict(arch_kind="MLP", hierarchical=False, objective="bc"),
-            dict(arch_kind="LAN", hierarchical=False, objective="bc"),
-            dict(arch_kind="LAN", hierarchical=True, continuity_weight=1.0,
-                 rep_grad_from_policy=False),
-            dict(arch_kind="IQE", hierarchical=True, rep_grad_from_policy=False),
-            dict(arch_kind="MLP", hierarchical=True, rep_grad_from_policy=False)]
+KIND_CONFIGS = [dict(arch_kind=kind, hierarchical=hier, continuity_weight=wc)
+                for kind in values.KINDS for hier in (False, True) for wc in (0.0, 1.0)]
+CONFIGS = KIND_CONFIGS + [
+    dict(arch_kind="MLP", hierarchical=False, objective="bc"),
+    dict(arch_kind="LAN", hierarchical=False, objective="bc"),
+    dict(arch_kind="LAN", hierarchical=True, continuity_weight=1.0,
+         rep_grad_from_policy=False),
+    dict(arch_kind="IQE", hierarchical=True, rep_grad_from_policy=False),
+    dict(arch_kind="MLP", hierarchical=True, rep_grad_from_policy=False)]
 
 
 def config_id(cfg):
@@ -123,6 +124,43 @@ def test_iqe_kernel_trains_like_reference_kernel_bit_for_bit(
     ref_tree, ref_metrics = twenty_steps()
     assert len(reference_calls) == 3 * 20
     assert not hinge or ref_metrics[0]["continuity_loss"] > 0.0
+    for step, (m, ref) in enumerate(zip(metrics, ref_metrics)):
+        assert set(m) == set(ref)
+        for k in m:
+            assert np.float64(m[k]).tobytes() == np.float64(ref[k]).tobytes(), (step, k)
+    assert set(tree) == set(ref_tree)
+    for name in tree:
+        assert tree[name].tobytes() == ref_tree[name].tobytes(), name
+
+
+@pytest.mark.parametrize("overrides", KIND_CONFIGS, ids=config_id)
+def test_plain_heads_train_like_per_kind_reference_bit_for_bit(
+        medium, monkeypatch, overrides):
+    spec, ds = medium
+    cfg = TrainConfig(batch_size=64, seed=3, **overrides)
+    batch_list = batches(spec, ds, cfg, 20)
+
+    def twenty_steps():
+        state = init_learner(cfg, spec)
+        metrics = []
+        for batch in batch_list:
+            state, m = train_step(state, batch)
+            metrics.append(m)
+        return T.state_tree(state), metrics
+
+    tree, metrics = twenty_steps()
+    reference_calls = []
+
+    def reference_score(arch, zs, zg):
+        reference_calls.append(arch.kind)
+        return oracle_plain.score(arch, zs, zg)
+
+    for module in (values, T):
+        monkeypatch.setattr(module, "score", reference_score)
+    for module in (autodiff, values, T):
+        monkeypatch.setattr(module, "mlp_apply", oracle_plain.mlp_apply)
+    ref_tree, ref_metrics = twenty_steps()
+    assert reference_calls
     for step, (m, ref) in enumerate(zip(metrics, ref_metrics)):
         assert set(m) == set(ref)
         for k in m:

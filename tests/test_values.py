@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mazegcrl.autodiff import LiftedMlp, MlpParams, Tape, finite_diff_grad, mlp_apply
+from mazegcrl.autodiff import LiftedMlp, MlpParams, Tape, mlp_apply
 from mazegcrl import values as V
 from mazegcrl.values import (
     LiftedValue,
@@ -18,6 +18,7 @@ from mazegcrl.values import (
     value,
 )
 from tests import oracle_iqe
+from tests.finite_diff import finite_diff_grad
 from tests.oracle_distances import hilbert_distance, iqe_distance, mrn_distance
 
 
@@ -297,6 +298,33 @@ def test_tape_forward_matches_plain_forward(kind, hierarchical):
     g = rng.normal(size=(16, 2)) * 3.0
     got, _ = _lifted_value_sum(arch, rep, s, g)
     assert rel_err(got, value(arch, rep, s, g)) < 1e-12
+
+
+HEADS = [("MLP", 8), ("LAN", 8), ("MRN", 8), ("Hilbert", 8),
+         ("IQE", 3), ("IQE", 5), ("IQE", 8)]
+
+
+@pytest.mark.parametrize("kind, components", HEADS,
+                         ids=[f"{k}-K{c}" if k == "IQE" else k for k, c in HEADS])
+@pytest.mark.parametrize("hierarchical", (False, True))
+def test_plain_value_equals_tape_value_bytes(kind, components, hierarchical):
+    rng = np.random.default_rng(22)
+    rep = make_subgoal_rep(rng, 2, (16,), 10) if hierarchical else None
+    arch = make_value_arch(rng, kind, 2, (16, 16),
+                           goal_input_dim=10 if hierarchical else None,
+                           latent_dim=8, iqe_components=components,
+                           iqe_intervals=4, mrn_sym_dim=4, mrn_asym_dim=4)
+    for net in arch.nets.values():  # undo the small head init: values away from 0
+        net.weights[-1] *= 100.0
+    if arch.raw_alpha is not None:
+        arch.raw_alpha[...] = 0.3
+    s = rng.normal(size=(256, 2)) * 3.0
+    g = rng.normal(size=(256, 2)) * 3.0
+    tape = Tape()
+    rep_l = None if rep is None else LiftedMlp(tape, rep, trainable=False)
+    lifted = LiftedValue(tape, arch, rep=rep_l, trainable=False)
+    got = lifted(tape.constant(s), tape.constant(g)).value
+    assert got.tobytes() == value(arch, rep, s, g).tobytes()
 
 
 @pytest.mark.parametrize("kind", V.KINDS)
