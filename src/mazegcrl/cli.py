@@ -1,5 +1,10 @@
 """Experiment front end: gen-data, train, eval, ablate, landscape.
 
+train reads its --data file once and hands the parsed dataset to
+cmd_train. The ablate grid writes each style's dataset file once, reads it
+back once, and trains every cell on that copy, so a cell sees exactly what
+train --data <grid dataset file> would.
+
 Configuration is flat dotted key=value text (files via --config, overrides
 via --set); unknown keys are rejected. Every emitted byte except manifest
 timestamps is a deterministic function of (config, seed).
@@ -321,9 +326,13 @@ def _checkpoint_name(step: int) -> str:
     return f"ckpt_{step:08d}.txt"
 
 
-def cmd_train(config: RunConfig, data_path: str) -> dict:
+def cmd_train(config: RunConfig, dataset: datamod.Dataset) -> dict:
+    """Train one agent on an already-read dataset; write the run directory.
+
+    The train verb passes data.read_dataset of its --data file; the ablate
+    grid passes the copy it read back from its own dataset file.
+    """
     spec = maze.builtin_layout(config.layout)
-    dataset = datamod.read_dataset(data_path)
     if dataset.state_dim != 2 or dataset.action_dim != 2:
         raise GraphError(f"dataset dims ({dataset.state_dim}, "
                          f"{dataset.action_dim}) do not match the layout")
@@ -473,16 +482,20 @@ def read_runs_csv(text: str) -> list[dict]:
 
 
 def cmd_ablate(config: RunConfig, out_dir: str) -> list[dict]:
-    """Run the grid end to end: per-seed rows plus per-cell aggregates."""
+    """Run the grid end to end: per-seed rows plus per-cell aggregates.
+
+    Each style's dataset is written once to the grid directory and read back
+    once; every cell of that style trains on the read-back copy.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    dataset_paths = {}
+    spec = maze.builtin_layout(config.layout)
+    datasets = {}
     for style in config.grid_styles:
-        dcfg = replace_style(config, style)
         path = out / f"dataset_{config.layout}_{style}.dset"
-        spec = maze.builtin_layout(config.layout)
-        datamod.write_dataset(_generate_dataset(dcfg, spec), path)
-        dataset_paths[style] = path
+        datamod.write_dataset(
+            _generate_dataset(replace_style(config, style), spec), path)
+        datasets[style] = datamod.read_dataset(path)
 
     rows = []
     run_lines = [_RUNS_HEADER]
@@ -492,7 +505,7 @@ def cmd_ablate(config: RunConfig, out_dir: str) -> list[dict]:
             for wc in config.grid_continuity:
                 for style in config.grid_styles:
                     cell = _run_cell(config, kind, hier, wc, style,
-                                     dataset_paths[style], out, run_lines)
+                                     datasets[style], out, run_lines)
                     rows.append(cell)
                     summary_lines.append(_summary_row(cell))
     (out / "runs.csv").write_text("\n".join(run_lines) + "\n")
@@ -514,7 +527,7 @@ def replace_style(config: RunConfig, style: str) -> RunConfig:
     return clone
 
 
-def _run_cell(config, kind, hier, wc, style, data_path, out: Path,
+def _run_cell(config, kind, hier, wc, style, dataset, out: Path,
               run_lines: list[str]) -> dict:
     cell = {"arch": kind, "hierarchical": hier, "continuity_weight": wc,
             "style": style, "n_seeds": len(config.grid_seeds)}
@@ -527,7 +540,7 @@ def _run_cell(config, kind, hier, wc, style, data_path, out: Path,
         name = f"{kind}_{'hier' if hier else 'flat'}_wc{wc:g}_{style}_s{seed}"
         run.out_dir = str(out / name)
         try:
-            manifest = cmd_train(run, data_path)
+            manifest = cmd_train(run, dataset)
         except (GraphError, MazeError, ValueError) as err:
             print(f"cell {name} failed: {err}", file=sys.stderr)
             run_lines.append(f"{kind},{hier_s},{_fmtf(wc)},{style},{seed},"
@@ -625,7 +638,7 @@ def _dispatch(args) -> int:
     elif args.verb == "train":
         if args.out:
             config.out_dir = args.out
-        cmd_train(config, args.data)
+        cmd_train(config, datamod.read_dataset(args.data))
     elif args.verb == "eval":
         cmd_eval(config, args.ckpt, args.out)
     elif args.verb == "ablate":

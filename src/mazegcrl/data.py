@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -419,20 +420,22 @@ def task_covered(dataset: Dataset, spec: MazeSpec, task: maze.Task) -> bool:
 # ---- file format -------------------------------------------------------------------
 
 
-def _fmt_row(row: np.ndarray) -> str:
-    return " ".join(f"{x:.17g}" for x in row)
+def _dataset_blocks(dataset: Dataset):
+    """Header line, then one string per trajectory, each formatted in one call."""
+    sd, ad = dataset.state_dim, dataset.action_dim
+    yield f"GCRL-DSET v1 {sd} {ad} {len(dataset.trajectories)}\n"
+    state_row = " ".join(["%.17g"] * sd) + "\n"
+    pair_rows = state_row + " ".join(["%.17g"] * ad) + "\n"
+    for traj in dataset.trajectories:
+        # rows s_0, a_0, s_1, a_1, ..., s_T in file order
+        flat = np.concatenate((np.hstack((traj.states[:-1], traj.actions)).ravel(),
+                               traj.states[-1]))
+        yield (f"T {traj.length}\n"
+               + (pair_rows * traj.length + state_row) % tuple(flat.tolist()))
 
 
 def dataset_to_text(dataset: Dataset) -> str:
-    lines = [f"GCRL-DSET v1 {dataset.state_dim} {dataset.action_dim} "
-             f"{len(dataset.trajectories)}"]
-    for traj in dataset.trajectories:
-        lines.append(f"T {traj.length}")
-        for t in range(traj.length):
-            lines.append(_fmt_row(traj.states[t]))
-            lines.append(_fmt_row(traj.actions[t]))
-        lines.append(_fmt_row(traj.states[-1]))
-    return "\n".join(lines) + "\n"
+    return "".join(_dataset_blocks(dataset))
 
 
 def dataset_from_text(text: str) -> Dataset:
@@ -452,24 +455,29 @@ def dataset_from_text(text: str) -> Dataset:
             raise ValueError(f"expected trajectory marker at line {pos + 1}")
         length = int(marker[1])
         pos += 1
-        if pos + 2 * length + 1 > len(lines):
+        end = pos + 2 * length + 1
+        if end > len(lines):
             raise ValueError(f"dataset ends at line {len(lines)}, inside "
                              f"trajectory {i} (marker at line {pos})")
-        states = np.empty((length + 1, state_dim))
-        actions = np.empty((length, action_dim))
-        for t in range(length):
-            states[t] = [float(x) for x in lines[pos].split()]
-            actions[t] = [float(x) for x in lines[pos + 1].split()]
-            pos += 2
-        states[length] = [float(x) for x in lines[pos].split()]
-        pos += 1
-        trajectories.append(Trajectory(states, actions))
+        rows = [line.split() for line in lines[pos:end]]
+        widths = [state_dim, action_dim] * length + [state_dim]
+        if list(map(len, rows)) != widths:
+            k = next(k for k, (row, w) in enumerate(zip(rows, widths))
+                     if len(row) != w)
+            raise ValueError(f"line {pos + k + 1} has {len(rows[k])} numbers, "
+                             f"expected {widths[k]}")
+        flat = np.array(list(map(float, chain.from_iterable(rows))))
+        n_pairs = length * (state_dim + action_dim)
+        pairs = flat[:n_pairs].reshape(length, state_dim + action_dim)
+        states = np.vstack((pairs[:, :state_dim], flat[n_pairs:]))
+        trajectories.append(Trajectory(states, pairs[:, state_dim:]))
+        pos = end
     return Dataset(trajectories)
 
 
 def write_dataset(dataset: Dataset, path) -> None:
     with open(path, "w") as fh:
-        fh.write(dataset_to_text(dataset))
+        fh.writelines(_dataset_blocks(dataset))
 
 
 def read_dataset(path) -> Dataset:

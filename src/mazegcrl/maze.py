@@ -80,6 +80,7 @@ class MazeSpec:
     goal_radius: float         # length units
     tasks: tuple[Task, ...]
     _dist_cache: dict = field(default_factory=dict, repr=False)
+    _free: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         walls = np.asarray(self.walls, dtype=bool)
@@ -89,14 +90,15 @@ class MazeSpec:
         if not (walls[0].all() and walls[-1].all()
                 and walls[:, 0].all() and walls[:, -1].all()):
             raise MazeError(f"layout '{self.name}': outer border must be all walls")
-        free = int((~walls).sum())
-        if free == 0:
+        object.__setattr__(self, "_free",
+                           tuple(map(tuple, np.argwhere(~walls).tolist())))
+        if not self._free:
             raise MazeError(f"layout '{self.name}': no free cells")
-        if self._connected_free_count() != free:
+        if self._connected_free_count() != len(self._free):
             raise MazeError(f"layout '{self.name}': free cells are not connected")
 
     def _connected_free_count(self) -> int:
-        start = tuple(np.argwhere(~self.walls)[0])
+        start = self._free[0]
         seen = {start}
         queue = deque([start])
         while queue:
@@ -116,8 +118,9 @@ class MazeSpec:
     def shape(self) -> tuple[int, int]:
         return self.walls.shape
 
-    def free_cells(self) -> list[tuple[int, int]]:
-        return [tuple(rc) for rc in np.argwhere(~self.walls)]
+    def free_cells(self) -> tuple[tuple[int, int], ...]:
+        """Free cells in row-major order, computed once per spec."""
+        return self._free
 
 
 def cell_of(spec: MazeSpec, s: State) -> tuple[int, int]:

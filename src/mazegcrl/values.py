@@ -327,17 +327,20 @@ class LiftedValue:
 # ---- tensor-dict serialization --------------------------------------------------------
 
 
-def tensors_to_text(tree: dict[str, np.ndarray]) -> str:
-    lines = []
+def _tensor_blocks(tree: dict[str, np.ndarray]):
+    """One string per tensor: its header, then its rows in one format call."""
     for name in tree:
         arr = np.asarray(tree[name], dtype=np.float64)
         if arr.ndim > 2:
             raise ValueError(f"tensor '{name}' has more than 2 dimensions")
-        lines.append(" ".join([name] + [str(d) for d in arr.shape]))
         rows = arr.reshape(1, -1) if arr.ndim < 2 else arr
-        for row in rows:
-            lines.append(" ".join(f"{x:.17g}" for x in row))
-    return "\n".join(lines) + "\n"
+        row = " ".join(["%.17g"] * rows.shape[1]) + "\n"
+        yield (" ".join([name] + [str(d) for d in arr.shape]) + "\n"
+               + (row * len(rows)) % tuple(rows.ravel().tolist()))
+
+
+def tensors_to_text(tree: dict[str, np.ndarray]) -> str:
+    return "".join(_tensor_blocks(tree))
 
 
 def tensors_from_text(text: str) -> dict[str, np.ndarray]:
@@ -364,7 +367,7 @@ def tensors_from_text(text: str) -> dict[str, np.ndarray]:
 
 def write_tensors(tree: dict[str, np.ndarray], path) -> None:
     with open(path, "w") as fh:
-        fh.write(tensors_to_text(tree))
+        fh.writelines(_tensor_blocks(tree))
 
 
 def read_tensors(path) -> dict[str, np.ndarray]:

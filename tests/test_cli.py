@@ -141,7 +141,7 @@ def _gen_and_train(tmp_path, *extra):
     dset = tmp_path / "d.dset"
     cmd_gen_data(cfg, dset)
     cfg.out_dir = str(tmp_path / "run")
-    manifest = cmd_train(cfg, dset)
+    manifest = cmd_train(cfg, data.read_dataset(dset))
     return cfg, manifest
 
 
@@ -182,7 +182,7 @@ def test_train_rejects_mismatched_dataset(tmp_path):
     from mazegcrl.autodiff import GraphError
 
     with pytest.raises(GraphError, match="dims"):
-        cmd_train(cfg, path)
+        cmd_train(cfg, data.read_dataset(path))
 
 
 # ---- eval ----------------------------------------------------------------------------
@@ -224,13 +224,25 @@ def test_ablate_single_cell_matches_train(tmp_path):
     direct = tiny_config("arch.kind=LAN", "train.hierarchical=false",
                          "train.continuity_weight=0", "train.seed=3")
     direct.out_dir = str(tmp_path / "direct")
-    manifest = cmd_train(direct,
-                         tmp_path / "grid" / "dataset_medium_navigate.dset")
+    manifest = cmd_train(direct, data.read_dataset(
+        tmp_path / "grid" / "dataset_medium_navigate.dset"))
     assert rows[0]["success_mean"] == manifest["final_eval"]["success"]
     assert rows[0]["success_std"] == 0.0
+    # and writes the same run files, byte for byte
+    cell = tmp_path / "grid" / "LAN_flat_wc0_navigate_s3"
+    ckpts = sorted(p.name for p in cell.glob("ckpt_*.txt"))
+    assert ckpts == sorted(p.name for p in (tmp_path / "direct").glob("ckpt_*.txt"))
+    assert ckpts
+    for fname in ["metrics.csv", "report.csv"] + ckpts:
+        assert (cell / fname).read_bytes() == \
+            (tmp_path / "direct" / fname).read_bytes(), fname
 
 
-def test_ablate_five_archs_three_seeds(tmp_path):
+def test_ablate_five_archs_three_seeds(tmp_path, monkeypatch):
+    reads = []
+    read_dataset = data.read_dataset
+    monkeypatch.setattr(data, "read_dataset",
+                        lambda path: reads.append(path) or read_dataset(path))
     cfg = tiny_config("grid.arch_kinds=MLP,LAN,IQE,MRN,Hilbert",
                       "grid.hierarchical=false", "grid.continuity_weights=0",
                       "grid.styles=navigate", "grid.seeds=0,1,2",
@@ -243,6 +255,8 @@ def test_ablate_five_archs_three_seeds(tmp_path):
     summary = read_summary_csv((tmp_path / "grid" / "summary.csv").read_text())
     assert len(summary) == 5
     assert all(r["n_ok"] == 3 for r in summary)
+    # the grid's one dataset is read back once, not once per run
+    assert reads == [tmp_path / "grid" / "dataset_medium_navigate.dset"]
 
 
 # ---- landscape ------------------------------------------------------------------------
@@ -316,6 +330,17 @@ def test_truncated_dataset_exits_2_naming_the_last_line(tmp_path):
     first = r.stderr.splitlines()[0]
     assert first.startswith("config: dataset ends at line "), r.stderr
     assert "Traceback" not in r.stderr
+
+
+def test_short_dataset_row_exits_2_naming_the_line(tmp_path):
+    # a one-number row is an error, not a state broadcast from one number
+    bad = tmp_path / "short.dset"
+    bad.write_text("GCRL-DSET v1 2 2 1\nT 1\n0.5 0.5\n0.1 0.1\n2.5\n")
+    r = run_cli("train", "--data", str(bad), "--out", str(tmp_path / "run"))
+    assert r.returncode == 2
+    first = r.stderr.splitlines()[0]
+    assert first == "config: line 5 has 1 numbers, expected 2", r.stderr
+    assert not (tmp_path / "run").exists()
 
 
 def test_truncated_checkpoint_exits_2_naming_the_last_line(tmp_path):

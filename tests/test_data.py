@@ -18,6 +18,7 @@ from mazegcrl.data import (
     sample_goal,
     sample_goals,
 )
+from tests import oracle_io
 
 
 def synthetic_trajectory(length: int) -> Trajectory:
@@ -332,10 +333,23 @@ def test_dataset_file_round_trip_bit_exact(tmp_path):
     for ta, tb in zip(ds.trajectories, back.trajectories):
         assert np.array_equal(ta.states, tb.states)
         assert np.array_equal(ta.actions, tb.actions)
-    # writing again reproduces the same bytes
+    # the file holds the reference text, and writing again reproduces it
+    assert path.read_text() == oracle_io.dataset_to_text(ds)
     assert data.dataset_to_text(back) == data.dataset_to_text(ds)
 
 
 def test_dataset_header_checked():
     with pytest.raises(ValueError, match="header"):
         data.dataset_from_text("NOPE v1 2 2 1\nT 1\n0 0\n0 0\n1 1\n")
+
+
+@pytest.mark.parametrize("row, line", [
+    ("2.5", 5),          # one number short in the final state
+    ("0.1 0.1 0.1", 4),  # one number too many in an action row
+])
+def test_dataset_row_width_checked(row, line):
+    lines = ["GCRL-DSET v1 2 2 1", "T 1", "0.5 0.5", "0.1 0.1", "2.5 2.5"]
+    lines[line - 1] = row
+    with pytest.raises(ValueError, match=f"line {line} has {len(row.split())} "
+                                         f"numbers, expected 2"):
+        data.dataset_from_text("\n".join(lines) + "\n")

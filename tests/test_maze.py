@@ -216,6 +216,18 @@ def _dijkstra(walls, src, dst):
     return -1
 
 
+@pytest.mark.parametrize("name", maze.LAYOUT_NAMES)
+def test_free_cells_cached_in_row_major_order(name):
+    spec = builtin_layout(name)
+    free = [tuple(rc) for rc in np.argwhere(~spec.walls)]
+    assert spec.free_cells() == tuple(free)
+    assert spec.free_cells() is spec.free_cells()
+    # the same draws pick the same cells as indexing the argwhere list
+    rng_a, rng_b = np.random.default_rng(4), np.random.default_rng(4)
+    for _ in range(50):
+        assert maze.random_free_cell(spec, rng_a) == free[int(rng_b.integers(len(free)))]
+
+
 def test_bfs_matches_dijkstra_oracle():
     spec = builtin_layout("medium")
     rng = np.random.default_rng(8)

@@ -17,7 +17,7 @@ from mazegcrl.values import (
     make_value_arch,
     value,
 )
-from tests import oracle_iqe
+from tests import oracle_io, oracle_iqe
 from tests.finite_diff import finite_diff_grad
 from tests.oracle_distances import hilbert_distance, iqe_distance, mrn_distance
 
@@ -375,3 +375,4 @@ def test_tensor_round_trip_bit_exact(tmp_path):
     for k in tree:
         assert np.array_equal(back[k], np.asarray(tree[k], dtype=np.float64)), k
     assert V.tensors_to_text(back) == V.tensors_to_text(tree)
+    assert path.read_text() == oracle_io.tensors_to_text(tree)
