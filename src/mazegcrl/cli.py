@@ -6,8 +6,11 @@ back once, and trains every cell on that copy, so a cell sees exactly what
 train --data <grid dataset file> would.
 
 Configuration is flat dotted key=value text (files via --config, overrides
-via --set); unknown keys are rejected. Every emitted byte except manifest
-timestamps is a deterministic function of (config, seed).
+via --set); unknown keys are rejected. The one rename map _KEYS maps each
+key to a RunConfig/TrainConfig field, parsed by its dataclass default's type.
+Values and every CSV go through evaluation's text codec: one schema-driven
+table writer and one reader. Every emitted byte except manifest timestamps
+is a deterministic function of (config, seed).
 
 Exit status is 0 on success; on failure the first stderr line is
 "<category>: <message>" with category one of usage, config, io, dims,
@@ -17,6 +20,7 @@ numeric, env.
 from __future__ import annotations
 
 import argparse
+import copy
 import hashlib
 import json
 import sys
@@ -55,40 +59,6 @@ class ConfigError(ValueError):
     pass
 
 
-def _parse_bool(text: str) -> bool:
-    if text == "true":
-        return True
-    if text == "false":
-        return False
-    raise ConfigError(f"expected true/false, got {text!r}")
-
-
-def _parse_floats(text: str) -> tuple:
-    return tuple(float(x) for x in text.split(","))
-
-
-def _parse_ints(text: str) -> tuple:
-    return tuple(int(x) for x in text.split(","))
-
-
-def _parse_strs(text: str) -> tuple:
-    return tuple(x.strip() for x in text.split(",") if x.strip())
-
-
-def _parse_bools(text: str) -> tuple:
-    return tuple(_parse_bool(x) for x in text.split(","))
-
-
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return f"{value:.17g}"
-    if isinstance(value, tuple):
-        return ",".join(_fmt(v) for v in value)
-    return str(value)
-
-
 @dataclass
 class RunConfig:
     """Full run description: environment, data, training, orchestration."""
@@ -118,11 +88,7 @@ class RunConfig:
             raise ConfigError(f"env.layout must be one of {maze.LAYOUT_NAMES}")
         if self.style not in ("navigate", "stitch"):
             raise ConfigError("data.style must be navigate or stitch")
-        # value-goal mixture defaults follow the dataset style
-        if "train.value_goal_ratios" not in self.explicit:
-            ratios = (datamod.VALUE_GOAL_RATIOS_STITCH if self.style == "stitch"
-                      else datamod.VALUE_GOAL_RATIOS_DEFAULT)
-            self.train.value_goal_ratios = ratios
+        self._follow_style()
         try:
             self.train.validate()
         except ValueError as err:
@@ -144,64 +110,67 @@ class RunConfig:
                 raise ConfigError(f"unknown grid style '{style}'")
         return self
 
-
-# key -> (getter, setter) over RunConfig; setters parse strings
-def _train_field(name, parser):
-    return (lambda c: getattr(c.train, name),
-            lambda c, v: setattr(c.train, name, parser(v)))
-
-
-def _own_field(name, parser):
-    return (lambda c: getattr(c, name),
-            lambda c, v: setattr(c, name, parser(v)))
+    def _follow_style(self) -> None:
+        """Value-goal mixture defaults follow the dataset style."""
+        if "train.value_goal_ratios" not in self.explicit:
+            self.train.value_goal_ratios = (
+                datamod.VALUE_GOAL_RATIOS_STITCH if self.style == "stitch"
+                else datamod.VALUE_GOAL_RATIOS_DEFAULT)
 
 
+# key -> RunConfig attribute; "train.<name>" is a TrainConfig attribute
 _KEYS = {
-    "env.layout": _own_field("layout", str),
-    "data.style": _own_field("style", str),
-    "data.transitions": _own_field("transitions", int),
-    "data.noise": _own_field("noise", float),
-    "data.segment_len": _own_field("segment_len", int),
-    "data.seed": _own_field("data_seed", int),
-    "train.gamma": _train_field("discount", float),
-    "train.expectile": _train_field("expectile", float),
-    "train.continuity_weight": _train_field("continuity_weight", float),
-    "train.high_temp": _train_field("high_temp", float),
-    "train.low_temp": _train_field("low_temp", float),
-    "train.subgoal_steps": _train_field("subgoal_steps", int),
-    "train.target_rate": _train_field("target_rate", float),
-    "train.lr": _train_field("lr", float),
-    "train.batch_size": _train_field("batch_size", int),
-    "train.steps": _train_field("total_steps", int),
-    "train.value_goal_ratios": _train_field("value_goal_ratios", _parse_floats),
-    "train.policy_goal_ratios": _train_field("policy_goal_ratios", _parse_floats),
-    "train.hierarchical": _train_field("hierarchical", _parse_bool),
-    "train.rep_grad_from_policy": _train_field("rep_grad_from_policy", _parse_bool),
-    "train.objective": _train_field("objective", str),
-    "train.normalize_inputs": _train_field("normalize_inputs", _parse_bool),
-    "train.seed": _train_field("seed", int),
-    "arch.kind": _train_field("arch_kind", str),
-    "arch.value_hidden": _train_field("value_hidden", _parse_ints),
-    "arch.policy_hidden": _train_field("policy_hidden", _parse_ints),
-    "arch.rep_hidden": _train_field("rep_hidden", _parse_ints),
-    "arch.rep_dim": _train_field("rep_dim", int),
-    "arch.latent_dim": _train_field("latent_dim", int),
-    "arch.iqe_components": _train_field("iqe_components", int),
-    "arch.iqe_intervals": _train_field("iqe_intervals", int),
-    "arch.mrn_sym_dim": _train_field("mrn_sym_dim", int),
-    "arch.mrn_asym_dim": _train_field("mrn_asym_dim", int),
-    "run.out_dir": _own_field("out_dir", str),
-    "run.checkpoint_every": _own_field("checkpoint_every", int),
-    "run.eval_every": _own_field("eval_every", int),
-    "run.metrics_every": _own_field("metrics_every", int),
-    "run.eval_trials": _own_field("eval_trials", int),
-    "run.landscape_resolution": _own_field("landscape_resolution", int),
-    "grid.arch_kinds": _own_field("grid_arch_kinds", _parse_strs),
-    "grid.hierarchical": _own_field("grid_hierarchical", _parse_bools),
-    "grid.continuity_weights": _own_field("grid_continuity", _parse_floats),
-    "grid.styles": _own_field("grid_styles", _parse_strs),
-    "grid.seeds": _own_field("grid_seeds", _parse_ints),
+    "env.layout": "layout",
+    "data.style": "style",
+    "data.transitions": "transitions",
+    "data.noise": "noise",
+    "data.segment_len": "segment_len",
+    "data.seed": "data_seed",
+    "train.gamma": "train.discount",
+    "train.expectile": "train.expectile",
+    "train.continuity_weight": "train.continuity_weight",
+    "train.high_temp": "train.high_temp",
+    "train.low_temp": "train.low_temp",
+    "train.subgoal_steps": "train.subgoal_steps",
+    "train.target_rate": "train.target_rate",
+    "train.lr": "train.lr",
+    "train.batch_size": "train.batch_size",
+    "train.steps": "train.total_steps",
+    "train.value_goal_ratios": "train.value_goal_ratios",
+    "train.policy_goal_ratios": "train.policy_goal_ratios",
+    "train.hierarchical": "train.hierarchical",
+    "train.rep_grad_from_policy": "train.rep_grad_from_policy",
+    "train.objective": "train.objective",
+    "train.normalize_inputs": "train.normalize_inputs",
+    "train.seed": "train.seed",
+    "arch.kind": "train.arch_kind",
+    "arch.value_hidden": "train.value_hidden",
+    "arch.policy_hidden": "train.policy_hidden",
+    "arch.rep_hidden": "train.rep_hidden",
+    "arch.rep_dim": "train.rep_dim",
+    "arch.latent_dim": "train.latent_dim",
+    "arch.iqe_components": "train.iqe_components",
+    "arch.iqe_intervals": "train.iqe_intervals",
+    "arch.mrn_sym_dim": "train.mrn_sym_dim",
+    "arch.mrn_asym_dim": "train.mrn_asym_dim",
+    "run.out_dir": "out_dir",
+    "run.checkpoint_every": "checkpoint_every",
+    "run.eval_every": "eval_every",
+    "run.metrics_every": "metrics_every",
+    "run.eval_trials": "eval_trials",
+    "run.landscape_resolution": "landscape_resolution",
+    "grid.arch_kinds": "grid_arch_kinds",
+    "grid.hierarchical": "grid_hierarchical",
+    "grid.continuity_weights": "grid_continuity",
+    "grid.styles": "grid_styles",
+    "grid.seeds": "grid_seeds",
 }
+
+
+def _field(config: RunConfig, key: str) -> tuple:
+    """The object and attribute name that ``key`` sets."""
+    owner, _, name = _KEYS[key].rpartition(".")
+    return (config.train if owner else config), name
 
 
 def parse_config_lines(lines, config: RunConfig | None = None) -> RunConfig:
@@ -215,21 +184,19 @@ def parse_config_lines(lines, config: RunConfig | None = None) -> RunConfig:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _KEYS:
             raise ConfigError(f"unknown configuration key '{key}'")
-        getter, setter = _KEYS[key]
-        try:
-            setter(config, value)
-        except ConfigError:
-            raise
-        except (TypeError, ValueError) as err:
+        try:  # typed by the field's default: a set value may be ()
+            parsed = evalmod.parse_value(value, getattr(*_field(RunConfig(), key)))
+        except ValueError as err:
             raise ConfigError(f"bad value for '{key}': {err}") from None
+        setattr(*_field(config, key), parsed)
         config.explicit.add(key)
     return config
 
 
 def config_lines(config: RunConfig) -> list[str]:
     """Canonical resolved key=value lines, sorted by key."""
-    return [f"{key}={_fmt(getter(config))}"
-            for key, (getter, _) in sorted(_KEYS.items())]
+    return [f"{key}={evalmod.format_value(getattr(*_field(config, key)))}"
+            for key in sorted(_KEYS)]
 
 
 def config_hash(config: RunConfig) -> str:
@@ -251,10 +218,6 @@ def load_config(paths, sets) -> RunConfig:
 
 
 # ---- shared run machinery -----------------------------------------------------------
-
-
-def _fmtf(x: float) -> str:
-    return f"{x:.17g}"
 
 
 def _generate_dataset(config: RunConfig, spec) -> datamod.Dataset:
@@ -302,24 +265,20 @@ def _protocol_steps(total: int) -> list[int]:
     return sorted({int(round(f * total)) for f in (0.8, 0.9, 1.0)})
 
 
-def _metrics_row(m: dict) -> str:
-    return ",".join([str(m["step"])] + [
-        _fmtf(m[k]) for k in ("td_loss", "continuity_loss", "high_policy_loss",
-                              "low_policy_loss", "v_mean", "delta")])
+# CSV schemas: ordered {column: example of the column's type}
+_METRICS = dict.fromkeys(trainmod.METRIC_FIELDS, 0.0) | {"step": 0}
+_CELL = {"arch": "", "hierarchical": False, "continuity_weight": 0.0,
+         "style": ""}
+_RUNS = _CELL | {"seed": 0, "success": 0.0, "alignment": 0.0, "kendall": 0.0,
+                 "status": ""}
+_SUMMARY = _CELL | {"n_seeds": 0, "n_ok": 0, "success_mean": 0.0,
+                    "success_std": 0.0, "alignment_mean": 0.0,
+                    "alignment_std": 0.0, "kendall_mean": 0.0,
+                    "kendall_std": 0.0}
 
 
 def read_metrics_csv(text: str) -> list[dict]:
-    lines = text.strip().split("\n")
-    if lines[0] != ",".join(trainmod.METRIC_FIELDS):
-        raise ValueError("bad metrics header")
-    out = []
-    for line in lines[1:]:
-        parts = line.split(",")
-        row = {"step": int(parts[0])}
-        row.update({k: float(v) for k, v in zip(trainmod.METRIC_FIELDS[1:],
-                                                parts[1:])})
-        out.append(row)
-    return out
+    return evalmod.table_from_csv("metrics", _METRICS, text)
 
 
 def _checkpoint_name(step: int) -> str:
@@ -369,7 +328,7 @@ def cmd_train(config: RunConfig, dataset: datamod.Dataset) -> dict:
         if step in protocol:
             protocol_reports.append(report)
 
-    metrics_lines = [",".join(trainmod.METRIC_FIELDS)]
+    metrics_rows = []
     error = None
     try:
         if 0 in eval_at:
@@ -383,7 +342,7 @@ def cmd_train(config: RunConfig, dataset: datamod.Dataset) -> dict:
                 spec.goal_radius, batch_rng)
             state, metrics = trainmod.train_step(state, batch)
             if step % config.metrics_every == 0 or step == total:
-                metrics_lines.append(_metrics_row(metrics))
+                metrics_rows.append(metrics)
             if step in eval_at:
                 run_eval(step)
             if step in ckpt_at:
@@ -396,7 +355,8 @@ def cmd_train(config: RunConfig, dataset: datamod.Dataset) -> dict:
         write_tensors(trainmod.state_tree(state),
                       out / f"ckpt_abort_{state.step:08d}.txt")
 
-    (out / "metrics.csv").write_text("\n".join(metrics_lines) + "\n")
+    (out / "metrics.csv").write_text(
+        evalmod.table_to_csv(_METRICS, metrics_rows))
     (out / "report.csv").write_text(evalmod.report_to_csv(reports))
     manifest["finished"] = time.strftime("%Y-%m-%dT%H:%M:%S")
     if error is None:
@@ -437,48 +397,12 @@ def cmd_eval(config: RunConfig, ckpt_path: str, out_path: str) -> evalmod.EvalRe
     return report
 
 
-_SUMMARY_HEADER = ("arch,hierarchical,continuity_weight,style,n_seeds,n_ok,"
-                   "success_mean,success_std,alignment_mean,alignment_std,"
-                   "kendall_mean,kendall_std")
-
-
 def read_summary_csv(text: str) -> list[dict]:
-    lines = text.strip().split("\n")
-    if lines[0] != _SUMMARY_HEADER:
-        raise ValueError("bad summary header")
-    rows = []
-    for line in lines[1:]:
-        vals = line.split(",")
-        rows.append({
-            "arch": vals[0], "hierarchical": vals[1] == "true",
-            "continuity_weight": float(vals[2]), "style": vals[3],
-            "n_seeds": int(vals[4]), "n_ok": int(vals[5]),
-            "success_mean": float(vals[6]), "success_std": float(vals[7]),
-            "alignment_mean": float(vals[8]), "alignment_std": float(vals[9]),
-            "kendall_mean": float(vals[10]), "kendall_std": float(vals[11]),
-        })
-    return rows
-
-
-_RUNS_HEADER = ("arch,hierarchical,continuity_weight,style,seed,"
-                "success,alignment,kendall,status")
+    return evalmod.table_from_csv("summary", _SUMMARY, text)
 
 
 def read_runs_csv(text: str) -> list[dict]:
-    lines = text.strip().split("\n")
-    if lines[0] != _RUNS_HEADER:
-        raise ValueError("bad runs header")
-    rows = []
-    for line in lines[1:]:
-        vals = line.split(",")
-        rows.append({
-            "arch": vals[0], "hierarchical": vals[1] == "true",
-            "continuity_weight": float(vals[2]), "style": vals[3],
-            "seed": int(vals[4]), "success": float(vals[5]),
-            "alignment": float(vals[6]), "kendall": float(vals[7]),
-            "status": vals[8],
-        })
-    return rows
+    return evalmod.table_from_csv("runs", _RUNS, text)
 
 
 def cmd_ablate(config: RunConfig, out_dir: str) -> list[dict]:
@@ -497,42 +421,35 @@ def cmd_ablate(config: RunConfig, out_dir: str) -> list[dict]:
             _generate_dataset(replace_style(config, style), spec), path)
         datasets[style] = datamod.read_dataset(path)
 
-    rows = []
-    run_lines = [_RUNS_HEADER]
-    summary_lines = [_SUMMARY_HEADER]
+    rows, runs = [], []
     for kind in config.grid_arch_kinds:
         for hier in config.grid_hierarchical:
             for wc in config.grid_continuity:
                 for style in config.grid_styles:
                     cell = _run_cell(config, kind, hier, wc, style,
-                                     datasets[style], out, run_lines)
+                                     datasets[style], out, runs)
                     rows.append(cell)
-                    summary_lines.append(_summary_row(cell))
-    (out / "runs.csv").write_text("\n".join(run_lines) + "\n")
-    (out / "summary.csv").write_text("\n".join(summary_lines) + "\n")
-    print(f"{len(rows)} grid cells ({len(run_lines) - 1} runs) written "
+    (out / "runs.csv").write_text(evalmod.table_to_csv(_RUNS, runs))
+    (out / "summary.csv").write_text(evalmod.table_to_csv(_SUMMARY, rows))
+    print(f"{len(rows)} grid cells ({len(runs)} runs) written "
           f"to {out / 'summary.csv'}")
     return rows
 
 
 def replace_style(config: RunConfig, style: str) -> RunConfig:
-    import copy as _copy
-
-    clone = _copy.deepcopy(config)
+    clone = copy.deepcopy(config)
     clone.style = style
-    if "train.value_goal_ratios" not in clone.explicit:
-        clone.train.value_goal_ratios = (
-            datamod.VALUE_GOAL_RATIOS_STITCH if style == "stitch"
-            else datamod.VALUE_GOAL_RATIOS_DEFAULT)
+    clone._follow_style()
     return clone
 
 
 def _run_cell(config, kind, hier, wc, style, dataset, out: Path,
-              run_lines: list[str]) -> dict:
+              runs: list[dict]) -> dict:
+    """Train every seed of one grid cell; append its runs.csv rows to runs."""
     cell = {"arch": kind, "hierarchical": hier, "continuity_weight": wc,
             "style": style, "n_seeds": len(config.grid_seeds)}
-    hier_s = "true" if hier else "false"
-    success, alignment, kendall = [], [], []
+    nan = float("nan")
+    ok = []
     for seed in config.grid_seeds:
         run = replace_style(config, style)
         run.train = replace(run.train, arch_kind=kind, hierarchical=hier,
@@ -543,33 +460,20 @@ def _run_cell(config, kind, hier, wc, style, dataset, out: Path,
             manifest = cmd_train(run, dataset)
         except (GraphError, MazeError, ValueError) as err:
             print(f"cell {name} failed: {err}", file=sys.stderr)
-            run_lines.append(f"{kind},{hier_s},{_fmtf(wc)},{style},{seed},"
-                             f"nan,nan,nan,failed")
+            runs.append(cell | {"seed": seed, "success": nan, "alignment": nan,
+                                "kendall": nan, "status": "failed"})
             continue
-        summary = manifest["final_eval"]
-        success.append(summary["success"])
-        alignment.append(summary["final_alignment"])
-        kendall.append(summary["final_kendall"])
-        run_lines.append(
-            f"{kind},{hier_s},{_fmtf(wc)},{style},{seed},"
-            f"{_fmtf(summary['success'])},{_fmtf(summary['final_alignment'])},"
-            f"{_fmtf(summary['final_kendall'])},ok")
-    cell["n_ok"] = len(success)
-    for label, vals in (("success", success), ("alignment", alignment),
-                        ("kendall", kendall)):
-        cell[f"{label}_mean"] = float(np.mean(vals)) if vals else float("nan")
-        cell[f"{label}_std"] = float(np.std(vals)) if vals else float("nan")
+        final = manifest["final_eval"]
+        ok.append({"success": final["success"],
+                   "alignment": final["final_alignment"],
+                   "kendall": final["final_kendall"]})
+        runs.append(cell | ok[-1] | {"seed": seed, "status": "ok"})
+    cell["n_ok"] = len(ok)
+    for label in ("success", "alignment", "kendall"):
+        vals = [r[label] for r in ok]
+        cell[f"{label}_mean"] = float(np.mean(vals)) if vals else nan
+        cell[f"{label}_std"] = float(np.std(vals)) if vals else nan
     return cell
-
-
-def _summary_row(cell: dict) -> str:
-    return ",".join([
-        cell["arch"], "true" if cell["hierarchical"] else "false",
-        _fmtf(cell["continuity_weight"]), cell["style"],
-        str(cell["n_seeds"]), str(cell["n_ok"]),
-        _fmtf(cell["success_mean"]), _fmtf(cell["success_std"]),
-        _fmtf(cell["alignment_mean"]), _fmtf(cell["alignment_std"]),
-        _fmtf(cell["kendall_mean"]), _fmtf(cell["kendall_std"])])
 
 
 def cmd_landscape(config: RunConfig, ckpt_path: str, out_path: str,
@@ -644,12 +548,10 @@ def _dispatch(args) -> int:
     elif args.verb == "ablate":
         cmd_ablate(config, args.out)
     elif args.verb == "landscape":
-        goal = None
-        if args.goal is not None:
-            parts = args.goal.split(",")
-            if len(parts) != 2:
-                raise ConfigError("--goal must be x,y")
-            goal = (float(parts[0]), float(parts[1]))
+        goal = (None if args.goal is None
+                else evalmod.parse_value(args.goal, (0.0,)))
+        if goal is not None and len(goal) != 2:
+            raise ConfigError("--goal must be x,y")
         cmd_landscape(config, args.ckpt, args.out, goal=goal, task=args.task)
     return 0
 
@@ -667,8 +569,6 @@ def main(argv=None) -> int:
         return _dispatch(args)
     except ConfigError as err:
         print(f"config: {err}", file=sys.stderr)
-    except FileNotFoundError as err:
-        print(f"io: {err}", file=sys.stderr)
     except OSError as err:
         print(f"io: {err}", file=sys.stderr)
     except MazeError as err:

@@ -41,6 +41,10 @@ __all__ = [
     "report_from_csv",
     "landscape_to_csv",
     "landscape_from_csv",
+    "format_value",
+    "parse_value",
+    "table_to_csv",
+    "table_from_csv",
 ]
 
 START_JITTER_CELLS = 0.25
@@ -231,46 +235,93 @@ def temporal_alignment(value_fn, spec: MazeSpec, goal) -> float:
     return float(rho)
 
 
-# ---- CSV emission -----------------------------------------------------------------
+# ---- text codec and CSV tables ----------------------------------------------------
 
 
-def report_to_csv(reports: list[EvalReport]) -> str:
-    lines = ["step,task_id,success_rate,kendall,temporal_alignment"]
-    for rep in reports:
-        for i, (s, k, a) in enumerate(zip(rep.task_success, rep.task_kendall,
-                                          rep.task_alignment)):
-            lines.append(f"{rep.checkpoint_step},{i},{s:.17g},{k:.17g},{a:.17g}")
+def format_value(value) -> str:
+    """Text of a config or CSV value: %.17g floats, true/false, comma-joined tuples."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return f"{value:.17g}"
+    if isinstance(value, tuple):
+        return ",".join(format_value(v) for v in value)
+    return str(value)
+
+
+def parse_value(text: str, like):
+    """format_value's text read as ``like``'s type; ``like[0]`` types a tuple."""
+    if isinstance(like, tuple):  # a tuple of str drops blank items
+        if isinstance(like[0], str):
+            return tuple(x.strip() for x in text.split(",") if x.strip())
+        return tuple(parse_value(x, like[0]) for x in text.split(","))
+    if isinstance(like, bool):
+        if text not in ("true", "false"):
+            raise ValueError(f"expected true/false, got {text!r}")
+        return text == "true"
+    return type(like)(text)
+
+
+def table_to_csv(schema: dict, rows) -> str:
+    """CSV of dict rows under ``schema``, an ordered {column: example value}."""
+    lines = [",".join(schema)]
+    lines += [",".join(format_value(row[col]) for col in schema) for row in rows]
     return "\n".join(lines) + "\n"
 
 
-def report_from_csv(text: str) -> list[EvalReport]:
+def table_from_csv(kind: str, schema: dict, text: str) -> list[dict]:
+    """Rows of a ``table_to_csv`` text; ``kind`` names the file in errors."""
     lines = text.strip().split("\n")
-    if lines[0] != "step,task_id,success_rate,kendall,temporal_alignment":
-        raise ValueError("bad report header")
+    if lines[0] != ",".join(schema):
+        raise ValueError(f"bad {kind} header")
+    rows = []
+    for number, line in enumerate(lines[1:], start=2):
+        cells = line.split(",")
+        if len(cells) != len(schema):
+            raise ValueError(f"{kind} line {number} has {len(cells)} cells, "
+                             f"expected {len(schema)}")
+        try:
+            rows.append({col: parse_value(cell, like)
+                         for (col, like), cell in zip(schema.items(), cells)})
+        except ValueError as err:
+            raise ValueError(f"{kind} line {number}: {err}") from None
+    return rows
+
+
+_REPORT = {"step": 0, "task_id": 0, "success_rate": 0.0, "kendall": 0.0,
+           "temporal_alignment": 0.0}
+_LANDSCAPE = {"x": 0.0, "y": 0.0, "value": 0.0}
+
+
+def report_to_csv(reports: list[EvalReport]) -> str:
+    return table_to_csv(_REPORT, (
+        dict(zip(_REPORT, (rep.checkpoint_step, i) + row))
+        for rep in reports
+        for i, row in enumerate(zip(rep.task_success, rep.task_kendall,
+                                    rep.task_alignment))))
+
+
+def report_from_csv(text: str) -> list[EvalReport]:
     by_step: dict[int, EvalReport] = {}
-    for line in lines[1:]:
-        step_s, task_s, s, k, a = line.split(",")
-        rep = by_step.setdefault(int(step_s),
-                                 EvalReport(int(step_s), [], [], []))
-        if int(task_s) != len(rep.task_success):
-            raise ValueError(f"report row for step {step_s} has task id {task_s}, "
+    for row in table_from_csv("report", _REPORT, text):
+        step, task = row["step"], row["task_id"]
+        rep = by_step.setdefault(step, EvalReport(step, [], [], []))
+        if task != len(rep.task_success):
+            raise ValueError(f"report row for step {step} has task id {task}, "
                              f"expected {len(rep.task_success)}")
-        rep.task_success.append(float(s))
-        rep.task_kendall.append(float(k))
-        rep.task_alignment.append(float(a))
+        rep.task_success.append(row["success_rate"])
+        rep.task_kendall.append(row["kendall"])
+        rep.task_alignment.append(row["temporal_alignment"])
     return [by_step[k] for k in sorted(by_step)]
 
 
 def landscape_to_csv(grid: LandscapeGrid) -> str:
-    lines = ["x,y,value"]
-    for x, y, v in zip(grid.xs, grid.ys, grid.values):
-        lines.append(f"{x:.17g},{y:.17g},{v:.17g}")
-    return "\n".join(lines) + "\n"
+    return table_to_csv(_LANDSCAPE, (
+        dict(zip(_LANDSCAPE, point))
+        for point in zip(grid.xs, grid.ys, grid.values)))
 
 
 def landscape_from_csv(text: str):
-    lines = text.strip().split("\n")
-    if lines[0] != "x,y,value":
-        raise ValueError("bad landscape header")
-    rows = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
-    return rows[:, 0], rows[:, 1], rows[:, 2]
+    rows = table_from_csv("landscape", _LANDSCAPE, text)
+    return tuple(np.array([row[col] for row in rows])
+                 for col in _LANDSCAPE)

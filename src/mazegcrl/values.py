@@ -344,7 +344,8 @@ def tensors_to_text(tree: dict[str, np.ndarray]) -> str:
 
 
 def tensors_from_text(text: str) -> dict[str, np.ndarray]:
-    lines = text.strip().split("\n")
+    # only the final newline goes: a zero-size tensor's rows are empty lines
+    lines = text.removesuffix("\n").split("\n")
     out: dict[str, np.ndarray] = {}
     pos = 0
     while pos < len(lines):

@@ -1,5 +1,6 @@
 """Configuration handling, CLI verbs, run artifacts, determinism."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -28,6 +29,7 @@ from mazegcrl.cli import (
     read_summary_csv,
 )
 from mazegcrl.values import read_tensors, write_tensors
+from tests import oracle_csv
 
 TINY = [
     "data.transitions=600",
@@ -93,14 +95,45 @@ def test_bad_values_rejected():
         load_config([], ["train.gamma=high"])
     with pytest.raises(ConfigError):
         load_config([], ["env.layout=tiny"])
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="bad value for 'train.hierarchical': "
+                                          "expected true/false, got 'yes'"):
         load_config([], ["train.hierarchical=yes"])
 
 
-def test_config_lines_cover_every_key():
-    lines = config_lines(RunConfig())
-    keys = {line.split("=", 1)[0] for line in lines}
-    assert keys == set(cli._KEYS)
+CONFIG_SETS = [
+    [],
+    TINY,
+    ["train.gamma=0.95", "arch.kind=IQE", "grid.arch_kinds=",
+     "grid.arch_kinds= MLP , LAN ,", "grid.seeds=4,5",
+     "train.value_goal_ratios=0.1,0.2,0.3,0.4", "run.out_dir=elsewhere"],
+    ["data.style=stitch", "train.hierarchical=false", "train.lr=1e-5",
+     "grid.hierarchical=true,false", "arch.value_hidden=32,16,8",
+     "grid.continuity_weights=0.1,1e308,-0.0", "grid.styles=", "train.steps=7"],
+]
+
+
+@pytest.mark.parametrize("sets", CONFIG_SETS,
+                         ids=["defaults", "tiny", "emptied-tuple", "stitch"])
+def test_config_lines_cover_every_key(sets):
+    # every RunConfig/TrainConfig field but train and explicit has one key
+    fields = [f.name for f in dataclasses.fields(RunConfig)
+              if f.name not in ("train", "explicit")]
+    fields += [f"train.{f.name}" for f in dataclasses.fields(T.TrainConfig)]
+    assert sorted(cli._KEYS.values()) == sorted(fields)
+    config = load_config([], sets)
+    lines = config_lines(config)
+    assert [line.split("=", 1)[0] for line in lines] == sorted(oracle_csv._KEYS)
+    assert lines == oracle_csv.config_lines(config)
+    # the canonical lines read back to the same config, by both key tables
+    again = parse_config_lines(lines)
+    reference = RunConfig()
+    for line in lines:
+        key, value = line.split("=", 1)
+        oracle_csv._KEYS[key][1](reference, value)
+    for back in (again, reference):
+        back.explicit = config.explicit
+        assert back == config
+        assert config_hash(back) == config_hash(config)
 
 
 # ---- gen-data -------------------------------------------------------------------------

@@ -1,12 +1,15 @@
-"""Dataset and checkpoint text: the one-call writers against the reference."""
+"""Dataset, checkpoint and CSV text: the writers against their references."""
+
+import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mazegcrl import data, values as V
-from tests import oracle_io
+from mazegcrl import cli, data, evaluation as E, values as V
+from tests import oracle_csv, oracle_io
 
 # values whose 17-digit text differs from their 16-digit or their repr text
 SEVENTEEN_DIGITS = (0.1, 1.0 / 3.0, 2.0 / 3.0, 1e23, 0.30000000000000004,
@@ -82,3 +85,117 @@ def test_tensor_text_equals_reference_bytes(tree):
 def test_three_dim_tensor_rejected():
     with pytest.raises(ValueError, match="more than 2 dimensions"):
         V.tensors_to_text({"cube": np.zeros((1, 1, 1))})
+
+
+# ---- CSV tables -------------------------------------------------------------------
+
+ARCHS = st.sampled_from(("MLP", "LAN", "IQE", "MRN", "Hilbert"))
+STYLES = st.sampled_from(("navigate", "stitch"))
+COUNTS = st.integers(0, 2 ** 40)
+
+
+def _rows(schema: dict, **columns):
+    """Lists of rows in schema order; ``columns`` overrides per-column strategies."""
+    by_type = {bool: st.booleans(), int: COUNTS, float: reals}
+    cells = {col: columns.get(col, by_type.get(type(like))) for col, like in schema.items()}
+    row = st.fixed_dictionaries(cells).map(lambda r: {col: r[col] for col in schema})
+    return st.lists(row, max_size=6)
+
+
+def _failed_rows_are_nan(rows):
+    # a failed run has no numbers: cmd_ablate writes nan for each
+    nan = float("nan")
+    return [r | {"success": nan, "alignment": nan, "kendall": nan}
+            if r["status"] == "failed" else r for r in rows]
+
+
+@st.composite
+def _reports(draw):
+    steps = sorted(draw(st.lists(COUNTS, unique=True, max_size=4)))
+    reports = []
+    for step in steps:
+        n = draw(st.integers(1, 5))
+        cols = [draw(st.lists(reals, min_size=n, max_size=n)) for _ in range(3)]
+        reports.append(E.EvalReport(step, *cols))
+    return reports
+
+
+@st.composite
+def _landscapes(draw):
+    n = draw(st.integers(0, 8))
+    xs, ys, vs = (np.array(draw(st.lists(reals, min_size=n, max_size=n)),
+                           dtype=np.float64) for _ in range(3))
+    return SimpleNamespace(xs=xs, ys=ys, values=vs)
+
+
+# name -> (objects, new writer, reference writer, reader, objects as read back)
+TABLES = {
+    "metrics": (_rows(cli._METRICS),
+                lambda rows: E.table_to_csv(cli._METRICS, rows),
+                oracle_csv.metrics_csv, cli.read_metrics_csv, lambda rows: rows),
+    "runs": (_rows(cli._RUNS, arch=ARCHS, style=STYLES,
+                   status=st.sampled_from(("ok", "failed"))).map(_failed_rows_are_nan),
+             lambda rows: E.table_to_csv(cli._RUNS, rows),
+             oracle_csv.runs_csv, cli.read_runs_csv, lambda rows: rows),
+    "summary": (_rows(cli._SUMMARY, arch=ARCHS, style=STYLES),
+                lambda rows: E.table_to_csv(cli._SUMMARY, rows),
+                oracle_csv.summary_csv, cli.read_summary_csv, lambda rows: rows),
+    "report": (_reports(), E.report_to_csv, oracle_csv.report_to_csv,
+               lambda text: [vars(r) for r in E.report_from_csv(text)],
+               lambda reports: [vars(r) for r in reports]),
+    "landscape": (_landscapes(), E.landscape_to_csv, oracle_csv.landscape_to_csv,
+                  lambda text: [a.tolist() for a in E.landscape_from_csv(text)],
+                  lambda g: [g.xs.tolist(), g.ys.tolist(), g.values.tolist()]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TABLES))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_csv_tables_equal_reference_bytes_and_read_back(name, data):
+    objects, write, reference, read, as_read = TABLES[name]
+    rows = data.draw(objects)
+    text = write(rows)
+    assert text == reference(rows)
+    # repr tells nan from nan-free, -0.0 from 0.0 and 1 from 1.0
+    assert repr(read(text)) == repr(as_read(rows))
+
+
+@pytest.mark.parametrize("name", sorted(TABLES))
+def test_empty_csv_table_is_its_header(name):
+    objects, write, reference, read, as_read = TABLES[name]
+    empty = SimpleNamespace(xs=np.zeros(0), ys=np.zeros(0), values=np.zeros(0)) \
+        if name == "landscape" else []
+    text = write(empty)
+    assert text == reference(empty) and text.count("\n") == 1
+    assert repr(read(text)) == repr(as_read(empty))
+
+
+METRICS_HEAD = "step,td_loss,continuity_loss,high_policy_loss,low_policy_loss,v_mean,delta\n"
+RUNS_HEAD = "arch,hierarchical,continuity_weight,style,seed,success,alignment,kendall,status\n"
+SUMMARY_HEAD = ("arch,hierarchical,continuity_weight,style,n_seeds,n_ok,success_mean,"
+                "success_std,alignment_mean,alignment_std,kendall_mean,kendall_std\n")
+
+
+@pytest.mark.parametrize("read, text, message", [
+    (cli.read_metrics_csv, METRICS_HEAD + "100,0.5,0\n",
+     "metrics line 2 has 3 cells, expected 7"),
+    (cli.read_runs_csv, RUNS_HEAD + "LAN,false,0,stitch,0\n",
+     "runs line 2 has 5 cells, expected 9"),
+    (cli.read_runs_csv, RUNS_HEAD + "LAN,yes,0,stitch,0,1,0.5,0.5,ok\n",
+     "runs line 2: expected true/false, got 'yes'"),
+    (cli.read_summary_csv, SUMMARY_HEAD + "LAN,yes,0,stitch,3,3,1,0,0.5,0,0.5,0\n",
+     "summary line 2: expected true/false, got 'yes'"),
+    (cli.read_summary_csv, SUMMARY_HEAD + "LAN,false,0,stitch,3,3,1,0,0.5,0,0.5,0,7\n",
+     "summary line 2 has 13 cells, expected 12"),
+    (E.report_from_csv, "step,task_id,success_rate,kendall,temporal_alignment\n"
+     "100,0,1,0.5,0.5\n100,1,1\n", "report line 3 has 3 cells, expected 5"),
+    (E.report_from_csv, "step,task_id,success_rate,kendall,temporal_alignment\n"
+     "1e2,0,1,0.5,0.5\n", "report line 2: invalid literal for int()"),
+    (E.landscape_from_csv, "x,y,value\n0.5,0.5\n",
+     "landscape line 2 has 2 cells, expected 3"),
+], ids=["metrics-short", "runs-short", "runs-bool", "summary-bool", "summary-long",
+        "report-short", "report-int", "landscape-short"])
+def test_malformed_csv_rows_rejected(read, text, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        read(text)

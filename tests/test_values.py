@@ -376,3 +376,16 @@ def test_tensor_round_trip_bit_exact(tmp_path):
         assert np.array_equal(back[k], np.asarray(tree[k], dtype=np.float64)), k
     assert V.tensors_to_text(back) == V.tensors_to_text(tree)
     assert path.read_text() == oracle_io.tensors_to_text(tree)
+
+
+@pytest.mark.parametrize("tree", [{"b": np.ones(2), "a": np.zeros((0,))},
+                                  {"lone": np.zeros((3, 0))}],
+                         ids=["empty-last", "no-cols"])
+def test_tensor_round_trip_zero_size_last(tree):
+    # a zero-size last tensor ends the file with its empty row lines
+    text = V.tensors_to_text(tree)
+    back = V.tensors_from_text(text)
+    assert list(back) == list(tree)
+    for k in tree:
+        assert back[k].shape == tree[k].shape and np.array_equal(back[k], tree[k]), k
+    assert V.tensors_to_text(back) == text
