@@ -2,7 +2,7 @@
 
 Library layout:
 
-- ``autodiff``: reverse-mode tape, dense nets, Adam, finite differences
+- ``autodiff``: reverse-mode tape, dense nets, Adam
 - ``maze``: deterministic point-mass maze environments and the BFS oracle
 - ``data``: offline dataset collection and goal-sampling distributions
 - ``values``: the five interchangeable value parameterizations

@@ -409,8 +409,12 @@ def cmd_ablate(config: RunConfig, out_dir: str) -> list[dict]:
     """Run the grid end to end: per-seed rows plus per-cell aggregates.
 
     Each style's dataset is written once to the grid directory and read back
-    once; every cell of that style trains on the read-back copy.
+    once; every cell of that style trains on the read-back copy. An empty
+    grid tuple is a ConfigError, raised before anything is written.
     """
+    for key in _KEYS:
+        if key.startswith("grid.") and not getattr(*_field(config, key)):
+            raise ConfigError(f"{key} is empty: the grid has no runs")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     spec = maze.builtin_layout(config.layout)

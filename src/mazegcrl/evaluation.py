@@ -11,15 +11,18 @@ batch could change actions. Value quality is scalarized two ways:
 Kendall order consistency counts strictly increasing value pairs along a
 shortest cell path to the goal, and the temporal-alignment score is the
 Spearman rank correlation between the value landscape over free cells and
-the negated BFS distance oracle.
+the negated BFS distance oracle. The correlation is ``np.corrcoef`` of the
+two samples' average ranks (ties share the mean of the ranks they span),
+computed as ``scipy.stats.spearmanr`` computes it, so it equals scipy's bit
+for bit without importing SciPy.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from . import maze
 from .data import Trajectory
@@ -231,8 +234,33 @@ def temporal_alignment(value_fn, spec: MazeSpec, goal) -> float:
     goal_cell = maze.cell_of(spec, goal)
     field = maze.distance_field(spec, goal_cell)
     oracle = -np.array([field[c] for c in cells], dtype=np.float64)
-    rho = stats.spearmanr(vals, oracle).statistic
-    return float(rho)
+    return _spearman(vals, oracle)
+
+
+def _spearman(a, b) -> float:
+    """``scipy.stats.spearmanr(a, b).statistic`` of two 1-D samples, same bits.
+
+    The samples hold at least two pairs. NaN for a constant sample (with
+    scipy's warning) and for a sample holding NaN. The ranks reach
+    ``np.corrcoef`` in scipy's (n, 2) Fortran-ordered layout; being exact
+    halves, every sum over them is exact anyway.
+    """
+    x = np.column_stack((a, b))
+    if (x[0] == x).all(axis=0).any():
+        warnings.warn("An input array is constant; the correlation "
+                      "coefficient is not defined.", RuntimeWarning,
+                      stacklevel=2)
+        return float("nan")
+    if np.isnan(x).any():
+        return float("nan")
+    ranks = np.empty(x.shape, order="F")
+    for column, rank in zip(x.T, ranks.T):  # ties share their mean rank
+        order = np.argsort(column, kind="stable")
+        ordered = column[order]
+        starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+        counts = np.diff(np.r_[starts, len(column)])
+        rank[order] = np.repeat(starts + (counts + 1) / 2, counts)
+    return float(np.corrcoef(ranks, rowvar=False)[1, 0])
 
 
 # ---- text codec and CSV tables ----------------------------------------------------

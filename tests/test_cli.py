@@ -292,6 +292,27 @@ def test_ablate_five_archs_three_seeds(tmp_path, monkeypatch):
     assert reads == [tmp_path / "grid" / "dataset_medium_navigate.dset"]
 
 
+@pytest.mark.parametrize("key", ["grid.styles", "grid.arch_kinds"])
+def test_ablate_empty_grid_exits_2_naming_the_key(tmp_path, key):
+    # the tuples of names are the ones a --set line can empty
+    r = run_cli("ablate", "--out", str(tmp_path / "grid"), "--set", f"{key}=")
+    assert r.returncode == 2
+    assert r.stderr.splitlines()[0] == \
+        f"config: {key} is empty: the grid has no runs", r.stderr
+    assert not (tmp_path / "grid" / "runs.csv").exists()
+
+
+@pytest.mark.parametrize("key, attr", [("grid.seeds", "grid_seeds"),
+                                       ("grid.hierarchical", "grid_hierarchical"),
+                                       ("grid.continuity_weights", "grid_continuity")])
+def test_ablate_empty_grid_rejected_before_writing(tmp_path, key, attr):
+    cfg = tiny_config()
+    setattr(cfg, attr, ())
+    with pytest.raises(ConfigError, match=f"^{key} is empty"):
+        cmd_ablate(cfg, tmp_path / "grid")
+    assert not (tmp_path / "grid").exists()
+
+
 # ---- landscape ------------------------------------------------------------------------
 
 
@@ -328,13 +349,37 @@ def test_landscape_rejects_wall_goal(tmp_path):
 # ---- process-level behavior --------------------------------------------------------------
 
 
-def run_cli(*args):
+def run_python(*args):
     # the child imports the package from where this process imported it
     root = str(Path(mazegcrl.__file__).parents[1])
     path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "mazegcrl", *args],
+    return subprocess.run([sys.executable, *args],
                           capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=path))
+
+
+def run_cli(*args):
+    return run_python("-m", "mazegcrl", *args)
+
+
+def test_no_module_imports_scipy():
+    # SciPy is a test-only dependency; a library import of it costs every
+    # process about a second and 67 MB
+    r = run_python("-c", """
+import importlib, pkgutil, sys
+import mazegcrl
+names = [m.name for m in pkgutil.iter_modules(mazegcrl.__path__)]
+for name in names:
+    if name != "__main__":  # runs the CLI; it imports only mazegcrl.cli
+        importlib.import_module("mazegcrl." + name)
+print(",".join(sorted(names)))
+print(",".join(sorted(m for m in sys.modules
+                      if m == "scipy" or m.startswith("scipy."))))
+""")
+    assert r.returncode == 0, r.stderr
+    names, scipy_modules = r.stdout.split("\n")[:2]
+    assert {"cli", "evaluation", "training", "values"} <= set(names.split(","))
+    assert scipy_modules == ""
 
 
 def test_exit_code_and_category_on_unknown_key(tmp_path):

@@ -1,9 +1,13 @@
 """Rollout evaluation, Kendall order consistency, landscape diagnostics."""
 
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy import stats
 
 from mazegcrl import data, evaluation as E, maze
 from mazegcrl.data import Trajectory, expert_action
@@ -375,6 +379,66 @@ def test_euclidean_value_misaligns_behind_walls():
 
     score = E.temporal_alignment(fn, spec, spec.tasks[4].goal)
     assert score < 1.0
+
+
+INF = float("inf")
+NAN = float("nan")
+
+# scipy.stats.spearmanr, a test-only dependency, is the reference. Small
+# integers tie often; signed zeros and infinities must rank as scipy sorts them.
+sample_elements = st.sampled_from([
+    st.integers(-3, 3).map(float),
+    st.sampled_from((0.0, -0.0, INF, -INF, 0.5, -0.5)),
+    st.floats(allow_nan=False),
+    st.floats(-1e3, 1e3),
+])
+
+
+@st.composite
+def sample_pairs(draw):
+    n = draw(st.one_of(st.just(2), st.integers(2, 40), st.integers(2, 500)))
+    pair = []
+    for _ in range(2):
+        elements = draw(sample_elements)
+        if draw(st.integers(0, 5)) == 0:  # now and then a NaN
+            elements = st.one_of(elements, st.just(NAN))
+        pair.append(draw(hnp.arrays(np.float64, n, elements=elements,
+                                    fill=st.nothing())))
+    return tuple(pair)
+
+
+def _constant_warnings(caught) -> list[str]:
+    return [str(w.message) for w in caught
+            if issubclass(w.category, RuntimeWarning)
+            and "constant" in str(w.message)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(pair=sample_pairs())
+@example(pair=(np.array([1.0, 1.0, 1.0]), np.array([0.0, 1.0, 2.0])))
+@example(pair=(np.array([0.0, 1.0, 2.0]), np.array([-0.0, 0.0, -0.0])))
+@example(pair=(np.array([INF, INF]), np.array([NAN, 1.0])))
+@example(pair=(np.array([NAN, 2.0, 3.0]), np.array([1.0, 2.0, 3.0])))
+@example(pair=(np.array([1.0, 2.0, 3.0]), np.array([3.0, 2.0, NAN])))
+@example(pair=(np.array([INF, -INF, 0.0, -0.0]), np.array([1.0, 2.0, 3.0, 4.0])))
+def test_spearman_same_bits_as_scipy(pair):
+    a, b = pair
+    with warnings.catch_warnings(record=True) as theirs:
+        warnings.simplefilter("always")
+        expected = np.float64(stats.spearmanr(a, b).statistic)
+    with warnings.catch_warnings(record=True) as ours:
+        warnings.simplefilter("always")
+        got = np.float64(E._spearman(a, b))
+    assert got.tobytes() == expected.tobytes(), (got, expected)
+    assert _constant_warnings(ours) == _constant_warnings(theirs)
+
+
+def test_spearman_constant_sample_is_nan_with_warning():
+    with pytest.warns(RuntimeWarning, match="An input array is constant; "
+                                            "the correlation coefficient is "
+                                            "not defined."):
+        rho = E._spearman(np.zeros(4), np.arange(4.0))
+    assert np.isnan(rho)
 
 
 def test_alignment_needs_two_free_cells():
