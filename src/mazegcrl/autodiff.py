@@ -465,10 +465,6 @@ class MlpParams:
     def in_dim(self) -> int:
         return self.weights[0].shape[0]
 
-    @property
-    def out_dim(self) -> int:
-        return self.weights[-1].shape[1]
-
     def tree(self, prefix: str) -> dict[str, np.ndarray]:
         out = {}
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
@@ -544,6 +540,8 @@ class LiftedMlp:
 
 # ---- optimizer ------------------------------------------------------------------
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
 
 @dataclass
 class AdamState:
@@ -558,15 +556,9 @@ class AdamState:
         return cls(mean={k: np.zeros_like(v) for k, v in params.items()},
                    var={k: np.zeros_like(v) for k, v in params.items()})
 
-    def copy(self) -> "AdamState":
-        return AdamState(mean={k: v.copy() for k, v in self.mean.items()},
-                         var={k: v.copy() for k, v in self.var.items()},
-                         count=self.count)
-
 
 def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
-              state: AdamState, lr: float, beta1: float = 0.9,
-              beta2: float = 0.999, eps: float = 1e-8):
+              state: AdamState, lr: float):
     """Bias-corrected Adam; parameter arrays are updated in place.
 
     lr = 0 is admitted so a training step can be exercised as a pure
@@ -581,16 +573,16 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
             raise GraphError(f"adam_step: gradient shape mismatch for '{name}'")
     state.count += 1
     t = state.count
-    corr1 = 1.0 - beta1 ** t
-    corr2 = 1.0 - beta2 ** t
+    corr1 = 1.0 - ADAM_BETA1 ** t
+    corr2 = 1.0 - ADAM_BETA2 ** t
     for name, g in grads.items():
         m = state.mean[name]
         v = state.var[name]
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * (g * g)
-        params[name] -= lr * (m / corr1) / (np.sqrt(v / corr2) + eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * (g * g)
+        params[name] -= lr * (m / corr1) / (np.sqrt(v / corr2) + ADAM_EPS)
     return params, state
 
 

@@ -96,6 +96,8 @@ class RunConfig:
         if self.transitions <= 0 or self.segment_len < 2:
             raise ConfigError("data.transitions must be positive, "
                               "data.segment_len at least 2")
+        if not self.noise >= 0.0:
+            raise ConfigError(f"data.noise must be nonnegative, got {self.noise!r}")
         if min(self.metrics_every, self.eval_trials,
                self.landscape_resolution) < 1:
             raise ConfigError("run.metrics_every, run.eval_trials and "

@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import maze
-from .maze import MazeSpec, Unreachable
+from .maze import MazeSpec
 
 __all__ = [
     "Trajectory",
@@ -36,10 +36,8 @@ __all__ = [
     "expert_action",
     "collect_navigate",
     "collect_stitch",
-    "sample_goal",
     "sample_goals",
     "sample_batch",
-    "validate_dataset",
     "cell_coverage",
     "trajectory_span",
     "task_covered",
@@ -133,18 +131,6 @@ class Dataset:
 # ---- expert policy -----------------------------------------------------------
 
 
-def _next_path_cell(spec: MazeSpec, cur_cell, goal_cell):
-    dist = maze.distance_field(spec, goal_cell)
-    if dist[cur_cell] < 0:
-        raise Unreachable(f"no path between cells {cur_cell} and {goal_cell}")
-    d = dist[cur_cell]
-    for dr, dc in ((-1, 0), (1, 0), (0, -1), (0, 1)):
-        n = (cur_cell[0] + dr, cur_cell[1] + dc)
-        if not spec.walls[n] and dist[n] == d - 1:
-            return n
-    return cur_cell
-
-
 def expert_action(spec: MazeSpec, s, g, noise_scale: float,
                   rng: np.random.Generator):
     """Unit step toward the next shortest-path cell center, plus disk noise."""
@@ -153,7 +139,7 @@ def expert_action(spec: MazeSpec, s, g, noise_scale: float,
     if cur == goal_cell:
         target = g
     else:
-        target = maze.cell_center(spec, _next_path_cell(spec, cur, goal_cell))
+        target = maze.cell_center(spec, maze.next_cell(spec, cur, goal_cell))
     dx = target[0] - s[0]
     dy = target[1] - s[1]
     norm = math.hypot(dx, dy)
@@ -298,19 +284,6 @@ def sample_goals(dataset: Dataset, traj_ids: np.ndarray, steps: np.ndarray,
     return dataset._all_states[state_idx].copy(), source
 
 
-def sample_goal(dataset: Dataset, index: tuple[int, int],
-                ratios: GoalSampleRatios, discount: float,
-                rng: np.random.Generator):
-    """Single-transition version; returns (goal state, source tag)."""
-    traj_id, t = index
-    if not (0 <= traj_id < len(dataset.trajectories)
-            and 0 <= t < dataset._traj_len[traj_id]):
-        raise IndexError(f"invalid transition index {index}")
-    goals, source = sample_goals(dataset, np.array([traj_id]), np.array([t]),
-                                 ratios, discount, rng)
-    return goals[0], GOAL_SOURCES[int(source[0])]
-
-
 def sample_batch(dataset: Dataset, batch_size: int,
                  value_ratios: GoalSampleRatios,
                  policy_ratios: GoalSampleRatios,
@@ -366,19 +339,6 @@ def sample_batch(dataset: Dataset, batch_size: int,
 
 
 # ---- dataset diagnostics ------------------------------------------------------------
-
-
-def validate_dataset(dataset: Dataset, spec: MazeSpec) -> None:
-    """Exhaustive dynamics-consistency check of every stored transition."""
-    for k, traj in enumerate(dataset.trajectories):
-        for t in range(traj.length):
-            s = tuple(traj.states[t])
-            if not maze.is_valid_state(spec, s):
-                raise ValueError(f"trajectory {k}: state {t} inside a wall")
-            nxt = maze.step(spec, s, tuple(traj.actions[t]))
-            if nxt != tuple(traj.states[t + 1]):
-                raise ValueError(f"trajectory {k}: transition {t} inconsistent "
-                                 f"with the maze dynamics")
 
 
 def _visited_cells(spec: MazeSpec, traj: Trajectory) -> set:

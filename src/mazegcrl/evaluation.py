@@ -33,7 +33,6 @@ from .values import value
 __all__ = [
     "EvalReport",
     "LandscapeGrid",
-    "act",
     "act_batch",
     "evaluate",
     "kendall_consistency",
@@ -75,9 +74,6 @@ class EvalReport:
 
 @dataclass
 class LandscapeGrid:
-    goal: tuple[float, float]
-    resolution: int
-    grid: np.ndarray         # (H*res, W*res); NaN marks wall sample points
     xs: np.ndarray           # coordinates of the free sample points, row-major
     ys: np.ndarray
     values: np.ndarray
@@ -93,11 +89,6 @@ def act_batch(state: LearnerState, s: np.ndarray, g: np.ndarray) -> np.ndarray:
     else:
         a = policy_mean(state.policies.low, np.concatenate([s, g], axis=1))
     return np.clip(a, -1.0, 1.0)
-
-
-def act(state: LearnerState, s, g) -> tuple[float, float]:
-    a = act_batch(state, np.asarray(s)[None], np.asarray(g)[None])[0]
-    return (float(a[0]), float(a[1]))
 
 
 def learner_value_fn(state: LearnerState):
@@ -191,19 +182,14 @@ def kendall_consistency(value_fn, reference: Trajectory, goal) -> float:
 
 
 def _free_sample_points(spec: MazeSpec, resolution: int):
-    h, w = spec.shape
     sub = (np.arange(resolution) + 0.5) / resolution
-    rows, cols = np.where(~spec.walls)
-    xs, ys, grid_rows, grid_cols = [], [], [], []
-    for r, c in zip(rows, cols):
+    xs, ys = [], []
+    for r, c in spec.free_cells():
         for i in range(resolution):
             for j in range(resolution):
                 xs.append((c + sub[j]) * spec.cell_size)
                 ys.append((r + sub[i]) * spec.cell_size)
-                grid_rows.append(r * resolution + i)
-                grid_cols.append(c * resolution + j)
-    return (np.array(xs), np.array(ys),
-            np.array(grid_rows), np.array(grid_cols))
+    return np.array(xs), np.array(ys)
 
 
 def value_landscape(value_fn, spec: MazeSpec, goal,
@@ -211,17 +197,11 @@ def value_landscape(value_fn, spec: MazeSpec, goal,
     """V over a uniform sub-grid of the free cells; walls stay absent."""
     if resolution < 1:
         raise ValueError("resolution must be at least 1")
-    xs, ys, grid_rows, grid_cols = _free_sample_points(spec, resolution)
-    points = np.stack([xs, ys], axis=1)
-    vals = value_fn(points, goal)
+    xs, ys = _free_sample_points(spec, resolution)
+    vals = value_fn(np.stack([xs, ys], axis=1), goal)
     if not np.all(np.isfinite(vals)):
         raise ValueError("value landscape contains non-finite entries")
-    h, w = spec.shape
-    grid = np.full((h * resolution, w * resolution), np.nan)
-    grid[grid_rows, grid_cols] = vals
-    return LandscapeGrid(goal=(float(goal[0]), float(goal[1])),
-                         resolution=resolution, grid=grid,
-                         xs=xs, ys=ys, values=vals)
+    return LandscapeGrid(xs=xs, ys=ys, values=vals)
 
 
 def temporal_alignment(value_fn, spec: MazeSpec, goal) -> float:

@@ -34,18 +34,14 @@ __all__ = [
     "reward",
     "bfs_distance",
     "distance_field",
+    "next_cell",
     "shortest_cell_path",
     "optimal_trajectory",
     "cell_of",
     "cell_center",
     "is_valid_state",
     "random_free_cell",
-    "grid_to_text",
     "text_to_grid",
-    "tasks_to_text",
-    "text_to_tasks",
-    "spec_to_text",
-    "spec_from_text",
 ]
 
 State = tuple[float, float]   # (x, y) in length units
@@ -94,21 +90,8 @@ class MazeSpec:
                            tuple(map(tuple, np.argwhere(~walls).tolist())))
         if not self._free:
             raise MazeError(f"layout '{self.name}': no free cells")
-        if self._connected_free_count() != len(self._free):
+        if (distance_field(self, self._free[0]) >= 0).sum() != len(self._free):
             raise MazeError(f"layout '{self.name}': free cells are not connected")
-
-    def _connected_free_count(self) -> int:
-        start = self._free[0]
-        seen = {start}
-        queue = deque([start])
-        while queue:
-            r, c = queue.popleft()
-            for dr, dc in ((-1, 0), (1, 0), (0, -1), (0, 1)):
-                n = (r + dr, c + dc)
-                if not self.walls[n] and n not in seen:
-                    seen.add(n)
-                    queue.append(n)
-        return len(seen)
 
     @property
     def step_length(self) -> float:
@@ -242,22 +225,29 @@ def bfs_distance(spec: MazeSpec, s: State, g: State) -> int:
     return d
 
 
+def next_cell(spec: MazeSpec, cell: tuple[int, int],
+              goal_cell: tuple[int, int]) -> tuple[int, int]:
+    """The cell after ``cell`` on a shortest path to ``goal_cell``.
+
+    That is the first free 4-neighbour, in up/down/left/right order, one BFS
+    hop closer to the goal; ``cell`` itself when it is the goal cell.
+    """
+    dist = distance_field(spec, goal_cell)
+    if dist[cell] < 0:
+        raise Unreachable(f"no path between cells {cell} and {goal_cell}")
+    d = dist[cell]
+    for dr, dc in ((-1, 0), (1, 0), (0, -1), (0, 1)):
+        n = (cell[0] + dr, cell[1] + dc)
+        if not spec.walls[n] and dist[n] == d - 1:
+            return n
+    return cell
+
+
 def shortest_cell_path(spec: MazeSpec, s: State, g: State) -> list[tuple[int, int]]:
     """One BFS-optimal cell path from s's cell to g's cell (deterministic)."""
-    start, goal = cell_of(spec, s), cell_of(spec, g)
-    dist = distance_field(spec, goal)
-    if dist[start] < 0:
-        raise Unreachable(f"no path between cells {start} and {goal}")
-    path = [start]
-    cur = start
-    while cur != goal:
-        d = dist[cur]
-        for dr, dc in ((-1, 0), (1, 0), (0, -1), (0, 1)):
-            n = (cur[0] + dr, cur[1] + dc)
-            if not spec.walls[n] and dist[n] == d - 1:
-                cur = n
-                break
-        path.append(cur)
+    path, goal = [cell_of(spec, s)], cell_of(spec, g)
+    while (cell := next_cell(spec, path[-1], goal)) != path[-1]:
+        path.append(cell)
     return path
 
 
@@ -374,13 +364,6 @@ def builtin_layout(name: str) -> MazeSpec:
                     goal_radius=GOAL_RADIUS_CELLS * cell, tasks=tuple(tasks))
 
 
-# ---- serialization --------------------------------------------------------------
-
-
-def grid_to_text(walls: np.ndarray) -> str:
-    return "\n".join("".join("#" if w else "." for w in row) for row in walls)
-
-
 def text_to_grid(text: str) -> np.ndarray:
     lines = [line for line in text.strip().split("\n")]
     width = len(lines[0])
@@ -389,45 +372,3 @@ def text_to_grid(text: str) -> np.ndarray:
     if any(ch not in "#." for line in lines for ch in line):
         raise MazeError("grid may only contain '#' and '.'")
     return np.array([[ch == "#" for ch in line] for line in lines])
-
-
-def tasks_to_text(tasks: tuple[Task, ...]) -> str:
-    return "\n".join(
-        f"{t.start[0]:.17g} {t.start[1]:.17g} {t.goal[0]:.17g} {t.goal[1]:.17g}"
-        for t in tasks)
-
-
-def text_to_tasks(text: str) -> tuple[Task, ...]:
-    tasks = []
-    for line in text.strip().split("\n"):
-        if not line.strip():
-            continue
-        parts = line.split()
-        if len(parts) != 4:
-            raise MazeError(f"bad task line: {line!r}")
-        x0, y0, xg, yg = (float(p) for p in parts)
-        tasks.append(Task((x0, y0), (xg, yg)))
-    return tuple(tasks)
-
-
-def spec_to_text(spec: MazeSpec) -> str:
-    header = (f"LAYOUT {spec.name} {spec.cell_size:.17g} "
-              f"{spec.max_episode_steps} {spec.goal_radius:.17g}")
-    return "\n".join([header, grid_to_text(spec.walls), "TASKS",
-                      tasks_to_text(spec.tasks)]) + "\n"
-
-
-def spec_from_text(text: str) -> MazeSpec:
-    lines = text.strip().split("\n")
-    head = lines[0].split()
-    if len(head) != 5 or head[0] != "LAYOUT":
-        raise MazeError("bad layout header")
-    try:
-        marker = lines.index("TASKS")
-    except ValueError:
-        raise MazeError("missing TASKS section") from None
-    walls = text_to_grid("\n".join(lines[1:marker]))
-    tasks = text_to_tasks("\n".join(lines[marker + 1:]))
-    return MazeSpec(name=head[1], walls=walls, cell_size=float(head[2]),
-                    max_episode_steps=int(head[3]), goal_radius=float(head[4]),
-                    tasks=tasks)

@@ -66,7 +66,6 @@ __all__ = [
     "init_learner",
     "state_tree",
     "load_state_tree",
-    "expectile_loss",
     "expectile_weights",
     "awr_weights",
     "td_loss",
@@ -124,17 +123,18 @@ class TrainConfig:
             raise ValueError("discount must lie in (0, 1)")
         if not 0.5 < self.expectile < 1.0:
             raise ValueError("expectile must lie in (0.5, 1)")
-        if self.continuity_weight < 0.0:
-            raise ValueError("continuity_weight must be nonnegative")
-        if self.high_temp <= 0.0 or self.low_temp <= 0.0:
-            raise ValueError("AWR temperatures must be positive")
+        if not 0.0 <= self.continuity_weight < math.inf:
+            raise ValueError("continuity_weight must be finite and nonnegative")
+        if not (0.0 < self.high_temp < math.inf and 0.0 < self.low_temp < math.inf):
+            raise ValueError("AWR temperatures high_temp and low_temp must be "
+                             "finite and positive")
         if self.subgoal_steps < 1:
             raise ValueError("subgoal_steps must be at least 1")
         if not 0.0 < self.target_rate <= 1.0:
             raise ValueError("target_rate must lie in (0, 1]")
-        if self.lr < 0.0 or self.batch_size <= 0 or self.total_steps < 0:
-            raise ValueError("lr must be nonnegative; batch_size positive; "
-                             "total_steps >= 0")
+        if not 0.0 <= self.lr < math.inf or self.batch_size <= 0 or self.total_steps < 0:
+            raise ValueError("lr must be finite and nonnegative; batch_size "
+                             "positive; total_steps >= 0")
         if self.arch_kind not in ("MLP", "LAN", "IQE", "MRN", "Hilbert"):
             raise ValueError(f"unknown arch_kind '{self.arch_kind}'")
         if self.objective not in ("awr", "bc"):
@@ -157,9 +157,6 @@ class GaussianPolicy:
         out = self.net.tree(f"{prefix}/net")
         out[f"{prefix}/log_std"] = self.log_std
         return out
-
-    def copy(self) -> "GaussianPolicy":
-        return GaussianPolicy(self.net.copy(), self.log_std.copy())
 
 
 def make_policy(rng: np.random.Generator, in_dim: int, hidden: tuple,
@@ -244,14 +241,6 @@ def init_learner(config: TrainConfig, spec: MazeSpec,
 
 
 # ---- loss primitives ---------------------------------------------------------------
-
-
-def expectile_loss(x: float, expectile: float) -> float:
-    """Asymmetric squared loss |e - 1{x<0}| * x^2."""
-    if not 0.0 < expectile < 1.0:
-        raise ValueError("expectile must lie in (0, 1)")
-    weight = (1.0 - expectile) if x < 0 else expectile
-    return weight * x * x
 
 
 def expectile_weights(x: np.ndarray, expectile: float) -> np.ndarray:
@@ -504,21 +493,19 @@ def _read_graph(state: LearnerState, batch: dict, config: TrainConfig,
     return {k: float(node.value) for k, node in graph.losses.items()}, graph.info
 
 
-def td_loss(state: LearnerState, batch: dict, config: TrainConfig | None = None) -> float:
-    _, info = _read_graph(state, batch, config or state.config, {"td"})
+def td_loss(state: LearnerState, batch: dict) -> float:
+    _, info = _read_graph(state, batch, state.config, {"td"})
     _check_finite(info["td_loss"], "td_loss", state.step)
     return info["td_loss"]
 
 
-def continuity_loss(state: LearnerState, batch: dict,
-                    config: TrainConfig | None = None) -> float:
-    _, info = _read_graph(state, batch, config or state.config, {"continuity"})
+def continuity_loss(state: LearnerState, batch: dict) -> float:
+    _, info = _read_graph(state, batch, state.config, {"continuity"})
     return info["continuity_loss"]
 
 
-def value_loss(state: LearnerState, batch: dict,
-               config: TrainConfig | None = None) -> float:
-    config = config or state.config
+def value_loss(state: LearnerState, batch: dict) -> float:
+    config = state.config
     loss = _read_graph(state, batch, config, _value_losses(config))[0]["value"]
     _check_finite(loss, "value_loss", state.step)
     return loss
@@ -562,10 +549,9 @@ _LOSS_NAMES = {"value": "value_loss", "high": "high_policy_loss",
                "low": "low_policy_loss"}
 
 
-def train_step(state: LearnerState, batch: dict,
-               config: TrainConfig | None = None) -> tuple[LearnerState, dict]:
+def train_step(state: LearnerState, batch: dict) -> tuple[LearnerState, dict]:
     """One optimization step over all parameter groups, then target smoothing."""
-    config = config or state.config
+    config = state.config
     losses = {"low"}
     if config.objective != "bc":
         losses |= _value_losses(config)
@@ -631,7 +617,11 @@ def state_tree(state: LearnerState) -> dict[str, np.ndarray]:
 
 
 def load_state_tree(state: LearnerState, tree: dict[str, np.ndarray]) -> LearnerState:
-    """Fill a freshly initialized learner from a checkpoint tensor dict."""
+    """Fill a freshly initialized learner from a checkpoint tensor dict.
+
+    A checkpoint holding NaN or inf (an aborted run's) raises GraphError
+    naming its first non-finite tensor.
+    """
     own = state_tree(state)
     if set(own) != set(tree):
         missing = set(own) ^ set(tree)
@@ -641,6 +631,8 @@ def load_state_tree(state: LearnerState, tree: dict[str, np.ndarray]) -> Learner
         if arr.shape != src.shape:
             raise GraphError(f"checkpoint tensor '{name}' has shape {src.shape}, "
                              f"expected {arr.shape}")
+        if not np.isfinite(src).all():
+            raise GraphError(f"checkpoint tensor '{name}' is non-finite")
         arr[...] = src  # counters are synthesized views; restored for real below
     state.opt_value.count = int(tree["opt_value/count"])
     state.opt_low.count = int(tree["opt_low/count"])

@@ -16,6 +16,13 @@ In hierarchical mode a low-dimensional goal representation acts as a
 bottleneck: LAN applies it to the goal side only, the shared-encoder kinds
 apply it to both inputs.
 
+The shared-encoder kinds (IQE, MRN, Hilbert) read the encoder's outputs
+only through zs − zg (IQE through interval endpoints that shift together),
+so the last bias of ``phi`` cancels: its gradient is rounding noise (about
+1e-17 at init) and Adam turns that into tiny random steps. The bias is
+kept on purpose; removing it would change the init draws and the
+checkpoint layout.
+
 Each head is written once, in ``_score``, against the primitives of an
 ``ops`` argument: ``LiftedValue.score`` runs it on a ``Tape`` (the value
 being trained) and ``score`` on ``autodiff.ARRAYS`` (the TD target, the AWR

@@ -100,6 +100,32 @@ def test_bad_values_rejected():
         load_config([], ["train.hierarchical=yes"])
 
 
+@pytest.mark.parametrize("setting", [
+    "train.lr=nan", "train.lr=inf",
+    "train.continuity_weight=nan", "train.continuity_weight=inf",
+    "train.high_temp=nan", "train.high_temp=inf",
+    "train.low_temp=nan", "train.low_temp=inf",
+    "data.noise=nan", "data.noise=-0.5",
+])
+def test_non_finite_or_negative_values_rejected(setting):
+    with pytest.raises(ConfigError, match=setting.split("=")[0].split(".")[1]):
+        load_config([], [setting])
+
+
+def test_bad_value_exits_2_before_writing(tmp_path):
+    # both verbs once ran: gen-data wrote noiseless data under another hash,
+    # train wrote a run directory and an abort checkpoint
+    r = run_cli("gen-data", "--out", str(tmp_path / "x.dset"),
+                "--set", "data.noise=nan")
+    assert r.returncode == 2
+    assert r.stderr.splitlines()[0].startswith("config: data.noise "), r.stderr
+    r = run_cli("train", "--data", str(tmp_path / "x.dset"),
+                "--out", str(tmp_path / "run"), "--set", "train.lr=nan")
+    assert r.returncode == 2
+    assert r.stderr.splitlines()[0].startswith("config: lr "), r.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
 CONFIG_SETS = [
     [],
     TINY,
@@ -431,6 +457,23 @@ def test_truncated_checkpoint_exits_2_naming_the_last_line(tmp_path):
     first = r.stderr.splitlines()[0]
     assert first.startswith("config: tensor file ends at line 1, inside tensor "), r.stderr
     assert "Traceback" not in r.stderr
+
+
+def test_non_finite_checkpoint_exits_2_naming_the_tensor(tmp_path):
+    _gen_and_train(tmp_path, "train.steps=0")
+    tree = read_tensors(tmp_path / "run" / "ckpt_00000000.txt")
+    first, *_, last = tree
+    tree[first][...] = np.nan
+    tree[last][...] = np.inf
+    bad = tmp_path / "nan.txt"
+    write_tensors(tree, bad)
+    message = f"numeric: checkpoint tensor '{first}' is non-finite"
+    for verb, *extra in (("eval",), ("landscape", "--task", "0")):
+        r = run_cli(verb, "--ckpt", str(bad), "--out", str(tmp_path / "o.csv"),
+                    *extra)
+        assert r.returncode == 2
+        assert r.stderr.splitlines()[0] == message, r.stderr
+        assert not (tmp_path / "o.csv").exists()
 
 
 def test_cli_gen_data_succeeds(tmp_path):

@@ -15,7 +15,6 @@ from mazegcrl.data import (
     collect_stitch,
     expert_action,
     sample_batch,
-    sample_goal,
     sample_goals,
 )
 from tests import oracle_io
@@ -125,16 +124,29 @@ def test_navigate_covers_free_cells():
     assert data.cell_coverage(ds, spec) >= 0.95
 
 
+def validate_dataset(dataset: Dataset, spec) -> None:
+    """Exhaustive dynamics-consistency check of every stored transition."""
+    for k, traj in enumerate(dataset.trajectories):
+        for t in range(traj.length):
+            s = tuple(traj.states[t])
+            if not maze.is_valid_state(spec, s):
+                raise ValueError(f"trajectory {k}: state {t} inside a wall")
+            nxt = maze.step(spec, s, tuple(traj.actions[t]))
+            if nxt != tuple(traj.states[t + 1]):
+                raise ValueError(f"trajectory {k}: transition {t} inconsistent "
+                                 f"with the maze dynamics")
+
+
 def test_navigate_dynamics_consistency_exhaustive():
     spec = maze.builtin_layout("medium")
     ds = collect_navigate(spec, 3000, 0.5, seed=2)
-    data.validate_dataset(ds, spec)
+    validate_dataset(ds, spec)
 
 
 def test_stitch_span_bounded_by_construction():
     spec = maze.builtin_layout("medium")
     ds = collect_stitch(spec, 3000, 4, 0.5, seed=2)
-    data.validate_dataset(ds, spec)
+    validate_dataset(ds, spec)
     for traj in ds.trajectories:
         assert data.trajectory_span(spec, traj) <= 4
 
@@ -174,26 +186,19 @@ def test_ratios_validation():
 def test_sample_goal_cur_branch():
     ds = Dataset([synthetic_trajectory(10)])
     rng = np.random.default_rng(0)
-    for t in (0, 4, 9):
-        g, src = sample_goal(ds, (0, t), (1, 0, 0, 0), 0.99, rng)
-        assert src == "cur"
-        assert g[0] == t
+    ts = np.array([0, 4, 9])
+    goals, src = sample_goals(ds, np.zeros(3, dtype=int), ts, (1, 0, 0, 0), 0.99, rng)
+    assert [data.GOAL_SOURCES[k] for k in src] == ["cur"] * 3
+    assert goals[:, 0].tolist() == ts.tolist()
 
 
 def test_sample_goal_geom_clips_to_last_usable_state():
     ds = Dataset([synthetic_trajectory(10)])
     rng = np.random.default_rng(0)
-    for _ in range(50):
-        g, src = sample_goal(ds, (0, 9), (0, 0, 1, 0), 0.99, rng)
-        assert src == "geom"
-        assert g[0] == 9  # index T-1, never the final state
-
-
-def test_sample_goal_invalid_index_rejected():
-    ds = Dataset([synthetic_trajectory(10)])
-    rng = np.random.default_rng(0)
-    with pytest.raises(IndexError):
-        sample_goal(ds, (0, 10), (1, 0, 0, 0), 0.99, rng)
+    goals, src = sample_goals(ds, np.zeros(50, dtype=int), np.full(50, 9),
+                              (0, 0, 1, 0), 0.99, rng)
+    assert [data.GOAL_SOURCES[k] for k in src] == ["geom"] * 50
+    assert (goals[:, 0] == 9).all()  # index T-1, never the final state
 
 
 def test_geometric_offset_mean_matches_distribution():

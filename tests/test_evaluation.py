@@ -39,11 +39,14 @@ def path_trajectory(values_by_index):
 # ---- act -----------------------------------------------------------------------
 
 
+def act_one(state, s, g) -> list:
+    return E.act_batch(state, np.array([s]), np.array([g]))[0].tolist()
+
+
 def test_zero_policy_action_is_clamped_bias():
     spec = builtin_layout("medium")
     state = zero_policy_learner(spec, bias=(2.0, -0.5))
-    a = E.act(state, spec.tasks[0].start, spec.tasks[0].goal)
-    assert a == (1.0, -0.5)
+    assert act_one(state, spec.tasks[0].start, spec.tasks[0].goal) == [1.0, -0.5]
 
 
 def test_flat_action_conditions_on_goal_directly():
@@ -55,7 +58,7 @@ def test_flat_action_conditions_on_goal_directly():
     direct = policy_mean(state.policies.low,
                          np.concatenate([state.normalize(np.array(s)),
                                          state.normalize(np.array(g))])[None])[0]
-    assert E.act(state, s, g) == tuple(np.clip(direct, -1, 1))
+    assert act_one(state, s, g) == np.clip(direct, -1, 1).tolist()
 
 
 def test_hierarchical_action_conditions_on_subgoal_representation():
@@ -68,7 +71,7 @@ def test_hierarchical_action_conditions_on_subgoal_representation():
     w = policy_mean(state.policies.high,
                     np.concatenate([sn, state.normalize(np.array(g))])[None])[0]
     direct = policy_mean(state.policies.low, np.concatenate([sn, w])[None])[0]
-    assert E.act(state, s, g) == tuple(np.clip(direct, -1, 1))
+    assert act_one(state, s, g) == np.clip(direct, -1, 1).tolist()
 
 
 # ---- evaluate ------------------------------------------------------------------
@@ -335,8 +338,9 @@ def test_landscape_point_count_and_walls_absent():
         grid = E.value_landscape(fn, spec, spec.tasks[0].goal, resolution=res)
         n_free = len(spec.free_cells())
         assert len(grid.values) == n_free * res * res
-        assert int(np.isnan(grid.grid).sum()) == (
-            spec.walls.size - n_free) * res * res
+        rows = np.floor(grid.ys / spec.cell_size).astype(int)
+        cols = np.floor(grid.xs / spec.cell_size).astype(int)
+        assert not spec.walls[rows, cols].any()
 
 
 def test_landscape_resolution_validated():

@@ -115,9 +115,8 @@ def test_step_never_enters_wall_fuzz(name):
     xs = (picks[:, 1] + offs[:, 0]) * spec.cell_size
     ys = (picks[:, 0] + offs[:, 1]) * spec.cell_size
     acts = rng.uniform(-1.0, 1.0, size=(n, 2))
-    out = np.empty((n, 2))
-    for i in range(n):
-        out[i] = maze.step(spec, (xs[i], ys[i]), (acts[i, 0], acts[i, 1]))
+    # step_batch equals the scalar step bit for bit (the Hypothesis test below)
+    out = maze.step_batch(spec, np.column_stack([xs, ys]), acts)
     rows = np.floor(out[:, 1] / spec.cell_size).astype(int)
     cols = np.floor(out[:, 0] / spec.cell_size).astype(int)
     assert not spec.walls[rows, cols].any()
@@ -251,6 +250,38 @@ def test_bfs_symmetry_and_triangle():
         assert maze.bfs_distance(spec, a, c) <= dab + maze.bfs_distance(spec, b, c)
 
 
+@pytest.mark.parametrize("name", maze.LAYOUT_NAMES)
+def test_next_cell_and_shortest_path_all_pairs(name):
+    spec = builtin_layout(name)
+    free = spec.free_cells()
+    for goal in free:
+        dist = maze.distance_field(spec, goal)
+        for cell in free:
+            hop = maze.next_cell(spec, cell, goal)
+            if cell == goal:
+                assert hop == cell
+                continue
+            closer = [n for n in ((cell[0] - 1, cell[1]), (cell[0] + 1, cell[1]),
+                                  (cell[0], cell[1] - 1), (cell[0], cell[1] + 1))
+                      if not spec.walls[n] and dist[n] == dist[cell] - 1]
+            assert hop == closer[0]  # the first of up, down, left, right
+    # every pair, but on giant (109k pairs, 3.9M hops) every fifth start
+    stride = 5 if name == "giant" else 1
+    for a in free:
+        sa = maze.cell_center(spec, a)
+        dist = maze.distance_field(spec, a)
+        for b in free[::stride]:
+            path = maze.shortest_cell_path(spec, maze.cell_center(spec, b), sa)
+            assert len(path) == dist[b] + 1
+            assert path[0] == b and path[-1] == a
+    wall = (0, 0)
+    with pytest.raises(maze.Unreachable):
+        maze.next_cell(spec, wall, free[0])
+    with pytest.raises(maze.Unreachable):
+        maze.shortest_cell_path(spec, maze.cell_center(spec, wall),
+                                maze.cell_center(spec, free[0]))
+
+
 # ---- optimal trajectories --------------------------------------------------------
 
 
@@ -283,37 +314,7 @@ def test_optimal_trajectory_valid_and_monotone(name):
         assert dists[-1] == 0
 
 
-# ---- serialization ---------------------------------------------------------------
-
-
-@pytest.mark.parametrize("name", maze.LAYOUT_NAMES)
-def test_grid_text_round_trip(name):
-    spec = builtin_layout(name)
-    text = maze.grid_to_text(spec.walls)
-    assert np.array_equal(maze.text_to_grid(text), spec.walls)
-    assert maze.grid_to_text(maze.text_to_grid(text)) == text
-
-
-def test_tasks_text_round_trip():
-    spec = builtin_layout("large")
-    text = maze.tasks_to_text(spec.tasks)
-    back = maze.text_to_tasks(text)
-    assert back == spec.tasks
-    assert maze.tasks_to_text(back) == text
-
-
-@pytest.mark.parametrize("name", maze.LAYOUT_NAMES)
-def test_spec_text_round_trip(name):
-    spec = builtin_layout(name)
-    text = maze.spec_to_text(spec)
-    back = maze.spec_from_text(text)
-    assert back.name == spec.name
-    assert np.array_equal(back.walls, spec.walls)
-    assert back.cell_size == spec.cell_size
-    assert back.max_episode_steps == spec.max_episode_steps
-    assert back.goal_radius == spec.goal_radius
-    assert back.tasks == spec.tasks
-    assert maze.spec_to_text(back) == text
+# ---- grid text ------------------------------------------------------------------
 
 
 def test_bad_grid_rejected():

@@ -13,7 +13,6 @@ from mazegcrl.training import (
     awr_weights,
     continuity_loss,
     continuity_threshold,
-    expectile_loss,
     gcbc_loss,
     high_policy_loss,
     init_learner,
@@ -56,6 +55,14 @@ def constant_value_learner(spec, const, **cfg_kwargs):
 
 
 # ---- expectile -----------------------------------------------------------------
+
+
+def expectile_loss(x: float, expectile: float) -> float:
+    """Asymmetric squared loss |e - 1{x<0}| * x^2 of one error (the oracle)."""
+    if not 0.0 < expectile < 1.0:
+        raise ValueError("expectile must lie in (0, 1)")
+    weight = (1.0 - expectile) if x < 0 else expectile
+    return weight * x * x
 
 
 def test_expectile_half_is_symmetric_mse():
@@ -427,9 +434,9 @@ def test_bc_single_transition_recovers_dataset_action():
         b = sample_batch(ds, 16, cfg.value_goal_ratios, cfg.policy_goal_ratios,
                          0.99, 5, spec.goal_radius, rng)
         state, _ = train_step(state, b)
-    from mazegcrl.evaluation import act
+    from mazegcrl.evaluation import act_batch
 
-    a = act(state, (1.5, 1.5), (1.9, 1.5))
+    a = act_batch(state, np.array([[1.5, 1.5]]), np.array([[1.9, 1.5]]))[0]
     assert abs(a[0] - 1.0) < 0.08
     assert abs(a[1]) < 0.05
 
