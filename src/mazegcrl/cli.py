@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import copy
 import hashlib
+import itertools
 import json
 import sys
 import time
@@ -93,6 +94,14 @@ class RunConfig:
             self.train.validate()
         except ValueError as err:
             raise ConfigError(str(err)) from None
+        for kind, hier, wc in itertools.product(
+                self.grid_arch_kinds, self.grid_hierarchical, self.grid_continuity):
+            try:  # the cell ablate would train
+                replace(self.train, arch_kind=kind, hierarchical=hier,
+                        continuity_weight=wc).validate()
+            except ValueError as err:
+                raise ConfigError(f"grid cell {_cell_name(kind, hier, wc)}: "
+                                  f"{err}") from None
         if self.transitions <= 0 or self.segment_len < 2:
             raise ConfigError("data.transitions must be positive, "
                               "data.segment_len at least 2")
@@ -104,9 +113,6 @@ class RunConfig:
                               "run.landscape_resolution must be at least 1")
         if min(self.checkpoint_every, self.eval_every) < 0:
             raise ConfigError("cadences must be nonnegative")
-        for kind in self.grid_arch_kinds:
-            if kind not in ("MLP", "LAN", "IQE", "MRN", "Hilbert"):
-                raise ConfigError(f"unknown grid architecture '{kind}'")
         for style in self.grid_styles:
             if style not in ("navigate", "stitch"):
                 raise ConfigError(f"unknown grid style '{style}'")
@@ -449,6 +455,10 @@ def replace_style(config: RunConfig, style: str) -> RunConfig:
     return clone
 
 
+def _cell_name(kind: str, hier: bool, wc: float) -> str:
+    return f"{kind}_{'hier' if hier else 'flat'}_wc{wc:g}"
+
+
 def _run_cell(config, kind, hier, wc, style, dataset, out: Path,
               runs: list[dict]) -> dict:
     """Train every seed of one grid cell; append its runs.csv rows to runs."""
@@ -460,7 +470,7 @@ def _run_cell(config, kind, hier, wc, style, dataset, out: Path,
         run = replace_style(config, style)
         run.train = replace(run.train, arch_kind=kind, hierarchical=hier,
                             continuity_weight=wc, seed=seed)
-        name = f"{kind}_{'hier' if hier else 'flat'}_wc{wc:g}_{style}_s{seed}"
+        name = f"{_cell_name(kind, hier, wc)}_{style}_s{seed}"
         run.out_dir = str(out / name)
         try:
             manifest = cmd_train(run, dataset)
@@ -558,6 +568,8 @@ def _dispatch(args) -> int:
                 else evalmod.parse_value(args.goal, (0.0,)))
         if goal is not None and len(goal) != 2:
             raise ConfigError("--goal must be x,y")
+        if goal is not None and not np.isfinite(goal).all():
+            raise ConfigError(f"--goal must be finite, got {args.goal}")
         cmd_landscape(config, args.ckpt, args.out, goal=goal, task=args.task)
     return 0
 

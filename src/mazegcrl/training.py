@@ -20,8 +20,9 @@ target heads pair with the online bottleneck. ``train_step`` runs one
 backward sweep over value + high-level + low-level loss, so the bottleneck
 receives the value and policy gradients together (the policies read it
 through ``stop_gradient`` when ``rep_grad_from_policy`` is false), then
-takes one Adam step per parameter group and smooths the target. The loss
-functions (``td_loss``, ``value_loss``, ...) read the same graph.
+takes one Adam step per parameter group and smooths the target.
+``step_losses`` builds the same graph and reads the row ``train_step``
+would log, without a backward sweep.
 
 Baselines fall out as configurations: (MLP, flat, continuity 0) is the
 expectile-TD flat agent, (MLP, hierarchical) its hierarchical counterpart,
@@ -31,7 +32,7 @@ and ``objective="bc"`` is goal-conditioned behavior cloning.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,8 +51,8 @@ from .autodiff import (
 )
 from .maze import MazeSpec
 from .values import (  # noqa: F401  (value is re-exported as training.value)
-    LiftedValue,
     ValueArchitecture,
+    _score,
     make_subgoal_rep,
     make_value_arch,
     score,
@@ -68,13 +69,8 @@ __all__ = [
     "load_state_tree",
     "expectile_weights",
     "awr_weights",
-    "td_loss",
-    "continuity_loss",
     "continuity_threshold",
-    "value_loss",
-    "high_policy_loss",
-    "low_policy_loss",
-    "gcbc_loss",
+    "step_losses",
     "train_step",
     "METRIC_FIELDS",
 ]
@@ -347,19 +343,19 @@ class _Graph:
     info: dict[str, float]
 
 
-def _graph(state: LearnerState, batch: dict, config: TrainConfig,
-           losses: set[str]) -> _Graph:
-    """Build the requested losses on one tape.
+def _graph(state: LearnerState, batch: dict) -> _Graph:
+    """Build every loss ``state.config`` trains on one tape.
 
-    ``losses`` is a subset of {"td", "continuity", "high", "low"}. Each
-    input stack runs through each network at most once on the tape (the
-    rows some loss differentiates through) and at most once in plain NumPy
-    (the rows only the TD target and the AWR advantages read), reusing the
-    tape's values. Pairs are scored in latent space from row slices.
+    That is the value loss (TD, plus continuity when its weight is
+    positive) unless the objective is behavior cloning, the high policy in
+    hierarchical mode, and always the low policy. Each input stack runs
+    through each network at most once on the tape (the rows some loss
+    differentiates through) and at most once in plain NumPy (the rows only
+    the TD target and the AWR advantages read), reusing the tape's values.
+    Pairs are scored in latent space from row slices.
     """
+    config = state.config
     hier = config.hierarchical
-    if "high" in losses and (not hier or state.policies.high is None):
-        raise GraphError("high_policy_loss requires hierarchical mode")
     bc = config.objective == "bc"
     size = len(batch["obs"])
     x_all = np.concatenate([state.normalize(batch[k]) for k in _INPUTS])
@@ -383,21 +379,19 @@ def _graph(state: LearnerState, batch: dict, config: TrainConfig,
 
     # rows that some loss differentiates through: one tape pass per network
     value_pairs = []
-    if losses & {"td", "continuity"}:
+    nets = {"rep": rep}
+    if not bc:
         value_pairs = [("obs", "value_goal")]
-        if "continuity" in losses:
+        if config.continuity_weight:
             value_pairs += [("obs", "rand_goal"), ("next_obs", "rand_goal")]
-        lifted = LiftedValue(tape, state.arch, rep=rep)
-        nets = dict(lifted.nets, rep=rep)
-        params["value"] = lifted.tree("value")
+        lifted = state.arch.lift(tape)
+        nets.update(lifted.nets)
+        params["value"] = {f"value/{k}": n for k, n in lifted.tree().items()}
         if rep is not None:
             params["value"].update({f"rep/{k}": n for k, n in rep.tree("rep").items()})
-    else:
-        nets = {"rep": rep}
     requests = [(s_chain, [s for s, _ in value_pairs]),
                 (g_chain, [g for _, g in value_pairs])]
-    policy_rep = hier and bool(losses & {"high", "low"})
-    if policy_rep:
+    if hier:
         requests.append((("rep",), ["subgoal"]))
     z = _encode(requests, nets, LiftedMlp.__call__, gather, tape_in)
 
@@ -406,44 +400,43 @@ def _graph(state: LearnerState, batch: dict, config: TrainConfig,
         return tuple(n if n == "rep" else f"target.{n}" for n in chain)
 
     adv_pairs = []
-    if "high" in losses:
+    if hier:
         adv_pairs += [("subgoal", "policy_goal"), ("obs", "policy_goal")]
-    if "low" in losses and not bc:
+    if not bc:
         goal = "subgoal" if hier else "policy_goal"
         adv_pairs += [("next_obs", goal), ("obs", goal)]
     requests = [(s_chain, [s for s, _ in adv_pairs]),
                 (g_chain, [g for _, g in adv_pairs])]
-    if "td" in losses:
+    if not bc:
         requests += [(target(s_chain), ["next_obs"]), (target(g_chain), ["value_goal"])]
     plain_nets = dict(state.arch.nets, rep=state.rep)
     plain_nets.update({f"target.{k}": v for k, v in state.target_arch.nets.items()})
     zp = _encode(requests, plain_nets, mlp_apply, _gather_plain, plain_in,
                  done={k: (y.value, lo, hi) for k, (y, lo, hi) in z.items()})
 
-    if value_pairs:
+    if not bc:
         zs, zg = _pair_blocks(z, tape_in, s_chain, g_chain, value_pairs)
-        v, *rand = row_blocks(lifted.score(gather(zs), gather(zg)), len(value_pairs))
+        v, *rand = row_blocks(_score(tape, lifted, gather(zs), gather(zg)),
+                              len(value_pairs))
         v_mean = float(v.value.mean())
         delta = continuity_threshold(config.discount, v_mean)
         info.update(v_mean=v_mean, delta=delta, continuity_loss=0.0)
-        if "td" in losses:
-            zs, zg = _pair_blocks(zp, plain_in, target(s_chain), target(g_chain),
-                                  [("next_obs", "value_goal")])
-            tv = score(state.target_arch, _gather_plain(zs), _gather_plain(zg))
-            bootstrap = batch["reward"] + config.discount * (1.0 - batch["done"]) * tv
-            err = tape.sub(tape.constant(bootstrap, "td_target"), v)
-            weights = expectile_weights(err.value, config.expectile)
-            out["value"] = tape.reduce_mean(
-                tape.mul(tape.constant(weights), tape.square(err)))
-            info["td_loss"] = float(out["value"].value)
+        zs, zg = _pair_blocks(zp, plain_in, target(s_chain), target(g_chain),
+                              [("next_obs", "value_goal")])
+        tv = score(state.target_arch, _gather_plain(zs), _gather_plain(zg))
+        bootstrap = batch["reward"] + config.discount * (1.0 - batch["done"]) * tv
+        err = tape.sub(tape.constant(bootstrap, "td_target"), v)
+        weights = expectile_weights(err.value, config.expectile)
+        out["value"] = tape.reduce_mean(
+            tape.mul(tape.constant(weights), tape.square(err)))
+        info["td_loss"] = float(out["value"].value)
         if rand:
             gap = tape.sub(*rand)
             hinge = tape.relu(tape.sub(tape.square(gap), tape.constant(delta * delta)))
             cont = tape.reduce_mean(hinge)
             info["continuity_loss"] = float(cont.value)
-            if "value" in out:
-                out["value"] = tape.add(out["value"], tape.mul(
-                    tape.constant(config.continuity_weight), cont))
+            out["value"] = tape.add(out["value"], tape.mul(
+                tape.constant(config.continuity_weight), cont))
 
     adv = []
     if adv_pairs:
@@ -452,24 +445,22 @@ def _graph(state: LearnerState, batch: dict, config: TrainConfig,
         adv = [both[i * size:(i + 1) * size] - both[(i + 1) * size:(i + 2) * size]
                for i in range(0, len(adv_pairs), 2)]
     obs = gather([tape_in["obs"]])
-    if policy_rep:
+    if hier:
         rep_sub = gather([z[("rep", "subgoal")]])
         if not config.rep_grad_from_policy:
             rep_sub = tape.stop_gradient(rep_sub)
-    if "high" in losses:
         out["high"], params["high"] = _policy_loss(
             tape, state.policies.high, "high",
             tape.concat(obs, gather([tape_in["policy_goal"]])), rep_sub,
             awr_weights(adv[0], config.high_temp))
-    if "low" in losses:
-        if bc:
-            weights, cond = np.ones(size), gather([tape_in["policy_goal"]])
-        else:
-            weights = awr_weights(adv[-1], config.low_temp)
-            cond = rep_sub if hier else gather([tape_in["policy_goal"]])
-        out["low"], params["low"] = _policy_loss(
-            tape, state.policies.low, "low", tape.concat(obs, cond),
-            tape.constant(batch["action"], "action"), weights)
+    if bc:
+        weights, cond = np.ones(size), gather([tape_in["policy_goal"]])
+    else:
+        weights = awr_weights(adv[-1], config.low_temp)
+        cond = rep_sub if hier else gather([tape_in["policy_goal"]])
+    out["low"], params["low"] = _policy_loss(
+        tape, state.policies.low, "low", tape.concat(obs, cond),
+        tape.constant(batch["action"], "action"), weights)
     return _Graph(tape, out, params, info)
 
 
@@ -478,89 +469,43 @@ def _check_finite(x: float, what: str, step: int) -> None:
         raise GraphError(f"{what}: non-finite at training step {step}")
 
 
-# ---- losses, read from the step graph ---------------------------------------------------
+_LOSS_NAMES = {"value": "value_loss", "high": "high_policy_loss",
+               "low": "low_policy_loss"}
 
 
-def _read_graph(state: LearnerState, batch: dict, config: TrainConfig,
-                losses: set[str]) -> tuple[dict[str, float], dict[str, float]]:
-    """Loss values and info of a graph that no backward will sweep.
+def _metrics(graph: _Graph, step: int) -> dict[str, float]:
+    """The row a step logs, without ``step``; a non-finite loss raises."""
+    for name, node in graph.losses.items():
+        _check_finite(float(node.value), _LOSS_NAMES[name], step)
+    nan = float("nan")
+    metrics = {"td_loss": nan, "continuity_loss": nan, "v_mean": nan, "delta": nan}
+    metrics.update(graph.info)
+    for name in ("high", "low"):
+        node = graph.losses.get(name)
+        metrics[_LOSS_NAMES[name]] = nan if node is None else float(node.value)
+    return metrics
 
-    The tape is released before returning, so the graph is freed at once
-    instead of waiting for the cycle collector.
+
+def step_losses(state: LearnerState, batch: dict) -> dict[str, float]:
+    """The metrics row ``train_step`` would log for ``batch``, without ``step``.
+
+    Updates nothing. The tape is released before returning, so the graph is
+    freed at once instead of waiting for the cycle collector.
     """
-    graph = _graph(state, batch, config, losses)
+    graph = _graph(state, batch)
     graph.tape.release()
-    return {k: float(node.value) for k, node in graph.losses.items()}, graph.info
-
-
-def td_loss(state: LearnerState, batch: dict) -> float:
-    _, info = _read_graph(state, batch, state.config, {"td"})
-    _check_finite(info["td_loss"], "td_loss", state.step)
-    return info["td_loss"]
-
-
-def continuity_loss(state: LearnerState, batch: dict) -> float:
-    _, info = _read_graph(state, batch, state.config, {"continuity"})
-    return info["continuity_loss"]
-
-
-def value_loss(state: LearnerState, batch: dict) -> float:
-    config = state.config
-    loss = _read_graph(state, batch, config, _value_losses(config))[0]["value"]
-    _check_finite(loss, "value_loss", state.step)
-    return loss
-
-
-def high_policy_loss(state: LearnerState, batch: dict,
-                     temperature: float | None = None) -> float:
-    config = state.config
-    if temperature is not None:
-        config = replace(config, high_temp=temperature)
-    loss = _read_graph(state, batch, config, {"high"})[0]["high"]
-    _check_finite(loss, "high_policy_loss", state.step)
-    return loss
-
-
-def low_policy_loss(state: LearnerState, batch: dict,
-                    temperature: float | None = None) -> float:
-    config = state.config
-    if temperature is not None:
-        config = replace(config, low_temp=temperature)
-    loss = _read_graph(state, batch, config, {"low"})[0]["low"]
-    _check_finite(loss, "low_policy_loss", state.step)
-    return loss
-
-
-def gcbc_loss(state: LearnerState, batch: dict) -> float:
-    """Uniform-weight goal-conditioned cloning (flat mode only)."""
-    if state.config.hierarchical:
-        raise GraphError("gcbc_loss requires flat mode")
-    config = replace(state.config, objective="bc")
-    return _read_graph(state, batch, config, {"low"})[0]["low"]
-
-
-def _value_losses(config: TrainConfig) -> set[str]:
-    return {"td", "continuity"} if config.continuity_weight else {"td"}
+    return _metrics(graph, state.step)
 
 
 # ---- optimization step -----------------------------------------------------------------
-
-_LOSS_NAMES = {"value": "value_loss", "high": "high_policy_loss",
-               "low": "low_policy_loss"}
 
 
 def train_step(state: LearnerState, batch: dict) -> tuple[LearnerState, dict]:
     """One optimization step over all parameter groups, then target smoothing."""
     config = state.config
-    losses = {"low"}
-    if config.objective != "bc":
-        losses |= _value_losses(config)
-    if config.hierarchical:
-        losses.add("high")
-    graph = _graph(state, batch, config, losses)
+    graph = _graph(state, batch)
+    metrics = _metrics(graph, state.step)
     tape = graph.tape
-    for name, node in graph.losses.items():
-        _check_finite(float(node.value), _LOSS_NAMES[name], state.step)
     total, *rest = graph.losses.values()
     for node in rest:
         total = tape.add(total, node)
@@ -580,12 +525,6 @@ def train_step(state: LearnerState, batch: dict) -> tuple[LearnerState, dict]:
         polyak_update(state.target_arch.tree(), state.arch.tree(),
                       config.target_rate)
     state.step += 1
-    nan = float("nan")
-    metrics = {"td_loss": nan, "continuity_loss": nan, "v_mean": nan, "delta": nan}
-    metrics.update(graph.info)
-    for name in ("high", "low"):
-        node = graph.losses.get(name)
-        metrics[_LOSS_NAMES[name]] = nan if node is None else float(node.value)
     metrics["step"] = state.step
     return state, metrics
 

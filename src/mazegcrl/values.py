@@ -24,16 +24,17 @@ kept on purpose; removing it would change the init draws and the
 checkpoint layout.
 
 Each head is written once, in ``_score``, against the primitives of an
-``ops`` argument: ``LiftedValue.score`` runs it on a ``Tape`` (the value
-being trained) and ``score`` on ``autodiff.ARRAYS`` (the TD target, the AWR
-advantages and every evaluation value), so both compute the same bytes.
+``ops`` argument: the training step runs it on a ``Tape`` over the
+architecture's ``lift`` (the value being trained) and ``score`` on
+``autodiff.ARRAYS`` (the TD target, the AWR advantages and every evaluation
+value), so both compute the same bytes.
 The IQE measure is the one primitive picked per backend: the tape node with
 subgradients, or the bare sweep.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -54,7 +55,6 @@ __all__ = [
     "make_subgoal_rep",
     "value",
     "score",
-    "LiftedValue",
     "interval_union_measure",
     "tensors_to_text",
     "tensors_from_text",
@@ -98,6 +98,18 @@ class ValueArchitecture:
         if self.kind == "LAN":
             return ("phi_s",), (*pre, "phi_g")
         return (*pre, "phi"), (*pre, "phi")
+
+    def lift(self, tape: Tape) -> "ValueArchitecture":
+        """Tape view: ``LiftedMlp`` nets and a leaf ``raw_alpha``.
+
+        Its ``tree()`` names each leaf as this architecture's ``tree()``
+        names the array.
+        """
+        return replace(
+            self, nets={k: LiftedMlp(tape, net, name=f"value.{k}")
+                        for k, net in self.nets.items()},
+            raw_alpha=(None if self.raw_alpha is None
+                       else tape.leaf(self.raw_alpha, "value.raw_alpha")))
 
     def copy(self) -> "ValueArchitecture":
         return ValueArchitecture(
@@ -205,15 +217,14 @@ def _run_chain(apply, nets: dict, chain: tuple[str, ...], x):
     return x
 
 
-def _score(ops, arch: ValueArchitecture, nets: dict, raw_alpha, zs, zg):
+def _score(ops, arch: ValueArchitecture, zs, zg):
     """V from encoded states and goals, row by row; (B, ·) x (B, ·) -> (B,).
 
-    The one definition of every head. ``ops`` is a ``Tape`` (``nets`` hold
-    ``LiftedMlp``s and ``raw_alpha`` is a node) or ``ARRAYS`` (``nets`` hold
-    ``MlpParams`` and ``raw_alpha`` is an array).
+    The one definition of every head. ``ops`` is a ``Tape`` (``arch`` is a
+    ``lift`` on it) or ``ARRAYS`` (``arch`` holds arrays).
     """
     if arch.kind == "MLP":
-        trunk, x = nets["trunk"], ops.concat(zs, zg)
+        trunk, x = arch.nets["trunk"], ops.concat(zs, zg)
         # each backend's MLP entry point, so wrappers counting passes see it
         out = trunk(x) if isinstance(ops, Tape) else mlp_apply(trunk, x)
         return ops.reshape(out, (out.shape[0],))
@@ -222,7 +233,7 @@ def _score(ops, arch: ValueArchitecture, nets: dict, raw_alpha, zs, zg):
         batch = zs.shape[0]
         measure = _iqe_measure(ops, ops.reshape(zs, (batch, kk, ll)),
                                ops.reshape(zg, (batch, kk, ll)))
-        alpha = ops.sigmoid(raw_alpha)
+        alpha = ops.sigmoid(arch.raw_alpha)
         one_minus = ops.sub(ops.constant(1.0), alpha)
         mx = ops.reduce_max(measure, axis=1)
         mean = ops.mul(ops.reduce_sum(measure, axis=1), ops.constant(1.0 / kk))
@@ -238,7 +249,7 @@ def _score(ops, arch: ValueArchitecture, nets: dict, raw_alpha, zs, zg):
 
 def score(arch: ValueArchitecture, zs: np.ndarray, zg: np.ndarray) -> np.ndarray:
     """``_score`` on plain arrays: no tape, nothing recorded."""
-    return _score(ARRAYS, arch, arch.nets, arch.raw_alpha, zs, zg)
+    return _score(ARRAYS, arch, zs, zg)
 
 
 def value(arch: ValueArchitecture, rep: MlpParams | None,
@@ -290,45 +301,6 @@ def _iqe_measure(ops, u, v):
     if isinstance(ops, Tape):
         return _iqe_measure_node(ops, u, v)
     return interval_union_measure(u, v)[0]
-
-
-class LiftedValue:
-    """Tape view of a ValueArchitecture (optionally with the goal bottleneck).
-
-    Callers that encode inputs themselves run ``nets`` (and ``rep``) along
-    ``arch.chains`` and score the latents with ``score``.
-    """
-
-    def __init__(self, tape: Tape, arch: ValueArchitecture,
-                 rep: LiftedMlp | None = None, trainable: bool = True,
-                 name: str = "value"):
-        self.tape = tape
-        self.arch = arch
-        self.rep = rep
-        self.nets = {k: LiftedMlp(tape, net, trainable=trainable, name=f"{name}.{k}")
-                     for k, net in arch.nets.items()}
-        self.raw_alpha = None
-        if arch.raw_alpha is not None:
-            make = tape.leaf if trainable else tape.constant
-            self.raw_alpha = make(arch.raw_alpha, f"{name}.raw_alpha")
-
-    def __call__(self, s: Node, g: Node) -> Node:
-        nets = dict(self.nets, rep=self.rep)
-        s_chain, g_chain = self.arch.chains(self.rep is not None)
-        return self.score(_run_chain(LiftedMlp.__call__, nets, s_chain, s),
-                          _run_chain(LiftedMlp.__call__, nets, g_chain, g))
-
-    def score(self, zs: Node, zg: Node) -> Node:
-        """``_score`` on this view's tape."""
-        return _score(self.tape, self.arch, self.nets, self.raw_alpha, zs, zg)
-
-    def tree(self, prefix: str) -> dict[str, Node]:
-        out = {}
-        for name, net in self.nets.items():
-            out.update(net.tree(f"{prefix}/{name}"))
-        if self.raw_alpha is not None:
-            out[f"{prefix}/raw_alpha"] = self.raw_alpha
-        return out
 
 
 # ---- tensor-dict serialization --------------------------------------------------------

@@ -31,13 +31,23 @@ from mazegcrl.training import (
     continuity_threshold,
     expectile_weights,
 )
-from mazegcrl.values import LiftedValue, value
+from mazegcrl.values import ValueArchitecture, _score, value
 
 
-def _lift_value(tape: Tape, state: LearnerState, trainable: bool = True):
-    rep_l = (LiftedMlp(tape, state.rep, trainable=trainable, name="rep")
-             if state.rep is not None else None)
-    return LiftedValue(tape, state.arch, rep=rep_l, trainable=trainable), rep_l
+def tape_value(tape: Tape, lifted: ValueArchitecture, rep_l: LiftedMlp | None,
+               s: Node, g: Node) -> Node:
+    """V(s, g) on a tape: encode along ``chains``, then score.
+
+    ``lifted`` is an architecture's ``lift`` on ``tape``; ``rep_l``, the
+    lifted goal bottleneck, or None.
+    """
+    nets = dict(lifted.nets, rep=rep_l)
+    s_chain, g_chain = lifted.chains(rep_l is not None)
+    for name in s_chain:
+        s = nets[name](s)
+    for name in g_chain:
+        g = nets[name](g)
+    return _score(tape, lifted, s, g)
 
 
 def _target_value(state: LearnerState, s: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -59,9 +69,12 @@ def _value_objective(tape: Tape, state: LearnerState, batch: dict,
     obs = state.normalize(batch["obs"])
     next_obs = state.normalize(batch["next_obs"])
     goal = state.normalize(batch["value_goal"])
-    lifted, rep_l = _lift_value(tape, state)
+    rep_l = (LiftedMlp(tape, state.rep, name="rep")
+             if state.rep is not None else None)
+    lifted = state.arch.lift(tape)
 
-    v = lifted(tape.constant(obs, "obs"), tape.constant(goal, "value_goal"))
+    v = tape_value(tape, lifted, rep_l, tape.constant(obs, "obs"),
+                   tape.constant(goal, "value_goal"))
     tv = _target_value(state, next_obs, goal)
     bootstrap = (batch["reward"]
                  + config.discount * (1.0 - batch["done"]) * tv)
@@ -78,8 +91,8 @@ def _value_objective(tape: Tape, state: LearnerState, batch: dict,
 
     rand_goal = state.normalize(batch["rand_goal"])
     rg = tape.constant(rand_goal, "rand_goal")
-    gap = tape.sub(lifted(tape.constant(obs), rg),
-                   lifted(tape.constant(next_obs), rg))
+    gap = tape.sub(tape_value(tape, lifted, rep_l, tape.constant(obs), rg),
+                   tape_value(tape, lifted, rep_l, tape.constant(next_obs), rg))
     hinge = tape.relu(tape.sub(tape.square(gap), tape.constant(delta * delta)))
     cont = tape.reduce_mean(hinge)
     info["continuity_loss"] = float(cont.value)
@@ -182,7 +195,7 @@ def train_step(state: LearnerState, batch: dict,
         total, info, lifted, rep_l = _value_objective(tape, state, batch, config)
         _check_finite(float(total.value), "value_loss", state.step)
         tape.backward(total)
-        value_nodes = lifted.tree("value")
+        value_nodes = {f"value/{k}": n for k, n in lifted.tree().items()}
         if rep_l is not None:
             value_nodes.update({f"rep/{k}": n
                                 for k, n in rep_l.tree("rep").items()})

@@ -408,6 +408,38 @@ print(",".join(sorted(m for m in sys.modules
     assert scipy_modules == ""
 
 
+@pytest.mark.parametrize("module", ["autodiff", "cli", "data", "evaluation",
+                                    "maze", "training", "values"])
+def test_every_export_resolves(module):
+    # a name deleted from a module but left in __all__ breaks import *
+    exec(f"from mazegcrl.{module} import *", {})
+
+
+@pytest.mark.parametrize("sets", [
+    ["grid.continuity_weights=nan"],
+    ["grid.continuity_weights=-1"],
+    ["train.objective=bc", "train.hierarchical=false",
+     "grid.hierarchical=false,true"],
+    ["grid.arch_kinds=LAN,XYZ"],
+], ids=["wc-nan", "wc-negative", "bc-hier-cell", "unknown-kind"])
+def test_ablate_bad_grid_cell_exits_2_before_writing(tmp_path, sets):
+    # each once wrote the grid dataset, failed its cells and exited 0
+    args = [a for kv in sets for a in ("--set", kv)]
+    r = run_cli("ablate", "--out", str(tmp_path / "grid"), *args)
+    assert r.returncode == 2
+    assert r.stderr.splitlines()[0].startswith("config: grid cell "), r.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("goal", ["inf,1", "nan,1"])
+def test_landscape_non_finite_goal_exits_2(tmp_path, goal):
+    r = run_cli("landscape", "--ckpt", str(tmp_path / "missing.txt"),
+                "--out", str(tmp_path / "land.csv"), "--goal", goal)
+    assert r.returncode == 2
+    assert r.stderr.splitlines()[0] == f"config: --goal must be finite, got {goal}"
+    assert "Traceback" not in r.stderr
+
+
 def test_exit_code_and_category_on_unknown_key(tmp_path):
     r = run_cli("gen-data", "--out", str(tmp_path / "x.dset"),
                 "--set", "nope.key=1")

@@ -241,14 +241,13 @@ def test_step_graph_is_freed_without_the_cycle_collector(medium, monkeypatch):
         gc.enable()
 
 
-@pytest.mark.parametrize("reader", ["td_loss", "continuity_loss", "value_loss",
-                                    "high_policy_loss", "low_policy_loss",
-                                    "gcbc_loss"])
-def test_loss_readers_free_their_graph_without_the_cycle_collector(
-        medium, monkeypatch, reader):
+@pytest.mark.parametrize("overrides", [
+    dict(arch_kind="LAN", hierarchical=True, continuity_weight=1.0),
+    dict(arch_kind="LAN", hierarchical=False, objective="bc")], ids=config_id)
+def test_step_losses_frees_its_graph_without_the_cycle_collector(
+        medium, monkeypatch, overrides):
     spec, ds = medium
-    cfg = TrainConfig(arch_kind="LAN", hierarchical=reader != "gcbc_loss",
-                      continuity_weight=1.0, batch_size=32)
+    cfg = TrainConfig(batch_size=32, **overrides)
     state = init_learner(cfg, spec)
     (batch,) = batches(spec, ds, cfg, 1)
     tapes = []
@@ -261,10 +260,25 @@ def test_loss_readers_free_their_graph_without_the_cycle_collector(
     monkeypatch.setattr(autodiff.Tape, "__init__", remember)
     gc.disable()
     try:
-        assert math.isfinite(getattr(T, reader)(state, batch))
+        assert math.isfinite(T.step_losses(state, batch)["low_policy_loss"])
         assert len(tapes) == 1 and tapes[0]() is None
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("overrides", CONFIGS, ids=config_id)
+def test_step_losses_is_the_train_step_row_and_updates_nothing(medium, overrides):
+    spec, ds = medium
+    cfg = TrainConfig(batch_size=32, seed=3, **overrides)
+    state = init_learner(cfg, spec)
+    for batch in batches(spec, ds, cfg, 2):
+        before = {k: v.tobytes() for k, v in T.state_tree(state).items()}
+        row = T.step_losses(state, batch)
+        assert {k: v.tobytes() for k, v in T.state_tree(state).items()} == before
+        state, metrics = train_step(state, batch)
+        assert list(row) == [k for k in metrics if k != "step"]
+        for k, v in row.items():
+            assert np.float64(v).tobytes() == np.float64(metrics[k]).tobytes(), k
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc heap tuning")

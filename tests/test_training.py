@@ -1,5 +1,7 @@
 """Losses, AWR weighting, the optimization step, and checkpoint trees."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -11,15 +13,10 @@ from mazegcrl.training import (
     LearnerState,
     TrainConfig,
     awr_weights,
-    continuity_loss,
     continuity_threshold,
-    gcbc_loss,
-    high_policy_loss,
     init_learner,
-    low_policy_loss,
-    td_loss,
+    step_losses,
     train_step,
-    value_loss,
 )
 from mazegcrl.values import ValueArchitecture, value
 from tests.test_maze import corridor_spec
@@ -38,6 +35,12 @@ def make_batch(rng, size=8, spread=4.0):
     }
     b["reward"] = np.where(b["done"] == 1.0, 0.0, -1.0)
     return b
+
+
+def loss(state, batch, name, **overrides):
+    """One entry of ``step_losses`` under config fields ``overrides``."""
+    state.config = replace(state.config, **overrides)
+    return step_losses(state, batch)[name]
 
 
 def constant_value_learner(spec, const, **cfg_kwargs):
@@ -90,7 +93,7 @@ def test_td_zero_at_reached_goal_with_zero_value():
     batch = make_batch(rng)
     batch["done"][:] = 1.0
     batch["reward"][:] = 0.0
-    assert td_loss(state, batch) == 0.0
+    assert loss(state, batch, "td_loss") == 0.0
 
 
 def test_td_hand_case():
@@ -102,7 +105,7 @@ def test_td_hand_case():
     batch = make_batch(rng)
     batch["done"][:] = 0.0
     batch["reward"][:] = -1.0
-    assert td_loss(state, batch) == pytest.approx(0.243, abs=1e-12)
+    assert loss(state, batch, "td_loss") == pytest.approx(0.243, abs=1e-12)
 
 
 def test_td_matches_per_sample_loop_oracle():
@@ -124,7 +127,8 @@ def test_td_matches_per_sample_loop_oracle():
         err = (batch["reward"][i]
                + cfg.discount * (1.0 - batch["done"][i]) * tv - v)
         per_sample.append(expectile_loss(err, cfg.expectile))
-    assert td_loss(state, batch) == pytest.approx(np.mean(per_sample), rel=1e-12)
+    assert loss(state, batch, "td_loss") == pytest.approx(np.mean(per_sample),
+                                                          rel=1e-12)
 
 
 def test_td_rejects_nonfinite_parameters():
@@ -133,7 +137,7 @@ def test_td_rejects_nonfinite_parameters():
     state.arch.nets["trunk"].biases[-1][...] = np.nan
     rng = np.random.default_rng(0)
     with pytest.raises(GraphError, match="non-finite"):
-        td_loss(state, make_batch(rng))
+        step_losses(state, make_batch(rng))
 
 
 def test_td_near_half_expectile_is_symmetric():
@@ -151,7 +155,7 @@ def test_td_near_half_expectile_is_symmetric():
            * value(state.target_arch, None, s2, g)
            - value(state.arch, None, s, g))
     sym = 0.5 * (err ** 2).mean()
-    assert td_loss(state, batch) == pytest.approx(sym, abs=1e-12)
+    assert loss(state, batch, "td_loss") == pytest.approx(sym, abs=1e-12)
 
 
 # ---- continuity -----------------------------------------------------------------
@@ -174,25 +178,11 @@ def test_continuity_hinge_values():
     batch = make_batch(np.random.default_rng(0), size=1)
     batch["obs"][0] = (100.0, 1.0)
     batch["next_obs"][0] = (103.0, 1.0)
-    assert continuity_loss(state, batch) == pytest.approx(5.0, abs=1e-12)
+    assert loss(state, batch, "continuity_loss") == 0.0  # weight 0: not built
+    assert loss(state, batch, "continuity_loss",
+                continuity_weight=1.0) == pytest.approx(5.0, abs=1e-12)
     batch["next_obs"][0] = (100.5, 1.0)
-    assert continuity_loss(state, batch) == 0.0
-
-
-def test_value_loss_composition():
-    spec = maze.builtin_layout("medium")
-    ds = data.collect_navigate(spec, 2000, 0.5, seed=0)
-    rng = np.random.default_rng(5)
-    cfg = TrainConfig(arch_kind="LAN", hierarchical=False, continuity_weight=0.0)
-    state = init_learner(cfg, spec)
-    batch = sample_batch(ds, 64, cfg.value_goal_ratios, cfg.policy_goal_ratios,
-                         cfg.discount, cfg.subgoal_steps, spec.goal_radius, rng)
-    assert value_loss(state, batch) == td_loss(state, batch)
-
-    cfg10 = TrainConfig(arch_kind="LAN", hierarchical=False, continuity_weight=10.0)
-    state.config = cfg10
-    expected = td_loss(state, batch) + 10.0 * continuity_loss(state, batch)
-    assert value_loss(state, batch) == pytest.approx(expected, rel=1e-12)
+    assert loss(state, batch, "continuity_loss") == 0.0
 
 
 # ---- AWR policy losses ------------------------------------------------------------
@@ -221,17 +211,18 @@ def test_high_policy_loss_zero_advantage_is_mean_nll():
             b[...] = 0.0
     rng = np.random.default_rng(7)
     batch = make_batch(rng, size=32)
-    base = high_policy_loss(state, batch)
-    assert high_policy_loss(state, batch, temperature=1e-12) == pytest.approx(
+    base = loss(state, batch, "high_policy_loss")
+    assert loss(state, batch, "high_policy_loss", high_temp=1e-12) == pytest.approx(
         base, rel=1e-9)
 
 
-def test_high_policy_loss_requires_hierarchy():
+def test_flat_row_has_no_high_policy_loss():
     spec = corridor_spec(4)
     cfg = TrainConfig(arch_kind="MLP", hierarchical=False)
     state = init_learner(cfg, spec)
-    with pytest.raises(GraphError, match="hierarchical"):
-        high_policy_loss(state, make_batch(np.random.default_rng(0)))
+    row = step_losses(state, make_batch(np.random.default_rng(0)))
+    assert np.isnan(row["high_policy_loss"])
+    assert np.isfinite(row["low_policy_loss"])
 
 
 def test_low_policy_loss_zero_residual_gaussian_nll():
@@ -252,7 +243,7 @@ def test_low_policy_loss_zero_residual_gaussian_nll():
     batch["action"][:] = 0.0  # dataset action equals the policy mean
     # unit sigma, zero residual: NLL = D/2 * log(2*pi)
     expected = 0.5 * 2 * np.log(2 * np.pi)
-    assert low_policy_loss(state, batch) == pytest.approx(expected, abs=1e-12)
+    assert loss(state, batch, "low_policy_loss") == pytest.approx(expected, abs=1e-12)
 
 
 def test_policy_losses_match_per_sample_oracle():
@@ -289,7 +280,7 @@ def test_policy_losses_match_per_sample_oracle():
                          np.concatenate([obs[i], goal[i]])[None])[0]
         losses.append(w_h[i] * gaussian_nll(mean, state.policies.high.log_std,
                                             target))
-    assert high_policy_loss(state, batch) == pytest.approx(
+    assert loss(state, batch, "high_policy_loss") == pytest.approx(
         np.mean(losses), rel=1e-12)
 
     adv_l = (value(state.arch, state.rep, nxt, sub)
@@ -304,7 +295,7 @@ def test_policy_losses_match_per_sample_oracle():
                          np.concatenate([obs[i], cond])[None])[0]
         losses.append(w_l[i] * gaussian_nll(mean, state.policies.low.log_std,
                                             batch["action"][i]))
-    assert low_policy_loss(state, batch) == pytest.approx(
+    assert loss(state, batch, "low_policy_loss") == pytest.approx(
         np.mean(losses), rel=1e-12)
 
 
@@ -314,20 +305,14 @@ def test_gcbc_equals_temperature_free_cloning():
                       policy_goal_ratios=(0.0, 1.0, 0.0, 0.0))
     state = init_learner(cfg, spec)
     batch = make_batch(np.random.default_rng(10), size=32)
-    direct = gcbc_loss(state, batch)
+    direct = loss(state, batch, "low_policy_loss", objective="bc")
     # zero advantages make AWR weights exactly one
     for w in state.arch.nets["trunk"].weights:
         w[...] = 0.0
     for b in state.arch.nets["trunk"].biases:
         b[...] = 0.0
-    assert low_policy_loss(state, batch, temperature=1.0) == direct
-
-
-def test_gcbc_requires_flat_mode():
-    spec = corridor_spec(4)
-    state = init_learner(TrainConfig(arch_kind="MLP", hierarchical=True), spec)
-    with pytest.raises(GraphError, match="flat"):
-        gcbc_loss(state, make_batch(np.random.default_rng(0)))
+    assert loss(state, batch, "low_policy_loss", objective="awr",
+                low_temp=1.0) == direct
 
 
 # ---- train_step ---------------------------------------------------------------------
@@ -398,7 +383,7 @@ def test_td_loss_halves_on_corridor_reference_run():
                          cfg.discount, cfg.subgoal_steps, spec.goal_radius, rng)
         state, _ = train_step(state, b)
         if i in (10, 200):
-            at[i] = td_loss(state, probe)
+            at[i] = loss(state, probe, "td_loss")
     assert at[200] <= 0.5 * at[10]
 
 
@@ -412,12 +397,12 @@ def test_gcbc_reference_run_monotone_on_fixed_probe():
                          np.random.default_rng(55))
     state = init_learner(cfg, spec)
     rng = np.random.default_rng(7)
-    losses = [gcbc_loss(state, probe)]
+    losses = [loss(state, probe, "low_policy_loss")]
     for _ in range(100):
         b = sample_batch(ds, 256, cfg.value_goal_ratios, cfg.policy_goal_ratios,
                          cfg.discount, cfg.subgoal_steps, spec.goal_radius, rng)
         state, _ = train_step(state, b)
-        losses.append(gcbc_loss(state, probe))
+        losses.append(loss(state, probe, "low_policy_loss"))
     assert all(a > b for a, b in zip(losses, losses[1:]))
 
 
@@ -448,9 +433,7 @@ def test_losses_finite_on_random_batches():
     rng = np.random.default_rng(11)
     for _ in range(1000):
         batch = make_batch(rng, size=8, spread=9.0)
-        assert np.isfinite(value_loss(state, batch))
-        assert np.isfinite(high_policy_loss(state, batch))
-        assert np.isfinite(low_policy_loss(state, batch))
+        assert np.isfinite(list(step_losses(state, batch).values())).all()
 
 
 def test_mlp_value_is_independent_of_rep():
@@ -459,10 +442,10 @@ def test_mlp_value_is_independent_of_rep():
     cfg = TrainConfig(arch_kind="MLP", hierarchical=True)
     state = init_learner(cfg, spec)
     batch = make_batch(np.random.default_rng(12))
-    before = td_loss(state, batch)
+    before = loss(state, batch, "td_loss")
     for w in state.rep.weights:
         w[...] += 5.0
-    assert td_loss(state, batch) == before
+    assert loss(state, batch, "td_loss") == before
 
 
 def test_rep_frozen_without_policy_gradient_flag():

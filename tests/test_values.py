@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from mazegcrl.autodiff import LiftedMlp, MlpParams, Tape, mlp_apply
 from mazegcrl import values as V
 from mazegcrl.values import (
-    LiftedValue,
     ValueArchitecture,
     interval_union_measure,
     make_subgoal_rep,
@@ -18,6 +17,7 @@ from mazegcrl.values import (
     value,
 )
 from tests import oracle_io, oracle_iqe
+from tests.oracle_step import tape_value
 from tests.finite_diff import finite_diff_grad
 from tests.oracle_distances import hilbert_distance, iqe_distance, mrn_distance
 
@@ -275,11 +275,11 @@ def test_shared_encoder_bottleneck_applies_to_both_inputs():
 def _lifted_value_sum(arch, rep, s, g):
     tape = Tape()
     rep_l = LiftedMlp(tape, rep, name="rep") if rep is not None else None
-    lifted = LiftedValue(tape, arch, rep=rep_l)
-    out = lifted(tape.constant(s), tape.constant(g))
+    lifted = arch.lift(tape)
+    out = tape_value(tape, lifted, rep_l, tape.constant(s), tape.constant(g))
     total = tape.reduce_sum(out)
     tape.backward(total)
-    nodes = lifted.tree("value")
+    nodes = {f"value/{k}": n for k, n in lifted.tree().items()}
     if rep_l is not None:
         nodes.update(rep_l.tree("rep"))
     return out.value, {k: tape.grad(n) for k, n in nodes.items()}
@@ -322,8 +322,8 @@ def test_plain_value_equals_tape_value_bytes(kind, components, hierarchical):
     g = rng.normal(size=(256, 2)) * 3.0
     tape = Tape()
     rep_l = None if rep is None else LiftedMlp(tape, rep, trainable=False)
-    lifted = LiftedValue(tape, arch, rep=rep_l, trainable=False)
-    got = lifted(tape.constant(s), tape.constant(g)).value
+    got = tape_value(tape, arch.lift(tape), rep_l, tape.constant(s),
+                     tape.constant(g)).value
     assert got.tobytes() == value(arch, rep, s, g).tobytes()
 
 
