@@ -1,4 +1,4 @@
-"""Reverse-mode differentiation on dense float64 arrays.
+"""Reverse-mode differentiation on dense floating-point arrays.
 
 A ``Tape`` records primitive operations in execution order (which is a
 topological order by construction), so the backward sweep is a single
@@ -12,8 +12,13 @@ the same names and signatures, so a forward written once against an
 only, nothing recorded). The MLP layer loop is written that way once, in
 ``mlp_forward``; ``mlp_apply`` and ``LiftedMlp`` call it.
 
-Everything is float64. Non-finite values are rejected at graph
-boundaries (leaves and requested outputs); ``Tape(validate=True)``
+A tape computes in one dtype, ``Tape(dtype=np.float64)`` by default: it
+casts leaves, constants and every recorded value to it, and its backward
+closures allocate in it, so a float32 tape never promotes to float64.
+``ARRAYS`` casts nothing; ``mlp_apply`` computes in its parameters' dtype.
+Python scalars stay weak under NumPy's promotion rules, so constants written
+as literals follow the array they meet. Non-finite values are rejected at
+graph boundaries (leaves and requested outputs); ``Tape(validate=True)``
 additionally checks every intermediate, which is what the tests use.
 """
 
@@ -51,10 +56,6 @@ NORM_GRAD_EPS = 1e-12
 
 class GraphError(ValueError):
     """Shape mismatch, non-finite value, or tape misuse."""
-
-
-def _as_f64(value) -> np.ndarray:
-    return np.asarray(value, dtype=np.float64)
 
 
 class Node:
@@ -105,16 +106,20 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 class Tape:
     """Execution-ordered primitive graph with a single backward sweep."""
 
-    def __init__(self, validate: bool = False):
+    def __init__(self, validate: bool = False, dtype=np.float64):
         self.nodes: list[Node] = []
         self.validate = validate
+        self.dtype = np.dtype(dtype)
         self._ran_backward = False
         self._released = False
 
     # ---- node construction -------------------------------------------------
 
+    def _cast(self, value) -> np.ndarray:
+        return np.asarray(value, dtype=self.dtype)
+
     def _register(self, value, name, inputs, backward):
-        value = _as_f64(value)
+        value = self._cast(value)
         if self.validate and not np.all(np.isfinite(value)):
             raise GraphError(f"non-finite output at node '{name}#{len(self.nodes)}'")
         needs = any(inp.needs_grad for inp in inputs)
@@ -130,14 +135,14 @@ class Tape:
 
     def leaf(self, value, name="leaf") -> Node:
         """Trainable input; gradient is accumulated here."""
-        value = _as_f64(value)
+        value = self._cast(value)
         if not np.all(np.isfinite(value)):
             raise GraphError(f"non-finite leaf '{name}'")
         return self._new_leaf(value, name, True)
 
     def constant(self, value, name="const") -> Node:
         """Input that never receives gradient."""
-        value = _as_f64(value)
+        value = self._cast(value)
         if not np.all(np.isfinite(value)):
             raise GraphError(f"non-finite constant '{name}'")
         return self._new_leaf(value, name, False)
@@ -197,8 +202,10 @@ class Tape:
             raise GraphError(f"mul: shapes {a.shape} and {b.shape} do not broadcast") from None
 
         def backward(g):
-            self._accum(a, _unbroadcast(g * b.value, a.shape))
-            self._accum(b, _unbroadcast(g * a.value, b.shape))
+            if a.needs_grad:
+                self._accum(a, _unbroadcast(g * b.value, a.shape))
+            if b.needs_grad:
+                self._accum(b, _unbroadcast(g * a.value, b.shape))
 
         return self._register(a.value * b.value, "mul", (a, b), backward)
 
@@ -214,8 +221,10 @@ class Tape:
             raise GraphError(f"matmul: incompatible shapes {a.shape} @ {b.shape}")
 
         def backward(g):
-            self._accum(a, g @ b.value.T)
-            self._accum(b, a.value.T @ g)
+            if a.needs_grad:
+                self._accum(a, g @ b.value.T)
+            if b.needs_grad:
+                self._accum(b, a.value.T @ g)
 
         return self._register(a.value @ b.value, "matmul", (a, b), backward)
 
@@ -227,8 +236,10 @@ class Tape:
         na = a.shape[1]
 
         def backward(g):
-            self._accum(a, g[:, :na])
-            self._accum(b, g[:, na:])
+            if a.needs_grad:
+                self._accum(a, g[:, :na])
+            if b.needs_grad:
+                self._accum(b, g[:, na:])
 
         return self._register(np.concatenate([a.value, b.value], axis=1),
                               "concat", (a, b), backward)
@@ -338,7 +349,7 @@ class Tape:
     def reduce_sum(self, a: Node, axis: int | None = None) -> Node:
         def backward(g):
             if axis is None:
-                self._accum(a, np.full(a.shape, float(g)))
+                self._accum(a, np.full(a.shape, g, dtype=self.dtype))
             else:
                 self._accum(a, np.broadcast_to(np.expand_dims(g, axis), a.shape))
 
@@ -348,7 +359,7 @@ class Tape:
         n = a.value.size
 
         def backward(g):
-            self._accum(a, np.full(a.shape, float(g) / n))
+            self._accum(a, np.full(a.shape, g / n, dtype=self.dtype))
 
         return self._register(a.value.mean(), "mean", (a,), backward)
 
@@ -410,7 +421,7 @@ class Tape:
                 raise GraphError("backward: scalar output required when no seed given")
             seed = np.ones_like(output.value)
         else:
-            seed = _as_f64(seed)
+            seed = self._cast(seed)
             if seed.shape != output.value.shape:
                 raise GraphError("backward: seed shape mismatch")
         if not np.all(np.isfinite(output.value)):
@@ -437,7 +448,7 @@ class Tape:
 # tape or on arrays and gives the same bytes. Nothing is recorded or checked.
 # ``gelu`` looks ``gelu_value`` up at call time, so wrappers of it see calls.
 ARRAYS = SimpleNamespace(
-    constant=lambda value, name="const": _as_f64(value),
+    constant=lambda value, name="const": value,
     add=np.add, sub=np.subtract, mul=np.multiply, neg=np.negative,
     matmul=np.matmul, reshape=np.reshape,
     concat=lambda a, b: np.concatenate([a, b], axis=1),
@@ -478,10 +489,12 @@ class MlpParams:
 
 
 def init_mlp(rng: np.random.Generator, sizes: list[int],
-             final_scale: float = 1.0) -> MlpParams:
+             final_scale: float = 1.0, dtype=np.float64) -> MlpParams:
     """Fan-in-scaled uniform init; the last layer can be shrunk toward zero.
 
-    ``sizes`` is [in, hidden..., out]; layer count must be >= 1.
+    ``sizes`` is [in, hidden..., out]; layer count must be >= 1. The draws
+    are float64 whatever ``dtype``, so a float32 network is the float64 one
+    rounded.
     """
     if len(sizes) < 2:
         raise ValueError("init_mlp: need at least input and output sizes")
@@ -494,8 +507,8 @@ def init_mlp(rng: np.random.Generator, sizes: list[int],
         if i == len(sizes) - 2 and final_scale != 1.0:
             w *= final_scale
             b *= final_scale
-        weights.append(w)
-        biases.append(b)
+        weights.append(w.astype(dtype, copy=False))
+        biases.append(b.astype(dtype, copy=False))
     return MlpParams(weights, biases)
 
 
@@ -514,8 +527,8 @@ def mlp_forward(ops, net, x):
 
 
 def mlp_apply(params: MlpParams, x: np.ndarray) -> np.ndarray:
-    """Plain forward pass of ``mlp_forward``; checks the input shape."""
-    x = _as_f64(x)
+    """Plain ``mlp_forward`` in the parameters' dtype; checks the input shape."""
+    x = np.asarray(x, dtype=params.weights[0].dtype)
     if x.ndim != 2 or x.shape[1] != params.in_dim:
         raise GraphError(f"mlp_apply: input shape {x.shape} does not match "
                          f"in_dim {params.in_dim}")

@@ -151,6 +151,7 @@ _KEYS = {
     "train.objective": "train.objective",
     "train.normalize_inputs": "train.normalize_inputs",
     "train.seed": "train.seed",
+    "train.dtype": "train.dtype",
     "arch.kind": "train.arch_kind",
     "arch.value_hidden": "train.value_hidden",
     "arch.policy_hidden": "train.policy_hidden",

@@ -281,7 +281,7 @@ def sample_goals(dataset: Dataset, traj_ids: np.ndarray, steps: np.ndarray,
         state_idx[rand_mask] = (dataset._state_offset[dataset.trans_traj[j]]
                                 + dataset.trans_step[j])
 
-    return dataset._all_states[state_idx].copy(), source
+    return dataset._all_states[state_idx], source
 
 
 def sample_batch(dataset: Dataset, batch_size: int,
@@ -305,20 +305,21 @@ def sample_batch(dataset: Dataset, batch_size: int,
     offsets = dataset._state_offset[traj_ids]
     lengths = dataset._traj_len[traj_ids]
 
-    obs = dataset._all_states[offsets + steps].copy()
-    next_obs = dataset._all_states[offsets + steps + 1].copy()
-    actions = dataset._all_actions[dataset._action_offset[traj_ids] + steps].copy()
+    # integer-array indexing copies, so no row aliases the dataset
+    obs = dataset._all_states[offsets + steps]
+    next_obs = dataset._all_states[offsets + steps + 1]
+    actions = dataset._all_actions[dataset._action_offset[traj_ids] + steps]
 
     value_goal, value_src = sample_goals(dataset, traj_ids, steps,
                                          value_ratios, discount, rng)
     policy_goal, policy_src = sample_goals(dataset, traj_ids, steps,
                                            policy_ratios, discount, rng)
     sub_idx = np.minimum(steps + subgoal_steps, lengths - 1)
-    subgoal = dataset._all_states[offsets + sub_idx].copy()
+    subgoal = dataset._all_states[offsets + sub_idx]
 
     j = rng.integers(dataset.n_transitions, size=batch_size)
     rand_goal = dataset._all_states[
-        dataset._state_offset[dataset.trans_traj[j]] + dataset.trans_step[j]].copy()
+        dataset._state_offset[dataset.trans_traj[j]] + dataset.trans_step[j]]
 
     dist = np.linalg.norm(obs - value_goal, axis=1)
     done = dist <= goal_radius

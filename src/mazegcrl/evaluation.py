@@ -6,8 +6,11 @@ jitter drawn from the caller's RNG. ``evaluate`` rolls every trial of
 every task out together: one actor call and one ``maze.step_batch`` per
 time step. Finished trials are frozen in place rather than dropped, so the
 actor always sees the same batch shape; a matrix product's bits for a row
-can depend on how many rows the BLAS kernel is handed, so shrinking the
-batch could change actions. Value quality is scalarized two ways:
+can depend on how many rows the BLAS kernel is handed, in float32 as in
+float64, so shrinking the batch could change actions. The actor and the
+value run in the learner's dtype; positions stay float64.
+
+Value quality is scalarized two ways:
 Kendall order consistency counts strictly increasing value pairs along a
 shortest cell path to the goal, and the temporal-alignment score is the
 Spearman rank correlation between the value landscape over free cells and
@@ -247,10 +250,11 @@ def _spearman(a, b) -> float:
 
 
 def format_value(value) -> str:
-    """Text of a config or CSV value: %.17g floats, true/false, comma-joined tuples."""
+    """Text of a config or CSV value: %.17g floats (NumPy's too), true/false,
+    comma-joined tuples."""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
+    if isinstance(value, (float, np.floating)):
         return f"{value:.17g}"
     if isinstance(value, tuple):
         return ",".join(format_value(v) for v in value)

@@ -27,6 +27,13 @@ would log, without a backward sweep.
 Baselines fall out as configurations: (MLP, flat, continuity 0) is the
 expectile-TD flat agent, (MLP, hierarchical) its hierarchical counterpart,
 and ``objective="bc"`` is goal-conditioned behavior cloning.
+
+``TrainConfig.dtype`` is the one dtype of the learner: parameters, target
+copy, Adam moments, normalizer, the step's tape and its plain forwards.
+Parameters are drawn in float64 either way and then cast, so a float32
+learner starts as the float64 one rounded; ``float64`` reproduces the runs
+made before the key existed byte for byte. Datasets, batches and the maze
+stay float64; the step casts what it reads from them.
 """
 
 from __future__ import annotations
@@ -113,6 +120,7 @@ class TrainConfig:
     iqe_intervals: int = 8
     mrn_sym_dim: int = 32
     mrn_asym_dim: int = 32
+    dtype: str = "float32"             # "float32" | "float64"
 
     def validate(self) -> "TrainConfig":
         if not 0.0 < self.discount < 1.0:
@@ -137,6 +145,8 @@ class TrainConfig:
             raise ValueError("objective must be 'awr' or 'bc'")
         if self.objective == "bc" and self.hierarchical:
             raise ValueError("behavior cloning is a flat-policy objective")
+        if self.dtype not in ("float32", "float64"):
+            raise ValueError(f"dtype must be float32 or float64, got '{self.dtype}'")
         datamod.GoalSampleRatios(*self.value_goal_ratios).validate()
         datamod.GoalSampleRatios(*self.policy_goal_ratios).validate()
         return self
@@ -156,9 +166,9 @@ class GaussianPolicy:
 
 
 def make_policy(rng: np.random.Generator, in_dim: int, hidden: tuple,
-                out_dim: int) -> GaussianPolicy:
-    return GaussianPolicy(init_mlp(rng, [in_dim, *tuple(hidden), out_dim]),
-                          np.zeros(out_dim))
+                out_dim: int, dtype=np.float64) -> GaussianPolicy:
+    return GaussianPolicy(init_mlp(rng, [in_dim, *tuple(hidden), out_dim], dtype=dtype),
+                          np.zeros(out_dim, dtype=dtype))
 
 
 def policy_mean(policy: GaussianPolicy, x: np.ndarray) -> np.ndarray:
@@ -186,7 +196,9 @@ class LearnerState:
     step: int = 0
 
     def normalize(self, x: np.ndarray) -> np.ndarray:
-        return (x - self.norm_center) / self.norm_scale
+        """Inputs centred and scaled, in the learner's dtype."""
+        return ((x - self.norm_center) / self.norm_scale).astype(
+            self.norm_center.dtype, copy=False)
 
 
 def _value_group(state: LearnerState) -> dict[str, np.ndarray]:
@@ -200,28 +212,30 @@ def init_learner(config: TrainConfig, spec: MazeSpec,
                  state_dim: int = 2, action_dim: int = 2) -> LearnerState:
     config.validate()
     rng = np.random.default_rng(config.seed)
-    hier = config.hierarchical
-    rep = (make_subgoal_rep(rng, state_dim, config.rep_hidden, config.rep_dim)
+    hier, dtype = config.hierarchical, np.dtype(config.dtype)
+    rep = (make_subgoal_rep(rng, state_dim, config.rep_hidden, config.rep_dim, dtype)
            if hier else None)
     arch = make_value_arch(
         rng, config.arch_kind, state_dim, config.value_hidden,
         goal_input_dim=config.rep_dim if hier else None,
         latent_dim=config.latent_dim, iqe_components=config.iqe_components,
         iqe_intervals=config.iqe_intervals, mrn_sym_dim=config.mrn_sym_dim,
-        mrn_asym_dim=config.mrn_asym_dim)
-    high = (make_policy(rng, 2 * state_dim, config.policy_hidden, config.rep_dim)
-            if hier else None)
+        mrn_asym_dim=config.mrn_asym_dim, dtype=dtype)
+    high = (make_policy(rng, 2 * state_dim, config.policy_hidden, config.rep_dim,
+                        dtype) if hier else None)
     low_cond = config.rep_dim if hier else state_dim
-    low = make_policy(rng, state_dim + low_cond, config.policy_hidden, action_dim)
+    low = make_policy(rng, state_dim + low_cond, config.policy_hidden, action_dim,
+                      dtype)
     policies = PolicyPair(high, low)
 
     if config.normalize_inputs:
         h, w = spec.shape
-        center = np.array([w * spec.cell_size / 2.0, h * spec.cell_size / 2.0])
-        scale = np.array([w * spec.cell_size / 2.0, h * spec.cell_size / 2.0])
+        center = np.array([w * spec.cell_size / 2.0, h * spec.cell_size / 2.0],
+                          dtype=dtype)
+        scale = center.copy()
     else:
-        center = np.zeros(state_dim)
-        scale = np.ones(state_dim)
+        center = np.zeros(state_dim, dtype=dtype)
+        scale = np.ones(state_dim, dtype=dtype)
 
     state = LearnerState(
         config=config, arch=arch, target_arch=arch.copy(), rep=rep,
@@ -352,14 +366,16 @@ def _graph(state: LearnerState, batch: dict) -> _Graph:
     through each network at most once on the tape (the rows some loss
     differentiates through) and at most once in plain NumPy (the rows only
     the TD target and the AWR advantages read), reusing the tape's values.
-    Pairs are scored in latent space from row slices.
+    Pairs are scored in latent space from row slices. The tape computes in
+    ``config.dtype`` and casts its constants (stacked inputs, TD target,
+    regression weights, actions) to it.
     """
     config = state.config
     hier = config.hierarchical
     bc = config.objective == "bc"
     size = len(batch["obs"])
     x_all = np.concatenate([state.normalize(batch[k]) for k in _INPUTS])
-    tape = Tape()
+    tape = Tape(dtype=config.dtype)
     x_node = tape.constant(x_all, "inputs")
     spans = {k: (i * size, (i + 1) * size) for i, k in enumerate(_INPUTS)}
     tape_in = {k: (x_node, *span) for k, span in spans.items()}
@@ -558,15 +574,18 @@ def state_tree(state: LearnerState) -> dict[str, np.ndarray]:
 def load_state_tree(state: LearnerState, tree: dict[str, np.ndarray]) -> LearnerState:
     """Fill a freshly initialized learner from a checkpoint tensor dict.
 
-    A checkpoint holding NaN or inf (an aborted run's) raises GraphError
-    naming its first non-finite tensor.
+    Each tensor is cast to the learner's dtype, so a checkpoint written at
+    either dtype loads. A checkpoint holding NaN or inf (an aborted run's),
+    or a value the cast overflows, raises GraphError naming its first
+    non-finite tensor.
     """
     own = state_tree(state)
     if set(own) != set(tree):
         missing = set(own) ^ set(tree)
         raise GraphError(f"checkpoint does not match configuration: {sorted(missing)[:4]}")
     for name, arr in own.items():
-        src = np.asarray(tree[name], dtype=np.float64)
+        with np.errstate(over="ignore"):  # beyond float32's range reads as inf
+            src = np.asarray(tree[name], dtype=arr.dtype)
         if arr.shape != src.shape:
             raise GraphError(f"checkpoint tensor '{name}' has shape {src.shape}, "
                              f"expected {arr.shape}")

@@ -16,18 +16,19 @@ In hierarchical mode a low-dimensional goal representation acts as a
 bottleneck: LAN applies it to the goal side only, the shared-encoder kinds
 apply it to both inputs.
 
-The shared-encoder kinds (IQE, MRN, Hilbert) read the encoder's outputs
-only through zs − zg (IQE through interval endpoints that shift together),
-so the last bias of ``phi`` cancels: its gradient is rounding noise (about
-1e-17 at init) and Adam turns that into tiny random steps. The bias is
-kept on purpose; removing it would change the init draws and the
-checkpoint layout.
+MRN and Hilbert read the encoder's outputs only through zs − zg, so the
+last bias of ``phi`` cancels: its gradient is rounding noise (at init
+below 1e-16 in float64, 1e-8 in float32) and Adam turns that into tiny
+random steps. IQE's does not cancel coordinate by coordinate, since one
+endpoint's bias moves one interval against the others; only its sum over
+each component's L endpoints does. The bias is kept on purpose; removing
+it would change the init draws and the checkpoint layout.
 
 Each head is written once, in ``_score``, against the primitives of an
 ``ops`` argument: the training step runs it on a ``Tape`` over the
 architecture's ``lift`` (the value being trained) and ``score`` on
 ``autodiff.ARRAYS`` (the TD target, the AWR advantages and every evaluation
-value), so both compute the same bytes.
+value), so both compute the same bytes, in the parameters' dtype.
 The IQE measure is the one primitive picked per backend: the tape node with
 subgradients, or the bare sweep.
 """
@@ -125,7 +126,7 @@ def make_value_arch(rng: np.random.Generator, kind: str, state_dim: int,
                     hidden: tuple[int, ...], *, goal_input_dim: int | None = None,
                     latent_dim: int = 64, iqe_components: int = 8,
                     iqe_intervals: int = 8, mrn_sym_dim: int = 32,
-                    mrn_asym_dim: int = 32) -> ValueArchitecture:
+                    mrn_asym_dim: int = 32, dtype=np.float64) -> ValueArchitecture:
     """Build one architecture.
 
     ``goal_input_dim`` is the dimension the goal-side (or shared) encoder
@@ -137,33 +138,32 @@ def make_value_arch(rng: np.random.Generator, kind: str, state_dim: int,
         raise ValueError(f"unknown value architecture '{kind}'")
     gdim = state_dim if goal_input_dim is None else goal_input_dim
     hidden = tuple(hidden)
+
+    def head(in_dim, out_dim):
+        return init_mlp(rng, [in_dim, *hidden, out_dim],
+                        final_scale=HEAD_INIT_SCALE, dtype=dtype)
+
     if kind == "MLP":
-        trunk = init_mlp(rng, [2 * state_dim, *hidden, 1], final_scale=HEAD_INIT_SCALE)
-        return ValueArchitecture(kind, {"trunk": trunk})
+        return ValueArchitecture(kind, {"trunk": head(2 * state_dim, 1)})
     if kind == "LAN":
-        phi_s = init_mlp(rng, [state_dim, *hidden, latent_dim],
-                         final_scale=HEAD_INIT_SCALE)
-        phi_g = init_mlp(rng, [gdim, *hidden, latent_dim],
-                         final_scale=HEAD_INIT_SCALE)
-        return ValueArchitecture(kind, {"phi_s": phi_s, "phi_g": phi_g})
+        return ValueArchitecture(kind, {"phi_s": head(state_dim, latent_dim),
+                                        "phi_g": head(gdim, latent_dim)})
     if kind == "IQE":
-        out = iqe_components * iqe_intervals
-        phi = init_mlp(rng, [gdim, *hidden, out], final_scale=HEAD_INIT_SCALE)
+        phi = head(gdim, iqe_components * iqe_intervals)
         return ValueArchitecture(kind, {"phi": phi},
-                                 raw_alpha=np.zeros(()),
+                                 raw_alpha=np.zeros((), dtype=dtype),
                                  iqe_shape=(iqe_components, iqe_intervals))
     if kind == "MRN":
-        phi = init_mlp(rng, [gdim, *hidden, mrn_sym_dim + mrn_asym_dim],
-                       final_scale=HEAD_INIT_SCALE)
+        phi = head(gdim, mrn_sym_dim + mrn_asym_dim)
         return ValueArchitecture(kind, {"phi": phi}, mrn_sym_dim=mrn_sym_dim)
-    phi = init_mlp(rng, [gdim, *hidden, latent_dim], final_scale=HEAD_INIT_SCALE)
-    return ValueArchitecture(kind, {"phi": phi})
+    return ValueArchitecture(kind, {"phi": head(gdim, latent_dim)})
 
 
 def make_subgoal_rep(rng: np.random.Generator, state_dim: int,
-                     hidden: tuple[int, ...], rep_dim: int = 10) -> MlpParams:
+                     hidden: tuple[int, ...], rep_dim: int = 10,
+                     dtype=np.float64) -> MlpParams:
     """Goal-only bottleneck encoder used by the hierarchical stack."""
-    return init_mlp(rng, [state_dim, *tuple(hidden), rep_dim])
+    return init_mlp(rng, [state_dim, *tuple(hidden), rep_dim], dtype=dtype)
 
 
 # ---- IQE interval-union kernel (plain numpy) ---------------------------------------
@@ -183,9 +183,9 @@ def interval_union_measure(u: np.ndarray, v: np.ndarray):
     plain-NumPy scores never pay for them.
 
     Sorted interval j adds ``max(ends[j] - max(starts[j], cover[j]), 0)``, and
-    the gains are summed in sorted order. Summing the ±1 coverage changes of
-    the 2L sorted endpoints instead would add the same lengths in another
-    order and change the last bits of float64 measures.
+    the gains are summed in sorted order, in ``u``'s dtype. Summing the ±1
+    coverage changes of the 2L sorted endpoints instead would add the same
+    lengths in another order and change the last bits of the measures.
     """
     if np.ndim(u) != 3 or np.shape(u) != np.shape(v):
         raise ValueError("interval_union_measure expects two (B, K, L) arrays of "
@@ -202,7 +202,7 @@ def interval_union_measure(u: np.ndarray, v: np.ndarray):
     for j in range(1, nl):
         np.maximum(cover[j - 1], ends[j - 1], out=cover[j])
     gain = np.maximum(ends - np.maximum(starts, cover), 0.0)
-    measure = np.zeros(bk)
+    measure = np.zeros(bk, dtype=u.dtype)
     for row in gain:
         measure += row
     return measure.reshape(b, k), (index, starts, v_sorted, ends, cover)
@@ -254,9 +254,8 @@ def score(arch: ValueArchitecture, zs: np.ndarray, zg: np.ndarray) -> np.ndarray
 
 def value(arch: ValueArchitecture, rep: MlpParams | None,
           s: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """V(s, g) for batches (B, state_dim) x (B, state_dim) -> (B,)."""
-    s = np.asarray(s, dtype=np.float64)
-    g = np.asarray(g, dtype=np.float64)
+    """V(s, g) for batches (B, state_dim) x (B, state_dim) -> (B,), in the
+    architecture's dtype: ``mlp_apply`` casts the inputs."""
     nets = dict(arch.nets, rep=rep)
     s_chain, g_chain = arch.chains(rep is not None)
     return score(arch, _run_chain(mlp_apply, nets, s_chain, s),
@@ -279,15 +278,15 @@ def _iqe_measure_node(tape: Tape, u: Node, v: Node) -> Node:
             owner[j] = np.where(moved[j - 1], owner[0] + (j - 1) * bk, owner[j - 1])
         # extending a run moves the edge off its owner's end
         taken = np.bincount(owner[moved & ~fresh], minlength=nl * bk)
-        d_end = (fresh | moved) - taken.reshape(nl, bk)
+        d_end = ((fresh | moved) - taken.reshape(nl, bk)).astype(tape.dtype)
         g = g.reshape(1, bk)
         # 0 - fresh keeps zeros +0.0; -1.0 * fresh would give -0.0 and so
         # flip the sign of zero gradients
-        grad_start = g * (0.0 - fresh)
+        grad_start = g * np.subtract(0.0, fresh, dtype=tape.dtype)
         grad_end = g * d_end
         win_u = starts >= v_sorted
-        grad_u = np.empty(nl * bk)
-        grad_v = np.empty(nl * bk)
+        grad_u = np.empty(nl * bk, dtype=tape.dtype)
+        grad_v = np.empty(nl * bk, dtype=tape.dtype)
         grad_u[index] = grad_start + grad_end * win_u
         grad_v[index] = grad_end * ~win_u
         tape._accum(u, grad_u.reshape(u.shape))

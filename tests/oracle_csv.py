@@ -80,6 +80,7 @@ _KEYS = {
     "train.objective": _train_field("objective", str),
     "train.normalize_inputs": _train_field("normalize_inputs", _parse_bool),
     "train.seed": _train_field("seed", int),
+    "train.dtype": _train_field("dtype", str),
     "arch.kind": _train_field("arch_kind", str),
     "arch.value_hidden": _train_field("value_hidden", _parse_ints),
     "arch.policy_hidden": _train_field("policy_hidden", _parse_ints),

@@ -9,13 +9,13 @@ training with the library, byte for byte.
 
 import numpy as np
 
-from mazegcrl.autodiff import GraphError, MlpParams, _as_f64, gelu_value
+from mazegcrl.autodiff import GraphError, MlpParams, gelu_value
 from mazegcrl.values import ValueArchitecture, interval_union_measure
 
 
 def mlp_apply(params: MlpParams, x: np.ndarray) -> np.ndarray:
     """Plain forward pass: affine -> GELU per hidden layer, affine output."""
-    x = _as_f64(x)
+    x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != params.in_dim:
         raise GraphError(f"mlp_apply: input shape {x.shape} does not match "
                          f"in_dim {params.in_dim}")

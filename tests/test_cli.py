@@ -182,6 +182,17 @@ def test_gen_data_stitch_manifest_records_span(tmp_path):
     assert manifest["segment_len"] == 4
 
 
+@pytest.mark.parametrize("verb", ["gen-data", "train"])
+def test_unknown_dtype_exits_2_before_writing(tmp_path, verb):
+    args = ["--data", str(tmp_path / "x.dset")] if verb == "train" else []
+    r = run_cli(verb, *args, "--out", str(tmp_path / "out"),
+                "--set", "train.dtype=float16")
+    assert r.returncode == 2
+    assert r.stderr.splitlines()[0] == \
+        "config: dtype must be float32 or float64, got 'float16'", r.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_gen_data_giant_stitch_flags_uncovered_task(tmp_path):
     cfg = tiny_config("env.layout=giant", "data.style=stitch",
                       "data.transitions=20000", "data.segment_len=8")
@@ -258,6 +269,36 @@ def test_eval_fresh_checkpoint_near_zero_success(tmp_path):
         (tmp_path / "report2.csv").read_bytes()
     parsed = E.report_from_csv((tmp_path / "report.csv").read_text())
     assert parsed[0].task_success == report.task_success
+
+
+def test_eval_of_final_float32_checkpoint_reproduces_last_report_rows(tmp_path):
+    cfg, _ = _gen_and_train(tmp_path)
+    assert cfg.train.dtype == "float32"
+    cmd_eval(cfg, tmp_path / "run" / "ckpt_00000040.txt", tmp_path / "report.csv")
+    run_rows = (tmp_path / "run" / "report.csv").read_text().splitlines()
+    eval_rows = (tmp_path / "report.csv").read_text().splitlines()
+    assert eval_rows[0] == run_rows[0]
+    assert eval_rows[1:] == [row for row in run_rows if row.startswith("40,")]
+    assert len(eval_rows) == 1 + len(maze.builtin_layout(cfg.layout).tasks)
+
+
+def test_float64_checkpoint_loads_into_float32_learner(tmp_path):
+    cfg, _ = _gen_and_train(tmp_path, "train.dtype=float64")
+    ckpt = tmp_path / "run" / "ckpt_00000040.txt"
+    saved = read_tensors(ckpt)
+    spec = maze.builtin_layout(cfg.layout)
+    state = T.load_state_tree(T.init_learner(tiny_config().train, spec), saved)
+    own = T.state_tree(state)
+    assert own["value/phi_s.w0"].dtype == np.float32
+    for name, arr in own.items():
+        assert np.array_equal(arr, saved[name].astype(arr.dtype)), name
+    report = cmd_eval(tiny_config(), ckpt, tmp_path / "report.csv")
+    assert report.checkpoint_step == 40
+    # finite in float64, beyond float32's range: refused, not loaded as inf
+    saved["low/log_std"][0] = 1e39
+    with pytest.raises(T.GraphError, match="tensor 'low/log_std' is non-finite"):
+        T.load_state_tree(T.init_learner(tiny_config().train, spec), saved)
+    T.load_state_tree(T.init_learner(cfg.train, spec), saved)
 
 
 def test_eval_rejects_incompatible_checkpoint(tmp_path):

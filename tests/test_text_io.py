@@ -199,3 +199,20 @@ SUMMARY_HEAD = ("arch,hierarchical,continuity_weight,style,n_seeds,n_ok,success_
 def test_malformed_csv_rows_rejected(read, text, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         read(text)
+
+
+@pytest.mark.parametrize("value", [np.float32(0.1), np.float32(-3.0), np.float32(1e-40),
+                                   np.float32("inf"), np.float16(0.1), np.float64(0.1)],
+                         ids=["f32-tenth", "f32-int", "f32-subnormal", "f32-inf",
+                              "f16-tenth", "f64-tenth"])
+def test_numpy_floats_format_as_seventeen_digits(value):
+    # np.float32 is not a float: it once went through str and printed '0.1'
+    assert E.format_value(value) == f"{float(value):.17g}"
+
+
+def test_float32_landscape_reads_back_exactly():
+    values = np.array([0.1, -2.5, 1e-3], dtype=np.float32)
+    grid = SimpleNamespace(xs=np.array([0.5, 1.5, 2.5]), ys=np.zeros(3), values=values)
+    text = E.landscape_to_csv(grid)
+    assert text.splitlines()[1] == "0.5,0,0.10000000149011612"
+    assert E.landscape_from_csv(text)[2].astype(np.float32).tobytes() == values.tobytes()

@@ -65,7 +65,7 @@ CASES += [(cfg, True) for cfg in CONFIGS if cfg.get("continuity_weight")]
     config_id(cfg) + ("-active-hinge" if hinge else "") for cfg, hinge in CASES])
 def test_matches_three_tape_oracle_for_twenty_steps(medium, overrides, hinge):
     spec, ds = medium
-    cfg = TrainConfig(batch_size=64, seed=3, **overrides)
+    cfg = TrainConfig(batch_size=64, seed=3, dtype="float64", **overrides)
     new, old = init_learner(cfg, spec), init_learner(cfg, spec)
     batch_list = batches(spec, ds, cfg, 20)
     if hinge:
@@ -97,7 +97,7 @@ def test_matches_three_tape_oracle_for_twenty_steps(medium, overrides, hinge):
 def test_iqe_kernel_trains_like_reference_kernel_bit_for_bit(
         medium, monkeypatch, overrides, hinge):
     spec, ds = medium
-    cfg = TrainConfig(batch_size=64, seed=3, **overrides)
+    cfg = TrainConfig(batch_size=64, seed=3, dtype="float64", **overrides)
 
     def twenty_steps():
         state = init_learner(cfg, spec)
@@ -137,7 +137,7 @@ def test_iqe_kernel_trains_like_reference_kernel_bit_for_bit(
 def test_plain_heads_train_like_per_kind_reference_bit_for_bit(
         medium, monkeypatch, overrides):
     spec, ds = medium
-    cfg = TrainConfig(batch_size=64, seed=3, **overrides)
+    cfg = TrainConfig(batch_size=64, seed=3, dtype="float64", **overrides)
     batch_list = batches(spec, ds, cfg, 20)
 
     def twenty_steps():
@@ -294,3 +294,93 @@ def test_steps_reuse_heap_memory_instead_of_faulting_it_in(medium):
         state, _ = train_step(state, batch)
     # without the heap thresholds set on import, each step faults in ~1500 pages
     assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 10 * 50
+
+
+# ---- float32 ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("overrides", KIND_CONFIGS, ids=config_id)
+def test_float32_step_matches_float64_step(medium, overrides):
+    spec, ds = medium
+    runs = {}
+    for dtype in ("float32", "float64"):
+        cfg = TrainConfig(batch_size=64, seed=3, dtype=dtype, **overrides)
+        state = init_learner(cfg, spec)
+        batch_list = batches(spec, ds, cfg, 1)
+        if overrides["continuity_weight"]:
+            activate_continuity(state, batch_list)
+        state, metrics = train_step(state, batch_list[0])
+        runs[dtype] = metrics, T.state_tree(state)
+    (m32, t32), (m64, t64) = runs["float32"], runs["float64"]
+    assert not overrides["continuity_weight"] or m64["continuity_loss"] > 0.0
+    for k, b in m64.items():
+        a = m32[k]
+        assert (math.isnan(a) and math.isnan(b)) or abs(a - b) <= 1e-5 * max(
+            1.0, abs(b)), (k, a, b)
+    # a shared encoder's last bias shifts zs and zg alike, so some of its
+    # coordinates (all of them on MRN and Hilbert) get only rounding noise as
+    # gradient, which one Adam step turns into a move of up to lr
+    cancelled = ({f"value/phi.b{len(cfg.value_hidden)}"}
+                 if overrides["arch_kind"] in ("IQE", "MRN", "Hilbert") else set())
+    for name, b in t64.items():
+        assert t32[name].dtype == (np.float64 if name.endswith("count")
+                                   or name == "step" else np.float32), name
+        if not name.startswith("opt_") and name not in cancelled:
+            np.testing.assert_allclose(t32[name], b, rtol=1e-5, atol=1e-5,
+                                       err_msg=name)
+
+
+@pytest.mark.parametrize("overrides", KIND_CONFIGS, ids=config_id)
+def test_float32_step_never_computes_in_float64(medium, monkeypatch, overrides):
+    """Every recorded value and gradient, and every plain forward, is float32.
+
+    The tape casts what it records, so the check is made on the values
+    handed to it, before the cast: a silent promotion would show there.
+    """
+    spec, ds = medium
+    cfg = TrainConfig(batch_size=32, seed=3, **overrides)
+    assert cfg.dtype == "float32"
+    state = init_learner(cfg, spec)
+    batch_list = batches(spec, ds, cfg, 2)
+    if overrides["continuity_weight"]:
+        activate_continuity(state, batch_list)
+    seen, nodes = [], []
+    register, accum, backward = (autodiff.Tape._register, autodiff.Tape._accum,
+                                 autodiff.Tape.backward)
+    plain, plain_score = T.mlp_apply, T.score
+
+    def checked_register(self, value, name, inputs, grad_fn):
+        seen.append((name, np.asarray(value).dtype))
+        return register(self, value, name, inputs, grad_fn)
+
+    def checked_accum(node, grad):
+        seen.append((f"d {node.name}", grad.dtype))
+        accum(node, grad)
+
+    def keep_nodes(self, output, seed=None):
+        nodes.extend(self.nodes)
+        backward(self, output, seed)
+
+    def checked_plain(params, x):
+        out = plain(params, x)
+        seen.append(("mlp_apply", out.dtype))
+        return out
+
+    def checked_score(arch, zs, zg):
+        out = plain_score(arch, zs, zg)
+        seen.append(("score", out.dtype))
+        return out
+
+    monkeypatch.setattr(autodiff.Tape, "_register", checked_register)
+    monkeypatch.setattr(autodiff.Tape, "_accum", staticmethod(checked_accum))
+    monkeypatch.setattr(autodiff.Tape, "backward", keep_nodes)
+    for module in (values, T):
+        monkeypatch.setattr(module, "mlp_apply", checked_plain)
+    monkeypatch.setattr(T, "score", checked_score)
+    for batch in batch_list:
+        state, _ = train_step(state, batch)
+    assert seen and nodes
+    assert [s for s in seen if s[1] != np.float32] == []
+    assert [n.name for n in nodes if n.value.dtype != np.float32] == []
+    assert [n.name for n in nodes
+            if n.grad is not None and n.grad.dtype != np.float32] == []

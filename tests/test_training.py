@@ -100,7 +100,8 @@ def test_td_hand_case():
     # r=-1, discount 0.99, target value -10, online value -10, expectile 0.7:
     # error = -1 + 0.99*(-10) + 10 = -0.9, loss = 0.3 * 0.81 = 0.243
     spec = corridor_spec(4)
-    state = constant_value_learner(spec, -10.0, discount=0.99, expectile=0.7)
+    state = constant_value_learner(spec, -10.0, discount=0.99, expectile=0.7,
+                                   dtype="float64")
     rng = np.random.default_rng(1)
     batch = make_batch(rng)
     batch["done"][:] = 0.0
@@ -110,7 +111,8 @@ def test_td_hand_case():
 
 def test_td_matches_per_sample_loop_oracle():
     spec = maze.builtin_layout("medium")
-    cfg = TrainConfig(arch_kind="LAN", hierarchical=True, expectile=0.9)
+    cfg = TrainConfig(arch_kind="LAN", hierarchical=True, expectile=0.9,
+                      dtype="float64")
     state = init_learner(cfg, spec)
     ds = data.collect_navigate(spec, 2000, 0.5, seed=0)
     rng = np.random.default_rng(3)
@@ -143,7 +145,7 @@ def test_td_rejects_nonfinite_parameters():
 def test_td_near_half_expectile_is_symmetric():
     spec = corridor_spec(4)
     cfg = TrainConfig(arch_kind="LAN", hierarchical=False,
-                      expectile=0.5 + 1e-15)
+                      expectile=0.5 + 1e-15, dtype="float64")
     state = init_learner(cfg, spec)
     rng = np.random.default_rng(4)
     batch = make_batch(rng)
@@ -171,7 +173,7 @@ def test_continuity_hinge_values():
     # so a gap of 3 costs 9 - 4 = 5 and a gap of 0.5 costs nothing
     spec = corridor_spec(4)
     cfg = TrainConfig(arch_kind="MLP", hierarchical=False,
-                      normalize_inputs=False, discount=0.99)
+                      normalize_inputs=False, discount=0.99, dtype="float64")
     state = init_learner(cfg, spec)
     trunk = MlpParams([np.array([[1.0], [0.0], [0.0], [0.0]])], [np.zeros(1)])
     state.arch = ValueArchitecture("MLP", {"trunk": trunk})
@@ -227,7 +229,8 @@ def test_flat_row_has_no_high_policy_loss():
 
 def test_low_policy_loss_zero_residual_gaussian_nll():
     spec = corridor_spec(4)
-    cfg = TrainConfig(arch_kind="MLP", hierarchical=False, normalize_inputs=False)
+    cfg = TrainConfig(arch_kind="MLP", hierarchical=False, normalize_inputs=False,
+                      dtype="float64")
     state = init_learner(cfg, spec)
     low = state.policies.low
     for w in low.net.weights:
@@ -249,7 +252,7 @@ def test_low_policy_loss_zero_residual_gaussian_nll():
 def test_policy_losses_match_per_sample_oracle():
     spec = maze.builtin_layout("medium")
     cfg = TrainConfig(arch_kind="LAN", hierarchical=True, high_temp=2.0,
-                      low_temp=3.0)
+                      low_temp=3.0, dtype="float64")
     state = init_learner(cfg, spec)
     ds = data.collect_navigate(spec, 2000, 0.5, seed=0)
     rng = np.random.default_rng(9)
