@@ -133,6 +133,13 @@ class Tape:
             if n.tape is not self:
                 raise GraphError(f"{name}: input from a different tape")
 
+    def _check_broadcast(self, name: str, a: Node, b: Node) -> None:
+        self._check_same_tape(name, a, b)
+        try:
+            np.broadcast_shapes(a.shape, b.shape)
+        except ValueError:
+            raise GraphError(f"{name}: shapes {a.shape} and {b.shape} do not broadcast") from None
+
     def leaf(self, value, name="leaf") -> Node:
         """Trainable input; gradient is accumulated here."""
         value = self._cast(value)
@@ -169,11 +176,7 @@ class Tape:
     # ---- primitives ----------------------------------------------------------
 
     def add(self, a: Node, b: Node) -> Node:
-        self._check_same_tape("add", a, b)
-        try:
-            np.broadcast_shapes(a.shape, b.shape)
-        except ValueError:
-            raise GraphError(f"add: shapes {a.shape} and {b.shape} do not broadcast") from None
+        self._check_broadcast("add", a, b)
 
         def backward(g):
             self._accum(a, _unbroadcast(g, a.shape))
@@ -182,11 +185,7 @@ class Tape:
         return self._register(a.value + b.value, "add", (a, b), backward)
 
     def sub(self, a: Node, b: Node) -> Node:
-        self._check_same_tape("sub", a, b)
-        try:
-            np.broadcast_shapes(a.shape, b.shape)
-        except ValueError:
-            raise GraphError(f"sub: shapes {a.shape} and {b.shape} do not broadcast") from None
+        self._check_broadcast("sub", a, b)
 
         def backward(g):
             self._accum(a, _unbroadcast(g, a.shape))
@@ -195,11 +194,7 @@ class Tape:
         return self._register(a.value - b.value, "sub", (a, b), backward)
 
     def mul(self, a: Node, b: Node) -> Node:
-        self._check_same_tape("mul", a, b)
-        try:
-            np.broadcast_shapes(a.shape, b.shape)
-        except ValueError:
-            raise GraphError(f"mul: shapes {a.shape} and {b.shape} do not broadcast") from None
+        self._check_broadcast("mul", a, b)
 
         def backward(g):
             if a.needs_grad:

@@ -116,6 +116,14 @@ class RunConfig:
         for style in self.grid_styles:
             if style not in ("navigate", "stitch"):
                 raise ConfigError(f"unknown grid style '{style}'")
+        for key in (k for k in _KEYS if k.startswith("grid.")):
+            # each entry names a part of its runs' directories, as in _run_cell
+            names = [f"{v:g}" if isinstance(v, float) else str(v)
+                     for v in getattr(*_field(self, key))]
+            for i, name in enumerate(names):
+                if name in names[:i]:
+                    raise ConfigError(f"{key} repeats the name '{name}': two "
+                                      f"runs would share a directory")
         return self
 
     def _follow_style(self) -> None:
@@ -274,6 +282,12 @@ def _protocol_steps(total: int) -> list[int]:
     return sorted({int(round(f * total)) for f in (0.8, 0.9, 1.0)})
 
 
+def _every(period: int, total: int) -> set[int]:
+    """The protocol steps and, if period > 0, its multiples up to total."""
+    extra = range(period, total + 1, period) if period > 0 else ()
+    return set(_protocol_steps(total)).union(extra)
+
+
 # CSV schemas: ordered {column: example of the column's type}
 _METRICS = dict.fromkeys(trainmod.METRIC_FIELDS, 0.0) | {"step": 0}
 _CELL = {"arch": "", "hierarchical": False, "continuity_weight": 0.0,
@@ -288,10 +302,6 @@ _SUMMARY = _CELL | {"n_seeds": 0, "n_ok": 0, "success_mean": 0.0,
 
 def read_metrics_csv(text: str) -> list[dict]:
     return evalmod.table_from_csv("metrics", _METRICS, text)
-
-
-def _checkpoint_name(step: int) -> str:
-    return f"ckpt_{step:08d}.txt"
 
 
 def cmd_train(config: RunConfig, dataset: datamod.Dataset) -> dict:
@@ -311,14 +321,8 @@ def cmd_train(config: RunConfig, dataset: datamod.Dataset) -> dict:
     batch_rng = np.random.default_rng([cfg.seed, 1])
     total = cfg.total_steps
     protocol = _protocol_steps(total)
-    eval_at = set(protocol)
-    if config.eval_every > 0:
-        eval_at.update(range(config.eval_every, total + 1, config.eval_every))
-    ckpt_at = set(protocol)
-    if config.checkpoint_every > 0:
-        ckpt_at.update(range(config.checkpoint_every, total + 1,
-                             config.checkpoint_every))
-
+    eval_at = _every(config.eval_every, total)
+    ckpt_at = _every(config.checkpoint_every, total)
     manifest = {
         "command": "train",
         "config_hash": config_hash(config),
@@ -326,37 +330,24 @@ def cmd_train(config: RunConfig, dataset: datamod.Dataset) -> dict:
         "version": __version__,
         "started": time.strftime("%Y-%m-%dT%H:%M:%S"),
     }
-    reports: list[evalmod.EvalReport] = []
-    protocol_reports: list[evalmod.EvalReport] = []
 
-    def run_eval(step):
-        rng = np.random.default_rng([cfg.seed, 2, step])
-        report = evalmod.evaluate(state, spec, spec.tasks, config.eval_trials,
-                                  rng)
-        reports.append(report)
-        if step in protocol:
-            protocol_reports.append(report)
-
-    metrics_rows = []
-    error = None
+    reports, metrics_rows, error = [], [], None
     try:
-        if 0 in eval_at:
-            run_eval(0)
-        if 0 in ckpt_at:
-            write_tensors(trainmod.state_tree(state), out / _checkpoint_name(0))
-        for step in range(1, total + 1):
-            batch = datamod.sample_batch(
-                dataset, cfg.batch_size, cfg.value_goal_ratios,
-                cfg.policy_goal_ratios, cfg.discount, cfg.subgoal_steps,
-                spec.goal_radius, batch_rng)
-            state, metrics = trainmod.train_step(state, batch)
-            if step % config.metrics_every == 0 or step == total:
-                metrics_rows.append(metrics)
+        for step in range(total + 1):  # step 0 trains nothing
+            if step:
+                batch = datamod.sample_batch(
+                    dataset, cfg.batch_size, cfg.value_goal_ratios,
+                    cfg.policy_goal_ratios, cfg.discount, cfg.subgoal_steps,
+                    spec.goal_radius, batch_rng)
+                state, metrics = trainmod.train_step(state, batch)
+                if step % config.metrics_every == 0 or step == total:
+                    metrics_rows.append(metrics)
             if step in eval_at:
-                run_eval(step)
+                reports.append(evalmod.evaluate(
+                    state, spec, spec.tasks, config.eval_trials,
+                    np.random.default_rng([cfg.seed, 2, step])))
             if step in ckpt_at:
-                write_tensors(trainmod.state_tree(state),
-                              out / _checkpoint_name(step))
+                write_tensors(trainmod.state_tree(state), out / f"ckpt_{step:08d}.txt")
     except GraphError as err:
         if "non-finite" not in str(err):
             raise
@@ -368,16 +359,16 @@ def cmd_train(config: RunConfig, dataset: datamod.Dataset) -> dict:
         evalmod.table_to_csv(_METRICS, metrics_rows))
     (out / "report.csv").write_text(evalmod.report_to_csv(reports))
     manifest["finished"] = time.strftime("%Y-%m-%dT%H:%M:%S")
-    if error is None:
-        summary = {
+    if error is None:  # the last report is the protocol's last step
+        success = [r.aggregate_success for r in reports
+                   if r.checkpoint_step in protocol]
+        manifest["final_eval"] = {
             "protocol_steps": protocol,
-            "protocol_success": [r.aggregate_success for r in protocol_reports],
-            "success": float(np.mean([r.aggregate_success
-                                      for r in protocol_reports])),
-            "final_kendall": protocol_reports[-1].mean_kendall,
-            "final_alignment": protocol_reports[-1].mean_alignment,
+            "protocol_success": success,
+            "success": float(np.mean(success)),
+            "final_kendall": reports[-1].mean_kendall,
+            "final_alignment": reports[-1].mean_alignment,
         }
-        manifest["final_eval"] = summary
     else:
         manifest["error"] = error
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
@@ -435,13 +426,11 @@ def cmd_ablate(config: RunConfig, out_dir: str) -> list[dict]:
         datasets[style] = datamod.read_dataset(path)
 
     rows, runs = [], []
-    for kind in config.grid_arch_kinds:
-        for hier in config.grid_hierarchical:
-            for wc in config.grid_continuity:
-                for style in config.grid_styles:
-                    cell = _run_cell(config, kind, hier, wc, style,
-                                     datasets[style], out, runs)
-                    rows.append(cell)
+    for kind, hier, wc, style in itertools.product(
+            config.grid_arch_kinds, config.grid_hierarchical,
+            config.grid_continuity, config.grid_styles):
+        rows.append(_run_cell(config, kind, hier, wc, style, datasets[style],
+                              out, runs))
     (out / "runs.csv").write_text(evalmod.table_to_csv(_RUNS, runs))
     (out / "summary.csv").write_text(evalmod.table_to_csv(_SUMMARY, rows))
     print(f"{len(rows)} grid cells ({len(runs)} runs) written "

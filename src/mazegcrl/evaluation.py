@@ -28,7 +28,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import maze
-from .data import Trajectory
 from .maze import MazeSpec, Task
 from .training import LearnerState, policy_mean
 from .values import value
@@ -87,10 +86,10 @@ def act_batch(state: LearnerState, s: np.ndarray, g: np.ndarray) -> np.ndarray:
     s = state.normalize(np.asarray(s, dtype=np.float64))
     g = state.normalize(np.asarray(g, dtype=np.float64))
     if state.config.hierarchical:
-        w = policy_mean(state.policies.high, np.concatenate([s, g], axis=1))
-        a = policy_mean(state.policies.low, np.concatenate([s, w], axis=1))
+        w = policy_mean(state.high, np.concatenate([s, g], axis=1))
+        a = policy_mean(state.low, np.concatenate([s, w], axis=1))
     else:
-        a = policy_mean(state.policies.low, np.concatenate([s, g], axis=1))
+        a = policy_mean(state.low, np.concatenate([s, g], axis=1))
     return np.clip(a, -1.0, 1.0)
 
 
@@ -168,13 +167,12 @@ def evaluate(state: LearnerState, spec: MazeSpec, tasks: tuple[Task, ...],
                       task_kendall=kendall, task_alignment=alignment)
 
 
-def kendall_consistency(value_fn, reference: Trajectory, goal) -> float:
-    """Fraction of state pairs along the reference path ordered like time.
+def kendall_consistency(value_fn, states: np.ndarray, goal) -> float:
+    """Fraction of state pairs along a reference path ordered like time.
 
     Strict inequality only, so exact ties count against consistency; an
     empty path (start already at the goal) is vacuously consistent.
     """
-    states = reference.states
     horizon = len(states) - 1
     if horizon == 0:
         return 1.0

@@ -251,25 +251,15 @@ def shortest_cell_path(spec: MazeSpec, s: State, g: State) -> list[tuple[int, in
     return path
 
 
-def optimal_trajectory(spec: MazeSpec, task: Task):
-    """Cell-center shortest path ending exactly at the goal state.
+def optimal_trajectory(spec: MazeSpec, task: Task) -> np.ndarray:
+    """Cell-center shortest path ending exactly at the goal state, (n+1, 2).
 
-    States hop one cell at a time (the reference path for order-consistency
-    diagnostics); actions record the unit hop direction and are not meant to
-    reproduce the hops under ``step``.
+    States hop one cell at a time: the reference path for order-consistency
+    diagnostics. A start already in the goal's cell gives the goal alone.
     """
-    from .data import Trajectory
-
     cells = shortest_cell_path(spec, task.start, task.goal)
-    if len(cells) == 1:
-        return Trajectory(states=np.array([task.goal], dtype=np.float64),
-                          actions=np.zeros((0, 2), dtype=np.float64))
     states = [cell_center(spec, c) for c in cells[:-1]] + [task.goal]
-    states = np.asarray(states, dtype=np.float64)
-    deltas = np.diff(states, axis=0)
-    scale = np.maximum(np.abs(deltas).max(axis=1, keepdims=True), 1e-12)
-    actions = np.clip(deltas / scale, -1.0, 1.0)
-    return Trajectory(states=states, actions=actions)
+    return np.asarray(states, dtype=np.float64)
 
 
 def random_free_cell(spec: MazeSpec, rng: np.random.Generator) -> tuple[int, int]:

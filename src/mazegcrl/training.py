@@ -21,6 +21,9 @@ backward sweep over value + high-level + low-level loss, so the bottleneck
 receives the value and policy gradients together (the policies read it
 through ``stop_gradient`` when ``rep_grad_from_policy`` is false), then
 takes one Adam step per parameter group and smooths the target.
+``LearnerState.groups()`` is the one place that defines the groups, under
+the names the checkpoint uses: "value" (value heads and bottleneck),
+"high" (hierarchical only) and "low".
 ``step_losses`` builds the same graph and reads the row ``train_step``
 would log, without a backward sweep.
 
@@ -69,7 +72,6 @@ from .values import (  # noqa: F401  (value is re-exported as training.value)
 __all__ = [
     "TrainConfig",
     "GaussianPolicy",
-    "PolicyPair",
     "LearnerState",
     "init_learner",
     "state_tree",
@@ -176,21 +178,14 @@ def policy_mean(policy: GaussianPolicy, x: np.ndarray) -> np.ndarray:
 
 
 @dataclass
-class PolicyPair:
-    high: GaussianPolicy | None
-    low: GaussianPolicy
-
-
-@dataclass
 class LearnerState:
     config: TrainConfig
     arch: ValueArchitecture
     target_arch: ValueArchitecture
     rep: MlpParams | None
-    policies: PolicyPair
-    opt_value: AdamState
-    opt_high: AdamState | None
-    opt_low: AdamState
+    high: GaussianPolicy | None
+    low: GaussianPolicy
+    opt: dict[str, AdamState]          # keyed like ``groups()``
     norm_center: np.ndarray
     norm_scale: np.ndarray
     step: int = 0
@@ -200,12 +195,20 @@ class LearnerState:
         return ((x - self.norm_center) / self.norm_scale).astype(
             self.norm_center.dtype, copy=False)
 
+    def groups(self) -> dict[str, dict[str, np.ndarray]]:
+        """The trainable arrays of each Adam group, under checkpoint names.
 
-def _value_group(state: LearnerState) -> dict[str, np.ndarray]:
-    tree = {f"value/{k}": v for k, v in state.arch.tree().items()}
-    if state.rep is not None:
-        tree.update({f"rep/{k}": v for k, v in state.rep.tree("rep").items()})
-    return tree
+        "value" holds the value heads, then the bottleneck ``rep``; "high"
+        exists only in hierarchical mode; "low" always.
+        """
+        value = {f"value/{k}": v for k, v in self.arch.tree().items()}
+        if self.rep is not None:
+            value.update({f"rep/{k}": v for k, v in self.rep.tree("rep").items()})
+        out = {"value": value}
+        if self.high is not None:
+            out["high"] = self.high.tree("high")
+        out["low"] = self.low.tree("low")
+        return out
 
 
 def init_learner(config: TrainConfig, spec: MazeSpec,
@@ -226,7 +229,6 @@ def init_learner(config: TrainConfig, spec: MazeSpec,
     low_cond = config.rep_dim if hier else state_dim
     low = make_policy(rng, state_dim + low_cond, config.policy_hidden, action_dim,
                       dtype)
-    policies = PolicyPair(high, low)
 
     if config.normalize_inputs:
         h, w = spec.shape
@@ -237,16 +239,11 @@ def init_learner(config: TrainConfig, spec: MazeSpec,
         center = np.zeros(state_dim, dtype=dtype)
         scale = np.ones(state_dim, dtype=dtype)
 
-    state = LearnerState(
-        config=config, arch=arch, target_arch=arch.copy(), rep=rep,
-        policies=policies,
-        opt_value=AdamState.for_params({}), opt_high=None,
-        opt_low=AdamState.for_params({}),
-        norm_center=center, norm_scale=scale)
-    state.opt_value = AdamState.for_params(_value_group(state))
-    state.opt_low = AdamState.for_params(low.tree("low"))
-    if hier:
-        state.opt_high = AdamState.for_params(high.tree("high"))
+    state = LearnerState(config=config, arch=arch, target_arch=arch.copy(),
+                         rep=rep, high=high, low=low, opt={},
+                         norm_center=center, norm_scale=scale)
+    state.opt = {name: AdamState.for_params(params)
+                 for name, params in state.groups().items()}
     return state
 
 
@@ -466,7 +463,7 @@ def _graph(state: LearnerState, batch: dict) -> _Graph:
         if not config.rep_grad_from_policy:
             rep_sub = tape.stop_gradient(rep_sub)
         out["high"], params["high"] = _policy_loss(
-            tape, state.policies.high, "high",
+            tape, state.high, "high",
             tape.concat(obs, gather([tape_in["policy_goal"]])), rep_sub,
             awr_weights(adv[0], config.high_temp))
     if bc:
@@ -475,7 +472,7 @@ def _graph(state: LearnerState, batch: dict) -> _Graph:
         weights = awr_weights(adv[-1], config.low_temp)
         cond = rep_sub if hier else gather([tape_in["policy_goal"]])
     out["low"], params["low"] = _policy_loss(
-        tape, state.policies.low, "low", tape.concat(obs, cond),
+        tape, state.low, "low", tape.concat(obs, cond),
         tape.constant(batch["action"], "action"), weights)
     return _Graph(tape, out, params, info)
 
@@ -530,12 +527,9 @@ def train_step(state: LearnerState, batch: dict) -> tuple[LearnerState, dict]:
              for group, leaves in graph.params.items()}
 
     # one Adam step per group; the bottleneck's gradient sums every loss
-    if "value" in grads:
-        adam_step(_value_group(state), grads["value"], state.opt_value, config.lr)
-    if "high" in grads:
-        adam_step(state.policies.high.tree("high"), grads["high"],
-                  state.opt_high, config.lr)
-    adam_step(state.policies.low.tree("low"), grads["low"], state.opt_low, config.lr)
+    groups = state.groups()
+    for name, group_grads in grads.items():
+        adam_step(groups[name], group_grads, state.opt[name], config.lr)
 
     if config.objective != "bc":
         polyak_update(state.target_arch.tree(), state.arch.tree(),
@@ -550,21 +544,15 @@ def train_step(state: LearnerState, batch: dict) -> tuple[LearnerState, dict]:
 
 def state_tree(state: LearnerState) -> dict[str, np.ndarray]:
     """Flat named-tensor view of everything a checkpoint must restore."""
-    tree = dict(_value_group(state))
+    value, *policies = state.groups().values()
+    tree = dict(value)
     tree.update({f"target/{k}": v for k, v in state.target_arch.tree().items()})
-    tree.update(state.policies.low.tree("low"))
-    if state.policies.high is not None:
-        tree.update(state.policies.high.tree("high"))
-    for group, opt in (("opt_value", state.opt_value),
-                       ("opt_high", state.opt_high),
-                       ("opt_low", state.opt_low)):
-        if opt is None:
-            continue
-        for k, v in opt.mean.items():
-            tree[f"{group}/m/{k}"] = v
-        for k, v in opt.var.items():
-            tree[f"{group}/v/{k}"] = v
-        tree[f"{group}/count"] = np.array(float(opt.count))
+    for params in reversed(policies):  # low, then high
+        tree.update(params)
+    for name, opt in state.opt.items():
+        tree.update({f"opt_{name}/m/{k}": v for k, v in opt.mean.items()})
+        tree.update({f"opt_{name}/v/{k}": v for k, v in opt.var.items()})
+        tree[f"opt_{name}/count"] = np.array(float(opt.count))
     tree["norm/center"] = state.norm_center
     tree["norm/scale"] = state.norm_scale
     tree["step"] = np.array(float(state.step))
@@ -592,9 +580,7 @@ def load_state_tree(state: LearnerState, tree: dict[str, np.ndarray]) -> Learner
         if not np.isfinite(src).all():
             raise GraphError(f"checkpoint tensor '{name}' is non-finite")
         arr[...] = src  # counters are synthesized views; restored for real below
-    state.opt_value.count = int(tree["opt_value/count"])
-    state.opt_low.count = int(tree["opt_low/count"])
-    if state.opt_high is not None:
-        state.opt_high.count = int(tree["opt_high/count"])
+    for name, opt in state.opt.items():
+        opt.count = int(tree[f"opt_{name}/count"])
     state.step = int(tree["step"])
     return state

@@ -26,7 +26,6 @@ from mazegcrl.training import (
     LOG_STD_MIN,
     LearnerState,
     TrainConfig,
-    _value_group,
     awr_weights,
     continuity_threshold,
     expectile_weights,
@@ -114,7 +113,7 @@ def _gaussian_logprob(tape: Tape, mean: Node, log_std: Node, target: Node) -> No
 
 def _policy_objective_high(tape: Tape, state: LearnerState, batch: dict,
                            config: TrainConfig, temperature: float):
-    if not config.hierarchical or state.policies.high is None:
+    if not config.hierarchical or state.high is None:
         raise GraphError("high_policy_loss requires hierarchical mode")
     obs = state.normalize(batch["obs"])
     goal = state.normalize(batch["policy_goal"])
@@ -125,7 +124,7 @@ def _policy_objective_high(tape: Tape, state: LearnerState, batch: dict,
     rep_l = LiftedMlp(tape, state.rep, trainable=config.rep_grad_from_policy,
                       name="rep")
     target = rep_l(tape.constant(sub, "subgoal"))
-    pol = state.policies.high
+    pol = state.high
     net = LiftedMlp(tape, pol.net, name="high.net")
     log_std = tape.leaf(pol.log_std, "high.log_std")
     mean = net(tape.concat(tape.constant(obs), tape.constant(goal)))
@@ -153,7 +152,7 @@ def _policy_objective_low(tape: Tape, state: LearnerState, batch: dict,
         goal = state.normalize(batch["policy_goal"])
         w = awr_weights(_advantage(state, next_obs, obs, goal), temperature)
         cond = tape.constant(goal, "policy_goal")
-    pol = state.policies.low
+    pol = state.low
     net = LiftedMlp(tape, pol.net, name="low.net")
     log_std = tape.leaf(pol.log_std, "low.log_std")
     mean = net(tape.concat(tape.constant(obs), cond))
@@ -242,11 +241,12 @@ def train_step(state: LearnerState, batch: dict,
             if extra:
                 for name, g in extra.items():
                     value_grads[name] = value_grads[name] + g
-        adam_step(_value_group(state), value_grads, state.opt_value, config.lr)
+        adam_step(state.groups()["value"], value_grads, state.opt["value"],
+                  config.lr)
     if high_grads is not None:
-        adam_step(state.policies.high.tree("high"), high_grads,
-                  state.opt_high, config.lr)
-    adam_step(state.policies.low.tree("low"), low_grads, state.opt_low, config.lr)
+        adam_step(state.high.tree("high"), high_grads,
+                  state.opt["high"], config.lr)
+    adam_step(state.low.tree("low"), low_grads, state.opt["low"], config.lr)
 
     if config.objective != "bc":
         polyak_update(state.target_arch.tree(), state.arch.tree(),

@@ -83,6 +83,18 @@ def test_cross_tape_rejected():
         t1.add(a, b)
 
 
+@pytest.mark.parametrize("op", ["add", "sub", "mul"])
+def test_elementwise_errors_name_the_op(op):
+    t1, t2 = Tape(), Tape()
+    a, b = t1.leaf(np.ones((2, 3))), t1.leaf(np.ones(4))
+    with pytest.raises(GraphError) as err:
+        getattr(t1, op)(a, b)
+    assert str(err.value) == f"{op}: shapes (2, 3) and (4,) do not broadcast"
+    with pytest.raises(GraphError) as err:
+        getattr(t1, op)(a, t2.leaf(np.ones(3)))
+    assert str(err.value) == f"{op}: input from a different tape"
+
+
 # ---- backward ----------------------------------------------------------------
 
 

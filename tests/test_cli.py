@@ -243,6 +243,40 @@ def test_metrics_csv_round_trip(tmp_path):
     assert all(np.isfinite(r["td_loss"]) for r in rows)
 
 
+def test_train_abort_keeps_a_loadable_checkpoint_and_parseable_logs(
+        tmp_path, monkeypatch, capsys):
+    cfg = tiny_config()
+    cmd_gen_data(cfg, tmp_path / "d.dset")
+    real, calls = T.train_step, []
+
+    def third_call_fails(state, batch):
+        calls.append(state.step)
+        if len(calls) == 3:
+            raise T.GraphError("value_loss: non-finite at training step 3")
+        return real(state, batch)
+
+    monkeypatch.setattr(T, "train_step", third_call_fails)
+    sets = [arg for s in TINY + ["run.metrics_every=1", "run.eval_every=1"]
+            for arg in ("--set", s)]
+    out = tmp_path / "run"
+    assert cli.main(["train", "--data", str(tmp_path / "d.dset"),
+                     "--out", str(out), *sets]) == 2
+    assert capsys.readouterr().err.splitlines()[0] == \
+        "numeric: value_loss: non-finite at training step 3"
+    assert calls == [0, 1, 2]
+    saved = read_tensors(out / "ckpt_abort_00000002.txt")
+    state = T.load_state_tree(
+        T.init_learner(cfg.train, maze.builtin_layout(cfg.layout)), saved)
+    assert state.step == 2
+    assert [r["step"] for r in read_metrics_csv((out / "metrics.csv").read_text())] \
+        == [1, 2]
+    reports = E.report_from_csv((out / "report.csv").read_text())
+    assert [r.checkpoint_step for r in reports] == [1, 2]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["error"] == "value_loss: non-finite at training step 3"
+    assert "final_eval" not in manifest
+
+
 def test_train_rejects_mismatched_dataset(tmp_path):
     bad = data.Dataset([data.Trajectory(np.zeros((3, 4)), np.zeros((2, 2)))])
     path = tmp_path / "bad.dset"
@@ -367,6 +401,24 @@ def test_ablate_empty_grid_exits_2_naming_the_key(tmp_path, key):
     assert r.stderr.splitlines()[0] == \
         f"config: {key} is empty: the grid has no runs", r.stderr
     assert not (tmp_path / "grid" / "runs.csv").exists()
+
+
+@pytest.mark.parametrize("key, value, name", [
+    ("grid.continuity_weights", "1,1.0000001", "1"),  # both format as wc1
+    ("grid.arch_kinds", "LAN,LAN", "LAN"),
+    ("grid.seeds", "0,0", "0"),
+])
+def test_ablate_grid_entries_sharing_a_run_directory_exit_2(tmp_path, key, value, name):
+    # the second run once overwrote the first one's files; runs.csv kept both.
+    # A tiny grid keeps the run short should the check ever be lost.
+    sets = TINY + ["grid.arch_kinds=MLP", "grid.seeds=0", "grid.styles=navigate",
+                   f"{key}={value}"]
+    r = run_cli("ablate", "--out", str(tmp_path / "grid"),
+                *[arg for s in sets for arg in ("--set", s)])
+    assert r.returncode == 2
+    assert r.stderr.splitlines()[0] == (f"config: {key} repeats the name '{name}': "
+                                        "two runs would share a directory"), r.stderr
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("key, attr", [("grid.seeds", "grid_seeds"),

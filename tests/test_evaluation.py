@@ -20,13 +20,13 @@ from tests.test_maze import corridor_spec
 def zero_policy_learner(spec, bias=(0.0, 0.0), hierarchical=False):
     cfg = TrainConfig(arch_kind="MLP", hierarchical=hierarchical)
     state = init_learner(cfg, spec)
-    pols = [state.policies.low] + ([state.policies.high] if hierarchical else [])
+    pols = [state.low] + ([state.high] if hierarchical else [])
     for pol in pols:
         for w in pol.net.weights:
             w[...] = 0.0
         for b in pol.net.biases:
             b[...] = 0.0
-    state.policies.low.net.biases[-1][...] = np.array(bias)
+    state.low.net.biases[-1][...] = np.array(bias)
     return state
 
 
@@ -55,7 +55,7 @@ def test_flat_action_conditions_on_goal_directly():
     from mazegcrl.training import policy_mean
 
     s, g = spec.tasks[1].start, spec.tasks[1].goal
-    direct = policy_mean(state.policies.low,
+    direct = policy_mean(state.low,
                          np.concatenate([state.normalize(np.array(s)),
                                          state.normalize(np.array(g))])[None])[0]
     assert act_one(state, s, g) == np.clip(direct, -1, 1).tolist()
@@ -68,9 +68,9 @@ def test_hierarchical_action_conditions_on_subgoal_representation():
 
     s, g = spec.tasks[1].start, spec.tasks[1].goal
     sn = state.normalize(np.array(s))
-    w = policy_mean(state.policies.high,
+    w = policy_mean(state.high,
                     np.concatenate([sn, state.normalize(np.array(g))])[None])[0]
-    direct = policy_mean(state.policies.low, np.concatenate([sn, w])[None])[0]
+    direct = policy_mean(state.low, np.concatenate([sn, w])[None])[0]
     assert act_one(state, s, g) == np.clip(direct, -1, 1).tolist()
 
 
@@ -254,19 +254,19 @@ def test_expert_rollout_matches_reference_when_trials_finish_apart():
 def test_kendall_strictly_increasing_value_scores_one():
     traj = path_trajectory(range(8))
     fn = lambda states, g: -(7.0 - states[:, 0])
-    assert E.kendall_consistency(fn, traj, (7.0, 0.0)) == 1.0
+    assert E.kendall_consistency(fn, traj.states, (7.0, 0.0)) == 1.0
 
 
 def test_kendall_strictly_decreasing_value_scores_zero():
     traj = path_trajectory(range(8))
     fn = lambda states, g: 3.0 * (7.0 - states[:, 0])
-    assert E.kendall_consistency(fn, traj, (7.0, 0.0)) == 0.0
+    assert E.kendall_consistency(fn, traj.states, (7.0, 0.0)) == 0.0
 
 
 def test_kendall_empty_path_is_vacuously_one():
     traj = path_trajectory(range(1))
     fn = lambda states, g: np.zeros(len(states))
-    assert E.kendall_consistency(fn, traj, (0.0, 0.0)) == 1.0
+    assert E.kendall_consistency(fn, traj.states, (0.0, 0.0)) == 1.0
 
 
 def test_kendall_matches_pair_counting_oracle():
@@ -282,7 +282,7 @@ def test_kendall_matches_pair_counting_oracle():
                 if vals[j] > vals[i]:
                     count += 1
         expected = count / (horizon * (horizon + 1) / 2)
-        assert E.kendall_consistency(fn, traj, (0, 0)) == pytest.approx(
+        assert E.kendall_consistency(fn, traj.states, (0, 0)) == pytest.approx(
             expected, abs=1e-15)
 
 
@@ -294,10 +294,10 @@ def test_kendall_invariant_under_increasing_transforms(seed, scale, shift):
     vals = rng.normal(size=7)
     traj = path_trajectory(range(7))
     base = E.kendall_consistency(
-        lambda s, g: vals[s[:, 0].astype(int)], traj, (0, 0))
+        lambda s, g: vals[s[:, 0].astype(int)], traj.states, (0, 0))
     warped = E.kendall_consistency(
         lambda s, g: np.exp(scale * vals[s[:, 0].astype(int)]) + shift,
-        traj, (0, 0))
+        traj.states, (0, 0))
     assert warped == base
 
 
@@ -308,8 +308,8 @@ def test_kendall_complement_bound():
         traj = path_trajectory(range(6))
         fn = lambda s, g, v=vals: v[s[:, 0].astype(int)]
         neg = lambda s, g, v=vals: -v[s[:, 0].astype(int)]
-        total = (E.kendall_consistency(fn, traj, (0, 0))
-                 + E.kendall_consistency(neg, traj, (0, 0)))
+        total = (E.kendall_consistency(fn, traj.states, (0, 0))
+                 + E.kendall_consistency(neg, traj.states, (0, 0)))
         assert total <= 1.0 + 1e-15
         assert total == pytest.approx(1.0)  # no ties in continuous draws
 
@@ -317,8 +317,8 @@ def test_kendall_complement_bound():
     traj = path_trajectory(range(3))
     fn = lambda s, g: tied[s[:, 0].astype(int)]
     neg = lambda s, g: -tied[s[:, 0].astype(int)]
-    assert (E.kendall_consistency(fn, traj, (0, 0))
-            + E.kendall_consistency(neg, traj, (0, 0))) < 1.0
+    assert (E.kendall_consistency(fn, traj.states, (0, 0))
+            + E.kendall_consistency(neg, traj.states, (0, 0))) < 1.0
 
 
 # ---- landscapes ---------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Maze layouts, clipped point-mass dynamics, and the BFS distance oracle."""
 
+import ast
 import heapq
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -288,30 +290,45 @@ def test_next_cell_and_shortest_path_all_pairs(name):
 def test_optimal_trajectory_degenerate_task():
     spec = builtin_layout("medium")
     g = spec.tasks[0].start
-    traj = maze.optimal_trajectory(spec, Task(g, g))
-    assert traj.length == 0
-    assert traj.states.shape == (1, 2)
+    states = maze.optimal_trajectory(spec, Task(g, g))
+    assert len(states) - 1 == 0
+    assert states.shape == (1, 2)
 
 
 def test_optimal_trajectory_corridor_length():
     spec = corridor_spec(6)
     task = Task((1.5, 1.5), (6.5, 1.5))
-    traj = maze.optimal_trajectory(spec, task)
-    assert traj.length == maze.bfs_distance(spec, task.start, task.goal) == 5
+    states = maze.optimal_trajectory(spec, task)
+    assert len(states) - 1 == maze.bfs_distance(spec, task.start, task.goal) == 5
 
 
 @pytest.mark.parametrize("name", maze.LAYOUT_NAMES)
 def test_optimal_trajectory_valid_and_monotone(name):
     spec = builtin_layout(name)
     for task in spec.tasks:
-        traj = maze.optimal_trajectory(spec, task)
-        assert traj.length == maze.bfs_distance(spec, task.start, task.goal)
-        cells = [maze.cell_of(spec, tuple(s)) for s in traj.states]
+        states = maze.optimal_trajectory(spec, task)
+        assert len(states) - 1 == maze.bfs_distance(spec, task.start, task.goal)
+        cells = [maze.cell_of(spec, tuple(s)) for s in states]
         for a, b in zip(cells, cells[1:]):
             assert abs(a[0] - b[0]) + abs(a[1] - b[1]) == 1
-        dists = [maze.bfs_distance(spec, tuple(s), task.goal) for s in traj.states]
+        dists = [maze.bfs_distance(spec, tuple(s), task.goal) for s in states]
         assert all(x > y for x, y in zip(dists, dists[1:]))
         assert dists[-1] == 0
+
+
+def test_maze_imports_no_other_package_module():
+    # maze is the bottom layer: data, training and evaluation import it, so an
+    # import the other way, even one inside a function, is a cycle
+    tree = ast.parse(Path(maze.__file__).read_text())
+    own = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level or (node.module or "").split(".")[0] == "mazegcrl":
+                own.append(ast.unparse(node))
+        elif isinstance(node, ast.Import):
+            own += [alias.name for alias in node.names
+                    if alias.name.split(".")[0] == "mazegcrl"]
+    assert own == []
 
 
 # ---- grid text ------------------------------------------------------------------

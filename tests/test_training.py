@@ -232,7 +232,7 @@ def test_low_policy_loss_zero_residual_gaussian_nll():
     cfg = TrainConfig(arch_kind="MLP", hierarchical=False, normalize_inputs=False,
                       dtype="float64")
     state = init_learner(cfg, spec)
-    low = state.policies.low
+    low = state.low
     for w in low.net.weights:
         w[...] = 0.0
     for b in low.net.biases:
@@ -279,9 +279,9 @@ def test_policy_losses_match_per_sample_oracle():
     losses = []
     for i in range(48):
         target = mlp_apply(state.rep, sub[i][None])[0]
-        mean = mlp_apply(state.policies.high.net,
+        mean = mlp_apply(state.high.net,
                          np.concatenate([obs[i], goal[i]])[None])[0]
-        losses.append(w_h[i] * gaussian_nll(mean, state.policies.high.log_std,
+        losses.append(w_h[i] * gaussian_nll(mean, state.high.log_std,
                                             target))
     assert loss(state, batch, "high_policy_loss") == pytest.approx(
         np.mean(losses), rel=1e-12)
@@ -294,9 +294,9 @@ def test_policy_losses_match_per_sample_oracle():
     losses = []
     for i in range(48):
         cond = mlp_apply(state.rep, sub[i][None])[0]
-        mean = mlp_apply(state.policies.low.net,
+        mean = mlp_apply(state.low.net,
                          np.concatenate([obs[i], cond])[None])[0]
-        losses.append(w_l[i] * gaussian_nll(mean, state.policies.low.log_std,
+        losses.append(w_l[i] * gaussian_nll(mean, state.low.log_std,
                                             batch["action"][i]))
     assert loss(state, batch, "low_policy_loss") == pytest.approx(
         np.mean(losses), rel=1e-12)
@@ -525,6 +525,34 @@ def test_state_tree_round_trip(tmp_path):
     for name in t1:
         assert np.array_equal(t1[name], t2[name]), name
     assert other.step == state.step
+
+
+_FLAT_ORDER = ["value", "target", "low",
+               "opt_value/m/value", "opt_value/v/value", "opt_value",
+               "opt_low/m/low", "opt_low/v/low", "opt_low", "norm", "step"]
+
+
+@pytest.mark.parametrize("overrides, groups", [
+    ({"hierarchical": False}, _FLAT_ORDER),
+    ({"hierarchical": False, "objective": "bc"}, _FLAT_ORDER),
+    ({"hierarchical": True},
+     ["value", "rep", "target", "low", "high",
+      "opt_value/m/value", "opt_value/m/rep", "opt_value/v/value",
+      "opt_value/v/rep", "opt_value",
+      "opt_high/m/high", "opt_high/v/high", "opt_high",
+      "opt_low/m/low", "opt_low/v/low", "opt_low", "norm", "step"]),
+], ids=["flat-awr", "flat-bc", "hier"])
+def test_state_tree_key_order_is_pinned(overrides, groups):
+    # the tensor order is the checkpoint's byte order; loading reads by name,
+    # so only this pin notices a reordering
+    state = init_learner(TrainConfig(arch_kind="LAN", **overrides),
+                         maze.builtin_layout("medium"))
+    seen = []
+    for key in T.state_tree(state):
+        group = key.rpartition("/")[0] or key
+        if not seen or seen[-1] != group:
+            seen.append(group)
+    assert seen == groups
 
 
 def test_checkpoint_shape_mismatch_rejected():
