@@ -4,7 +4,12 @@ Two collection styles mirror the benchmark protocols: ``navigate`` produces
 long trajectories from a noisy expert that re-targets a random free cell on
 every arrival, ``stitch`` produces many short segments whose pairwise
 temporal span is bounded by construction, so long tasks are only solvable by
-composing segments.
+composing segments. Both run one rollout loop that inlines ``maze.step``
+and ``maze.reward`` and makes exactly these ``rng`` draws, whose order fixes
+the dataset bytes: a ``random_free_cell`` start; a ``random_free_cell`` goal
+(navigate) or one ``integers`` over the start's goal candidates (stitch);
+two ``random()`` a step, angle then radius, only when the noise scale is
+positive; on navigate a ``random_free_cell`` goal after each arrival.
 
 Goal sampling mixes four conditionals per transition (s_t in a trajectory
 s_0..s_T): the current state itself, a uniform future in-trajectory state
@@ -33,7 +38,6 @@ __all__ = [
     "VALUE_GOAL_RATIOS_DEFAULT",
     "VALUE_GOAL_RATIOS_STITCH",
     "POLICY_GOAL_RATIOS_DEFAULT",
-    "expert_action",
     "collect_navigate",
     "collect_stitch",
     "sample_goals",
@@ -128,60 +132,13 @@ class Dataset:
         return self.trajectories[0].actions.shape[1]
 
 
-# ---- expert policy -----------------------------------------------------------
-
-
-def expert_action(spec: MazeSpec, s, g, noise_scale: float,
-                  rng: np.random.Generator):
-    """Unit step toward the next shortest-path cell center, plus disk noise."""
-    cur = maze.cell_of(spec, s)
-    goal_cell = maze.cell_of(spec, g)
-    if cur == goal_cell:
-        target = g
-    else:
-        target = maze.cell_center(spec, maze.next_cell(spec, cur, goal_cell))
-    dx = target[0] - s[0]
-    dy = target[1] - s[1]
-    norm = math.hypot(dx, dy)
-    if norm > 1e-12:
-        dx /= norm
-        dy /= norm
-    else:
-        dx = dy = 0.0
-    if noise_scale > 0.0:
-        angle = rng.random() * 2.0 * math.pi
-        radius = noise_scale * math.sqrt(rng.random())
-        dx += radius * math.cos(angle)
-        dy += radius * math.sin(angle)
-    return (min(1.0, max(-1.0, dx)), min(1.0, max(-1.0, dy)))
-
-
 # ---- collection ----------------------------------------------------------------
 
 
 def collect_navigate(spec: MazeSpec, n_transitions: int, noise_scale: float,
                      seed: int) -> Dataset:
     """Long trajectories: re-target a random free cell on each arrival."""
-    if n_transitions <= 0:
-        raise ValueError("n_transitions must be positive")
-    rng = np.random.default_rng(seed)
-    trajectories = []
-    total = 0
-    while total < n_transitions:
-        s = maze.cell_center(spec, maze.random_free_cell(spec, rng))
-        goal = maze.cell_center(spec, maze.random_free_cell(spec, rng))
-        states = [s]
-        actions = []
-        for _ in range(spec.max_episode_steps):
-            a = expert_action(spec, s, goal, noise_scale, rng)
-            s = maze.step(spec, s, a)
-            states.append(s)
-            actions.append(a)
-            if maze.reward(s, goal, spec.goal_radius)[1]:
-                goal = maze.cell_center(spec, maze.random_free_cell(spec, rng))
-        trajectories.append(Trajectory(np.array(states), np.array(actions)))
-        total += len(actions)
-    return Dataset(trajectories)
+    return _collect(spec, n_transitions, noise_scale, seed, 0)
 
 
 def collect_stitch(spec: MazeSpec, n_transitions: int, segment_len: int,
@@ -192,49 +149,94 @@ def collect_stitch(spec: MazeSpec, n_transitions: int, segment_len: int,
     random start; the rollout ends on arrival, on budget exhaustion, or just
     before a step that would stretch the visited-cell span past the bound.
     """
-    if n_transitions <= 0:
-        raise ValueError("n_transitions must be positive")
     if segment_len < 2:
         raise ValueError("segment_len must be at least 2")
+    return _collect(spec, n_transitions, noise_scale, seed, segment_len)
+
+
+def _collect(spec: MazeSpec, n_transitions: int, noise_scale: float, seed: int,
+             segment_len: int) -> Dataset:
+    """Noisy-expert rollouts from cell centres: navigate when segment_len is 0.
+
+    Each step aims a unit vector at the next shortest-path cell's centre (the
+    goal's in the goal cell), adds disk noise, clamps each axis to [-1, 1]. A
+    stitch step that would stretch the span ends the segment after its draws.
+    """
+    if n_transitions <= 0:
+        raise ValueError("n_transitions must be positive")
     rng = np.random.default_rng(seed)
-    budget = 4 * segment_len
-    free = spec.free_cells()
-    candidate_cache: dict = {}
-    trajectories = []
-    total = 0
+    free, cs, step_len = spec._free_set, spec.cell_size, spec.step_length
+    arrive, draw = spec.goal_radius, rng.random
+    floor, hypot = math.floor, math.hypot
+    hops: dict = {}        # goal cell -> {cell: next shortest-path cell centre}
+    candidates: dict = {}  # stitch start cell -> goal cells within segment_len
+    trajectories, total = [], 0
     while total < n_transitions:
-        start_cell = free[int(rng.integers(len(free)))]
-        candidates = candidate_cache.get(start_cell)
-        if candidates is None:
-            dist = maze.distance_field(spec, start_cell)
-            candidates = [c for c in free if 1 <= dist[c] <= segment_len]
-            candidate_cache[start_cell] = candidates
-        goal_cell = candidates[int(rng.integers(len(candidates)))]
-        goal = maze.cell_center(spec, goal_cell)
-        s = maze.cell_center(spec, start_cell)
-        states = [s]
-        actions = []
-        visited = {start_cell}
-        span = 0
-        for _ in range(budget):
-            a = expert_action(spec, s, goal, noise_scale, rng)
-            nxt = maze.step(spec, s, a)
-            cell = maze.cell_of(spec, nxt)
-            if cell not in visited:
-                reach = max(int(maze.distance_field(spec, v)[cell]) for v in visited)
-                if max(span, reach) > segment_len:
+        cell = r, c = maze.random_free_cell(spec, rng)
+        if segment_len:
+            fields = {cell: maze.distance_field(spec, cell)}  # visited cells
+            near = candidates.get(cell)
+            if near is None:
+                near = candidates[cell] = [g for g in spec.free_cells()
+                                           if 1 <= fields[cell][g] <= segment_len]
+            goal_cell = near[int(rng.integers(len(near)))]
+            span, n_steps = 0, 4 * segment_len
+        else:
+            goal_cell = maze.random_free_cell(spec, rng)
+            fields, n_steps = None, spec.max_episode_steps
+        x, y = maze.cell_center(spec, cell)
+        gx, gy = maze.cell_center(spec, goal_cell)
+        to_goal = hops.setdefault(goal_cell, {})
+        states, actions = [(x, y)], []
+        for _ in range(n_steps):
+            cur = (r, c)
+            target = to_goal.get(cur)
+            if target is None:
+                target = to_goal[cur] = maze.cell_center(
+                    spec, maze.next_cell(spec, cur, goal_cell))
+            dx = target[0] - x
+            dy = target[1] - y
+            norm = hypot(dx, dy)
+            if norm > 1e-12:
+                dx /= norm
+                dy /= norm
+            else:
+                dx = dy = 0.0
+            if noise_scale > 0.0:
+                angle = draw() * 2.0 * math.pi
+                radius = noise_scale * math.sqrt(draw())
+                dx += radius * math.cos(angle)
+                dy += radius * math.sin(angle)
+            # min(1, max(-1, d)), NaN to -1 included
+            m = dx if dx > -1.0 else -1.0
+            ax = m if m < 1.0 else 1.0
+            m = dy if dy > -1.0 else -1.0
+            ay = m if m < 1.0 else 1.0
+            nx = x + step_len * ax  # x first, then y from the post-x position
+            col = floor(nx / cs)
+            if (r, col) in free:
+                x, c = nx, col
+            ny = y + step_len * ay
+            row = floor(ny / cs)
+            if (row, c) in free:
+                y, r = ny, row
+            if fields is not None and (r, c) not in fields:  # a new cell
+                new = (r, c)
+                span = max(span, max(f[new] for f in fields.values()))
+                if span > segment_len:
                     break
-                span = max(span, reach)
-                visited.add(cell)
-            s = nxt
-            states.append(s)
-            actions.append(a)
-            if maze.reward(s, goal, spec.goal_radius)[1]:
-                break
-        if not actions:
-            continue
-        trajectories.append(Trajectory(np.array(states), np.array(actions)))
-        total += len(actions)
+                fields[new] = maze.distance_field(spec, new)
+            states.append((x, y))
+            actions.append((ax, ay))
+            if hypot(x - gx, y - gy) <= arrive:
+                if fields is not None:
+                    break
+                goal_cell = maze.random_free_cell(spec, rng)
+                gx, gy = maze.cell_center(spec, goal_cell)
+                to_goal = hops.setdefault(goal_cell, {})
+        if actions or fields is None:  # an empty navigate rollout is an error
+            trajectories.append(Trajectory(np.array(states), np.array(actions)))
+            total += len(actions)
     return Dataset(trajectories)
 
 

@@ -77,6 +77,7 @@ class MazeSpec:
     tasks: tuple[Task, ...]
     _dist_cache: dict = field(default_factory=dict, repr=False)
     _free: tuple = field(init=False, repr=False)
+    _free_set: frozenset = field(init=False, repr=False)
 
     def __post_init__(self):
         walls = np.asarray(self.walls, dtype=bool)
@@ -88,6 +89,7 @@ class MazeSpec:
             raise MazeError(f"layout '{self.name}': outer border must be all walls")
         object.__setattr__(self, "_free",
                            tuple(map(tuple, np.argwhere(~walls).tolist())))
+        object.__setattr__(self, "_free_set", frozenset(self._free))
         if not self._free:
             raise MazeError(f"layout '{self.name}': no free cells")
         if (distance_field(self, self._free[0]) >= 0).sum() != len(self._free):
@@ -118,12 +120,7 @@ def cell_center(spec: MazeSpec, cell: tuple[int, int]) -> State:
 
 def _is_wall_at(spec: MazeSpec, x: float, y: float) -> bool:
     cs = spec.cell_size
-    r = int(math.floor(y / cs))
-    c = int(math.floor(x / cs))
-    h, w = spec.walls.shape
-    if r < 0 or r >= h or c < 0 or c >= w:
-        return True
-    return bool(spec.walls[r, c])
+    return (math.floor(y / cs), math.floor(x / cs)) not in spec._free_set
 
 
 def is_valid_state(spec: MazeSpec, s: State) -> bool:
@@ -166,8 +163,9 @@ def step_batch(spec: MazeSpec, positions: np.ndarray,
 
     Every row equals the scalar ``step`` bit for bit. ``np.fmin``/``np.fmax``
     clamp a NaN action component to -1 as Python's ``min``/``max`` do
-    (``np.clip`` would pass it through). Data collection keeps the scalar
-    ``step``: it advances one transition at a time between RNG draws.
+    (``np.clip`` would pass it through). Data collection inlines the scalar
+    ``step`` and ``reward`` in its rollout loop instead: one transition at a
+    time between the noise and arrival draws whose order fixes dataset bytes.
     """
     pos = np.asarray(positions, dtype=np.float64)
     a = np.fmin(1.0, np.fmax(-1.0, np.asarray(actions, dtype=np.float64)))
@@ -187,9 +185,7 @@ def reward(s: State, g: State, radius: float) -> tuple[float, bool]:
 
 
 def _check_free_cell(spec: MazeSpec, cell: tuple[int, int], what: str) -> None:
-    h, w = spec.walls.shape
-    r, c = cell
-    if not (0 <= r < h and 0 <= c < w) or spec.walls[r, c]:
+    if cell not in spec._free_set:
         raise MazeError(f"{what}: cell {cell} is not a free cell")
 
 
@@ -199,17 +195,18 @@ def distance_field(spec: MazeSpec, source: tuple[int, int]) -> np.ndarray:
     if cached is not None:
         return cached
     _check_free_cell(spec, source, "distance_field")
-    dist = np.full(spec.walls.shape, -1, dtype=np.int64)
-    dist[source] = 0
+    free, hops = spec._free_set, {source: 0}
     queue = deque([source])
     while queue:
-        r, c = queue.popleft()
-        d = dist[r, c] + 1
-        for dr, dc in ((-1, 0), (1, 0), (0, -1), (0, 1)):
-            n = (r + dr, c + dc)
-            if not spec.walls[n] and dist[n] < 0:
-                dist[n] = d
+        cell = queue.popleft()
+        d = hops[cell] + 1
+        r, c = cell
+        for n in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)):
+            if n in free and n not in hops:
+                hops[n] = d
                 queue.append(n)
+    dist = np.full(spec.walls.shape, -1, dtype=np.int64)
+    dist[tuple(zip(*hops))] = list(hops.values())
     spec._dist_cache[source] = dist
     return dist
 

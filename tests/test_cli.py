@@ -105,7 +105,7 @@ def test_bad_values_rejected():
     "train.continuity_weight=nan", "train.continuity_weight=inf",
     "train.high_temp=nan", "train.high_temp=inf",
     "train.low_temp=nan", "train.low_temp=inf",
-    "data.noise=nan", "data.noise=-0.5",
+    "data.noise=nan", "data.noise=inf", "data.noise=-0.5",
 ])
 def test_non_finite_or_negative_values_rejected(setting):
     with pytest.raises(ConfigError, match=setting.split("=")[0].split(".")[1]):
@@ -479,6 +479,22 @@ def run_python(*args):
 
 def run_cli(*args):
     return run_python("-m", "mazegcrl", *args)
+
+
+def test_suite_imports_the_package_pythonpath_names(tmp_path):
+    # a stub on PYTHONPATH must shadow this checkout's src, so the suite run
+    # with PYTHONPATH naming another checkout's src tests that checkout
+    stub = tmp_path / "mazegcrl" / "__init__.py"
+    stub.parent.mkdir()
+    mark = tmp_path / "imported"
+    stub.write_text(f"open({str(mark)!r}, 'w').write(__file__)\n")
+    r = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                        "--collect-only", "tests/test_text_io.py"],
+                       cwd=Path(__file__).resolve().parents[1], capture_output=True,
+                       text=True, env=dict(os.environ, PYTHONPATH=str(tmp_path)),
+                       timeout=120)
+    assert mark.exists(), r.stdout + r.stderr
+    assert mark.read_text() == str(stub)
 
 
 def test_no_module_imports_scipy():

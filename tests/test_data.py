@@ -1,5 +1,8 @@
 """Dataset collection, goal sampling, batches, and the dataset file format."""
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,11 +16,11 @@ from mazegcrl.data import (
     Trajectory,
     collect_navigate,
     collect_stitch,
-    expert_action,
     sample_batch,
     sample_goals,
 )
-from tests import oracle_io
+from tests import oracle_collect, oracle_io
+from tests.oracle_collect import expert_action
 
 
 def synthetic_trajectory(length: int) -> Trajectory:
@@ -170,6 +173,71 @@ def test_stitch_segment_len_validated():
     spec = maze.builtin_layout("medium")
     with pytest.raises(ValueError):
         collect_stitch(spec, 100, 1, 0.5, seed=0)
+
+
+# ---- collection against the per-call oracle --------------------------------------------
+
+NOISES = (0.0, 0.3, 1.3, math.inf)
+
+
+def assert_same_bytes(spec, n, noise, seed, segment_len=None):
+    if segment_len is None:
+        got = collect_navigate(spec, n, noise, seed)
+        want = oracle_collect.collect_navigate(spec, n, noise, seed)
+    else:
+        got = collect_stitch(spec, n, segment_len, noise, seed)
+        want = oracle_collect.collect_stitch(spec, n, segment_len, noise, seed)
+    same = data.dataset_to_text(got) == data.dataset_to_text(want)  # no text diff
+    assert same, (spec.name, n, noise, seed, segment_len)
+
+
+@pytest.mark.parametrize("name", maze.LAYOUT_NAMES)
+def test_navigate_bytes_equal_the_oracle(name):
+    spec = maze.builtin_layout(name)
+    for noise, seed in itertools.product(NOISES, range(3)):
+        assert_same_bytes(spec, 300, noise, seed)
+
+
+@pytest.mark.parametrize("name", maze.LAYOUT_NAMES)
+def test_stitch_bytes_equal_the_oracle(name):
+    spec = maze.builtin_layout(name)
+    for noise, seed, length in itertools.product(NOISES, range(3), (2, 3, 8, 20)):
+        assert_same_bytes(spec, 150, noise, seed, length)
+
+
+def test_collection_bytes_equal_the_oracle_at_other_cell_sizes():
+    from tests.test_maze import corridor_spec
+
+    big = maze.MazeSpec("medium3", maze.builtin_layout("medium").walls, 3.0, 60,
+                        1.5, ())
+    for spec, noise in itertools.product((corridor_spec(6, 0.5), big), NOISES):
+        assert_same_bytes(spec, 300, noise, 4)
+        for length in (2, 3, 8):
+            assert_same_bytes(spec, 200, noise, 4, length)
+
+
+def test_nan_action_components_clamp_to_minus_one(monkeypatch):
+    # every fifth random() is exactly 0.0, so at infinite noise a radius or a
+    # sine term is 0 * inf: NaN, which min(1, max(-1, nan)) turns into -1
+    default_rng = np.random.default_rng
+
+    class ZeroingRng:
+        def __init__(self, seed):
+            self.rng, self.calls = default_rng(seed), 0
+
+        def integers(self, *args):
+            return self.rng.integers(*args)
+
+        def random(self):
+            self.calls += 1
+            return 0.0 if self.calls % 5 == 0 else self.rng.random()
+
+    monkeypatch.setattr(np.random, "default_rng", ZeroingRng)
+    spec = maze.builtin_layout("medium")
+    assert_same_bytes(spec, 300, math.inf, 0)
+    assert_same_bytes(spec, 200, math.inf, 0, 3)
+    actions = collect_navigate(spec, 300, math.inf, 0).trajectories[0].actions
+    assert (actions == -1.0).all(axis=1).any()
 
 
 # ---- goal sampling ----------------------------------------------------------------------

@@ -10,10 +10,11 @@ from hypothesis.extra import numpy as hnp
 from scipy import stats
 
 from mazegcrl import data, evaluation as E, maze
-from mazegcrl.data import Trajectory, expert_action
+from mazegcrl.data import Trajectory
 from mazegcrl.maze import Task, builtin_layout
 from mazegcrl.training import TrainConfig, init_learner
 from tests import oracle_eval
+from tests.oracle_collect import expert_action
 from tests.test_maze import corridor_spec
 
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from mazegcrl import maze
 from mazegcrl.maze import MazeError, MazeSpec, Task, builtin_layout
+from tests import oracle_collect
 
 
 def corridor_spec(n_cells: int, cell_size: float = 1.0) -> MazeSpec:
@@ -250,6 +251,16 @@ def test_bfs_symmetry_and_triangle():
         dab = maze.bfs_distance(spec, a, b)
         assert dab == maze.bfs_distance(spec, b, a)
         assert maze.bfs_distance(spec, a, c) <= dab + maze.bfs_distance(spec, b, c)
+
+
+@pytest.mark.parametrize("spec", [builtin_layout(n) for n in maze.LAYOUT_NAMES]
+                         + [corridor_spec(6)], ids=[*maze.LAYOUT_NAMES, "corridor"])
+def test_distance_field_equals_the_numpy_indexed_bfs(spec):
+    for source in spec.free_cells():
+        got = maze.distance_field(spec, source)
+        want = oracle_collect.distance_field(spec, source)
+        assert got is not want and got.dtype == want.dtype
+        assert got.shape == want.shape and (got == want).all(), source
 
 
 @pytest.mark.parametrize("name", maze.LAYOUT_NAMES)
