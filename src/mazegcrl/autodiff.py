@@ -10,7 +10,10 @@ general-purpose autodiff engine.
 the same names and signatures, so a forward written once against an
 ``ops`` argument runs on a tape (to be differentiated) or on arrays (read
 only, nothing recorded). The MLP layer loop is written that way once, in
-``mlp_forward``; ``mlp_apply`` and ``LiftedMlp`` call it.
+``mlp_forward``; ``mlp_apply`` and ``LiftedMlp`` call it. Each layer is one
+``dense`` primitive, x @ w + b then GELU (not on the output layer): on a
+tape one node that keeps only x @ w + b and the tanh, with the bytes of the
+matmul -> add -> GELU nodes it replaced.
 
 A tape computes in one dtype, ``Tape(dtype=np.float64)`` by default: it
 casts leaves, constants and every recorded value to it, and its backward
@@ -43,6 +46,7 @@ __all__ = [
     "adam_step",
     "polyak_update",
     "gelu_value",
+    "flatten",
 ]
 
 # tanh approximation of GELU: 0.5*x*(1 + tanh(c0*(x + c1*x^3)))
@@ -82,12 +86,21 @@ class Node:
 _GELU_K = _GELU_C0 * _GELU_C1
 
 
+def _gelu(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """GELU (tanh approximation) of ``x`` and its t = tanh(x*(c0 + c0*c1*x^2))."""
+    t = x * x
+    t *= _GELU_K
+    t += _GELU_C0
+    t *= x
+    np.tanh(t, out=t)
+    out = t + 1.0
+    out *= 0.5 * x
+    return out, t
+
+
 def gelu_value(x: np.ndarray) -> np.ndarray:
     """Forward GELU (tanh approximation), shared by tape and plain paths."""
-    t = np.tanh(x * (_GELU_C0 + _GELU_K * (x * x)))
-    t += 1.0
-    t *= 0.5 * x
-    return t
+    return _gelu(x)[0]
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -223,6 +236,40 @@ class Tape:
 
         return self._register(a.value @ b.value, "matmul", (a, b), backward)
 
+    def dense(self, x: Node, w: Node, b: Node, act: bool) -> Node:
+        """One MLP layer as one node: x @ w + b, then the tanh-GELU if ``act``."""
+        self._check_same_tape("dense", x, w, b)
+        if (x.value.ndim != 2 or w.value.ndim != 2 or x.shape[1] != w.shape[0]
+                or b.shape != w.shape[1:]):
+            raise GraphError(f"dense: incompatible shapes {x.shape} @ {w.shape} + {b.shape}")
+        pre = x.value @ w.value
+        pre += b.value
+        if act and self.validate and not np.all(np.isfinite(pre)):
+            raise GraphError(f"non-finite pre-activation at node 'dense#{len(self.nodes)}'")
+        out, t = _gelu(pre) if act else (pre, None)
+
+        def backward(g):
+            if act:  # d/dx [0.5*x*(1+t)] with t = tanh(x*(c0 + c0*c1*x^2))
+                local = t * t
+                np.subtract(1.0, local, out=local)
+                x2 = pre * pre
+                x2 *= 1.5 * _GELU_K
+                x2 += 0.5 * _GELU_C0
+                local *= x2
+                local *= pre
+                np.add(t, 1.0, out=x2)
+                x2 *= 0.5
+                local += x2
+                g = np.multiply(g, local, out=local)
+            if b.needs_grad:
+                self._accum(b, g.sum(axis=(0,)))
+            if x.needs_grad:
+                self._accum(x, g @ w.value.T)
+            if w.needs_grad:
+                self._accum(w, x.value.T @ g)
+
+        return self._register(out, "dense", (x, w, b), backward)
+
     def concat(self, a: Node, b: Node) -> Node:
         """Column-wise concatenation of two matrices."""
         self._check_same_tape("concat", a, b)
@@ -278,20 +325,6 @@ class Tape:
             self._accum(a, g.reshape(a.shape))
 
         return self._register(a.value.reshape(shape), "reshape", (a,), backward)
-
-    def gelu(self, a: Node) -> Node:
-        x = a.value
-        x2 = x * x
-        t = np.tanh(x * (_GELU_C0 + _GELU_K * x2))
-
-        def backward(g):
-            # d/dx [0.5*x*(1+t)] with t = tanh(x*(c0 + c0*c1*x^2))
-            local = (1.0 - t * t) * (0.5 * _GELU_C0 + (1.5 * _GELU_K) * x2)
-            local *= x
-            local += 0.5 * (1.0 + t)
-            self._accum(a, g * local)
-
-        return self._register(0.5 * x * (1.0 + t), "gelu", (a,), backward)
 
     def relu(self, a: Node) -> Node:
         """Positive part (x)+; subgradient 0 at the kink."""
@@ -441,14 +474,19 @@ class Tape:
 # The forward half of the Tape primitives on plain arrays: same names, same
 # signatures and the same forward arithmetic, so one function body runs on a
 # tape or on arrays and gives the same bytes. Nothing is recorded or checked.
-# ``gelu`` looks ``gelu_value`` up at call time, so wrappers of it see calls.
+# ``dense`` looks ``gelu_value`` up at call time, so wrappers of it see calls.
+def _dense_arrays(x, w, b, act):
+    pre = x @ w
+    pre += b
+    return gelu_value(pre) if act else pre
+
+
 ARRAYS = SimpleNamespace(
     constant=lambda value, name="const": value,
     add=np.add, sub=np.subtract, mul=np.multiply, neg=np.negative,
-    matmul=np.matmul, reshape=np.reshape,
+    reshape=np.reshape, dense=_dense_arrays,
     concat=lambda a, b: np.concatenate([a, b], axis=1),
     slice_cols=lambda a, start, stop: a[:, start:stop],
-    gelu=lambda a: gelu_value(a),
     relu=lambda a: np.where(a > 0.0, a, 0.0),
     sigmoid=lambda a: 1.0 / (1.0 + np.exp(-a)),
     l2norm_rows=lambda a: np.sqrt(np.einsum("ij,ij->i", a, a)),
@@ -478,9 +516,10 @@ class MlpParams:
             out[f"{prefix}.b{i}"] = b
         return out
 
-    def copy(self) -> "MlpParams":
-        return MlpParams([w.copy() for w in self.weights],
-                         [b.copy() for b in self.biases])
+    def bind(self, views) -> None:
+        """Point each array, in ``tree`` order, at the next of the iterator ``views``."""
+        for i in range(len(self.weights)):
+            self.weights[i], self.biases[i] = next(views), next(views)
 
 
 def init_mlp(rng: np.random.Generator, sizes: list[int],
@@ -508,17 +547,14 @@ def init_mlp(rng: np.random.Generator, sizes: list[int],
 
 
 def mlp_forward(ops, net, x):
-    """Affine -> GELU per hidden layer, affine output, on ``ops`` (a Tape or ARRAYS).
+    """One ``dense`` per layer, GELU on all but the last, on ``ops`` (a Tape or ARRAYS).
 
     ``net`` is an ``MlpParams`` on arrays and a ``LiftedMlp`` on a tape.
     """
-    h = x
     last = len(net.weights) - 1
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        h = ops.add(ops.matmul(h, w), b)
-        if i < last:
-            h = ops.gelu(h)
-    return h
+        x = ops.dense(x, w, b, i < last)
+    return x
 
 
 def mlp_apply(params: MlpParams, x: np.ndarray) -> np.ndarray:
@@ -551,56 +587,73 @@ class LiftedMlp:
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
+def flatten(arrays: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
+    """One contiguous copy of ``arrays``, and a view of it shaped like each."""
+    flat = np.concatenate([a.ravel() for a in arrays])
+    views, at = [], 0
+    for a in arrays:
+        views.append(flat[at:at + a.size].reshape(a.shape))
+        at += a.size
+    return flat, views
+
+
 @dataclass
 class AdamState:
-    """First/second moment accumulators plus the shared step counter."""
+    """First/second moments of one parameter group, plus the shared step counter.
 
+    ``m`` and ``v`` are flat; ``mean`` and ``var`` name a view of them per
+    parameter, in the group's order.
+    """
+
+    m: np.ndarray
+    v: np.ndarray
     mean: dict[str, np.ndarray]
     var: dict[str, np.ndarray]
     count: int = 0
 
     @classmethod
     def for_params(cls, params: dict[str, np.ndarray]) -> "AdamState":
-        return cls(mean={k: np.zeros_like(v) for k, v in params.items()},
-                   var={k: np.zeros_like(v) for k, v in params.items()})
+        zeros = [np.zeros_like(a) for a in params.values()]
+        (m, mean), (v, var) = flatten(zeros), flatten(zeros)
+        return cls(m, v, dict(zip(params, mean)), dict(zip(params, var)))
 
 
-def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
-              state: AdamState, lr: float):
-    """Bias-corrected Adam; parameter arrays are updated in place.
+def adam_step(param: np.ndarray, grad: np.ndarray, state: AdamState, lr: float):
+    """Bias-corrected Adam on one flat group; ``param`` is updated in place.
 
-    lr = 0 is admitted so a training step can be exercised as a pure
-    target-network update with every parameter frozen.
+    ``grad`` is laid out like ``param`` and ``state.m``. A non-finite
+    gradient raises, naming the first parameter (in ``state.mean``) that
+    holds one, before anything is updated. lr = 0 is admitted so a training
+    step can be exercised as a pure target-network update with every
+    parameter frozen.
     """
     if lr < 0.0:
         raise ValueError("adam_step: lr must not be negative")
-    for name, g in grads.items():
-        if not np.all(np.isfinite(g)):
-            raise GraphError(f"adam_step: non-finite gradient for '{name}'")
-        if g.shape != params[name].shape:
-            raise GraphError(f"adam_step: gradient shape mismatch for '{name}'")
+    if grad.shape != param.shape or param.shape != state.m.shape:
+        raise GraphError(f"adam_step: gradient shape mismatch, {grad.shape} "
+                         f"for {param.shape}")
+    finite = np.isfinite(grad)
+    if not finite.all():
+        ends = np.cumsum([m.size for m in state.mean.values()])
+        name = list(state.mean)[np.searchsorted(ends, finite.argmin(), side="right")]
+        raise GraphError(f"adam_step: non-finite gradient for '{name}'")
     state.count += 1
     t = state.count
     corr1 = 1.0 - ADAM_BETA1 ** t
     corr2 = 1.0 - ADAM_BETA2 ** t
-    for name, g in grads.items():
-        m = state.mean[name]
-        v = state.var[name]
-        m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
-        v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * (g * g)
-        params[name] -= lr * (m / corr1) / (np.sqrt(v / corr2) + ADAM_EPS)
-    return params, state
+    m, v = state.m, state.v
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * grad
+    v *= ADAM_BETA2
+    v += (1.0 - ADAM_BETA2) * (grad * grad)
+    param -= lr * (m / corr1) / (np.sqrt(v / corr2) + ADAM_EPS)
+    return param, state
 
 
-def polyak_update(target: dict[str, np.ndarray], online: dict[str, np.ndarray],
-                  rate: float) -> dict[str, np.ndarray]:
+def polyak_update(target: np.ndarray, online: np.ndarray, rate: float) -> np.ndarray:
     """target <- (1 - rate) * target + rate * online, elementwise, in place."""
-    for name, src in online.items():
-        dst = target[name]
-        if dst.shape != src.shape:
-            raise GraphError(f"polyak_update: shape mismatch for '{name}'")
-        dst *= 1.0 - rate
-        dst += rate * src
+    if target.shape != online.shape:
+        raise GraphError(f"polyak_update: shape mismatch {target.shape} vs {online.shape}")
+    target *= 1.0 - rate
+    target += rate * online
     return target

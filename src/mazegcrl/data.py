@@ -170,6 +170,8 @@ def _collect(spec: MazeSpec, n_transitions: int, noise_scale: float, seed: int,
     floor, hypot = math.floor, math.hypot
     hops: dict = {}        # goal cell -> {cell: next shortest-path cell centre}
     candidates: dict = {}  # stitch start cell -> goal cells within segment_len
+    free_cells = spec.free_cells()
+    free_rows, free_cols = np.array(free_cells).T
     trajectories, total = [], 0
     while total < n_transitions:
         cell = r, c = maze.random_free_cell(spec, rng)
@@ -177,8 +179,9 @@ def _collect(spec: MazeSpec, n_transitions: int, noise_scale: float, seed: int,
             fields = {cell: maze.distance_field(spec, cell)}  # visited cells
             near = candidates.get(cell)
             if near is None:
-                near = candidates[cell] = [g for g in spec.free_cells()
-                                           if 1 <= fields[cell][g] <= segment_len]
+                d = fields[cell][free_rows, free_cols]
+                near = candidates[cell] = [free_cells[i] for i in np.flatnonzero(
+                    (d >= 1) & (d <= segment_len)).tolist()]
             goal_cell = near[int(rng.integers(len(near)))]
             span, n_steps = 0, 4 * segment_len
         else:

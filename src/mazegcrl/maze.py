@@ -87,6 +87,9 @@ class MazeSpec:
         if not (walls[0].all() and walls[-1].all()
                 and walls[:, 0].all() and walls[:, -1].all()):
             raise MazeError(f"layout '{self.name}': outer border must be all walls")
+        if not self.max_episode_steps >= 1:
+            raise MazeError(f"layout '{self.name}': max_episode_steps must be at "
+                            f"least 1, got {self.max_episode_steps}")
         object.__setattr__(self, "_free",
                            tuple(map(tuple, np.argwhere(~walls).tolist())))
         object.__setattr__(self, "_free_set", frozenset(self._free))

@@ -27,6 +27,13 @@ the names the checkpoint uses: "value" (value heads and bottleneck),
 ``step_losses`` builds the same graph and reads the row ``train_step``
 would log, without a backward sweep.
 
+Each group's parameters, its Adam moments and the target heads are each
+one flat buffer (``LearnerState.buffers``, ``AdamState.m`` and ``.v``), so
+Adam runs once per group and Polyak once, on the value buffer's head prefix.
+Every parameter and moment array is a view of its buffer: never rebind
+one; write into it (``arr[...] = x``, as ``load_state_tree`` does), or the
+buffer trains on while the rebound array stays behind.
+
 Baselines fall out as configurations: (MLP, flat, continuity 0) is the
 expectile-TD flat agent, (MLP, hierarchical) its hierarchical counterpart,
 and ``objective="bc"`` is goal-conditioned behavior cloning.
@@ -41,6 +48,7 @@ stay float64; the step casts what it reads from them.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -55,6 +63,7 @@ from .autodiff import (
     Node,
     Tape,
     adam_step,
+    flatten,
     init_mlp,
     mlp_apply,
     polyak_update,
@@ -166,6 +175,11 @@ class GaussianPolicy:
         out[f"{prefix}/log_std"] = self.log_std
         return out
 
+    def bind(self, views) -> None:
+        """Point each array, in ``tree`` order, at the next of the iterator ``views``."""
+        self.net.bind(views)
+        self.log_std = next(views)
+
 
 def make_policy(rng: np.random.Generator, in_dim: int, hidden: tuple,
                 out_dim: int, dtype=np.float64) -> GaussianPolicy:
@@ -186,6 +200,7 @@ class LearnerState:
     high: GaussianPolicy | None
     low: GaussianPolicy
     opt: dict[str, AdamState]          # keyed like ``groups()``
+    buffers: dict[str, np.ndarray]     # flat parameters by group, and "target"
     norm_center: np.ndarray
     norm_scale: np.ndarray
     step: int = 0
@@ -239,9 +254,17 @@ def init_learner(config: TrainConfig, spec: MazeSpec,
         center = np.zeros(state_dim, dtype=dtype)
         scale = np.ones(state_dim, dtype=dtype)
 
-    state = LearnerState(config=config, arch=arch, target_arch=arch.copy(),
-                         rep=rep, high=high, low=low, opt={},
+    target = copy.deepcopy(arch)
+    state = LearnerState(config=config, arch=arch, target_arch=target,
+                         rep=rep, high=high, low=low, opt={}, buffers={},
                          norm_center=center, norm_scale=scale)
+    # each buffer holds its owners' tree() arrays, owner after owner
+    owners = {"value": (arch, rep), "high": (high,), "low": (low,), "target": (target,)}
+    for name, params in dict(state.groups(), target=target.tree()).items():
+        state.buffers[name], views = flatten(list(params.values()))
+        views = iter(views)
+        for owner in filter(None, owners[name]):
+            owner.bind(views)
     state.opt = {name: AdamState.for_params(params)
                  for name, params in state.groups().items()}
     return state
@@ -523,17 +546,16 @@ def train_step(state: LearnerState, batch: dict) -> tuple[LearnerState, dict]:
     for node in rest:
         total = tape.add(total, node)
     tape.backward(total)
-    grads = {group: {name: tape.grad(node) for name, node in leaves.items()}
-             for group, leaves in graph.params.items()}
 
     # one Adam step per group; the bottleneck's gradient sums every loss
-    groups = state.groups()
-    for name, group_grads in grads.items():
-        adam_step(groups[name], group_grads, state.opt[name], config.lr)
+    for name, leaves in graph.params.items():
+        opt = state.opt[name]
+        grad = np.concatenate([tape.grad(leaves[k]).ravel() for k in opt.mean])
+        adam_step(state.buffers[name], grad, opt, config.lr)
 
     if config.objective != "bc":
-        polyak_update(state.target_arch.tree(), state.arch.tree(),
-                      config.target_rate)
+        target = state.buffers["target"]
+        polyak_update(target, state.buffers["value"][:target.size], config.target_rate)
     state.step += 1
     metrics["step"] = state.step
     return state, metrics

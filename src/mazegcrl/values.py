@@ -112,14 +112,12 @@ class ValueArchitecture:
             raw_alpha=(None if self.raw_alpha is None
                        else tape.leaf(self.raw_alpha, "value.raw_alpha")))
 
-    def copy(self) -> "ValueArchitecture":
-        return ValueArchitecture(
-            kind=self.kind,
-            nets={k: v.copy() for k, v in self.nets.items()},
-            raw_alpha=None if self.raw_alpha is None else self.raw_alpha.copy(),
-            iqe_shape=self.iqe_shape,
-            mrn_sym_dim=self.mrn_sym_dim,
-        )
+    def bind(self, views) -> None:
+        """Point each array, in ``tree`` order, at the next of the iterator ``views``."""
+        for net in self.nets.values():
+            net.bind(views)
+        if self.raw_alpha is not None:
+            self.raw_alpha = next(views)
 
 
 def make_value_arch(rng: np.random.Generator, kind: str, state_dim: int,

@@ -13,14 +13,7 @@ import math
 
 import numpy as np
 
-from mazegcrl.autodiff import (
-    GraphError,
-    LiftedMlp,
-    Node,
-    Tape,
-    adam_step,
-    polyak_update,
-)
+from mazegcrl.autodiff import GraphError, LiftedMlp, Node, Tape
 from mazegcrl.training import (
     LOG_STD_MAX,
     LOG_STD_MIN,
@@ -31,6 +24,7 @@ from mazegcrl.training import (
     expectile_weights,
 )
 from mazegcrl.values import ValueArchitecture, _score, value
+from tests.oracle_layers import adam_step, polyak_update
 
 
 def tape_value(tape: Tape, lifted: ValueArchitecture, rep_l: LiftedMlp | None,

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mazegcrl.autodiff import (
+    ARRAYS,
     AdamState,
     GraphError,
     MlpParams,
@@ -14,6 +15,7 @@ from mazegcrl.autodiff import (
     mlp_apply,
     polyak_update,
 )
+from tests import oracle_layers
 from tests.finite_diff import finite_diff_grad
 
 
@@ -37,7 +39,8 @@ def test_forward_identity():
 def test_gelu_at_zero():
     tape = Tape()
     x = tape.leaf([[0.0]])
-    assert tape.gelu(x).value[0, 0] == 0.0
+    one, zero = tape.constant([[1.0]]), tape.constant([0.0])
+    assert tape.dense(x, one, zero, True).value[0, 0] == 0.0
     assert gelu_value(np.zeros(1))[0] == 0.0
 
 
@@ -160,9 +163,9 @@ def test_mlp_gradient_matches_finite_differences():
         tape = Tape()
         lifted = {k: tape.leaf(v, k) for k, v in tape_params.items()}
         h = tape.constant(x)
-        h = tape.gelu(tape.add(tape.matmul(h, lifted["net.w0"]), lifted["net.b0"]))
-        h = tape.gelu(tape.add(tape.matmul(h, lifted["net.w1"]), lifted["net.b1"]))
-        h = tape.add(tape.matmul(h, lifted["net.w2"]), lifted["net.b2"])
+        h = tape.dense(h, lifted["net.w0"], lifted["net.b0"], True)
+        h = tape.dense(h, lifted["net.w1"], lifted["net.b1"], True)
+        h = tape.dense(h, lifted["net.w2"], lifted["net.b2"], False)
         out = tape.reduce_sum(h)
         return tape, lifted, out
 
@@ -186,7 +189,8 @@ OPS = [
     ("matmul", lambda t, a, b: t.matmul(a, b), 2),
     ("concat", lambda t, a, b: t.concat(a, b), 2),
     ("neg", lambda t, a: t.neg(a), 1),
-    ("gelu", lambda t, a: t.gelu(a), 1),
+    ("gelu", lambda t, a: t.dense(a, t.constant(np.eye(4)), t.constant(np.zeros(4)),
+                                  True), 1),
     ("relu", lambda t, a: t.relu(a), 1),
     ("square", lambda t, a: t.square(a), 1),
     ("exp", lambda t, a: t.exp(a), 1),
@@ -246,6 +250,107 @@ def test_broadcast_add_gradient():
     fd_b = finite_diff_grad(lambda v: float(((a0 + v) ** 2).sum()), b0)
     assert rel_err(tape.grad(b), fd_b) < 1e-4
     assert tape.grad(b).shape == (3,)
+
+
+# ---- dense layer ---------------------------------------------------------------
+
+
+def _dense_case(dtype, seed=9):
+    rng = np.random.default_rng(seed)
+    x = (rng.normal(size=(37, 5)) * 2.0).astype(dtype)
+    w = rng.normal(size=(5, 6)).astype(dtype)
+    b = rng.normal(size=6).astype(dtype)
+    seed_grad = rng.normal(size=(37, 6)).astype(dtype)
+    return x, w, b, seed_grad
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("act", [True, False])
+@pytest.mark.parametrize("x_leaf", [True, False])
+def test_dense_equals_the_matmul_add_gelu_chain_bitwise(dtype, act, x_leaf):
+    x0, w0, b0, seed = _dense_case(dtype)
+    runs = []
+    for fused in (True, False):
+        tape = Tape(dtype=dtype)
+        x = tape.leaf(x0, "x") if x_leaf else tape.constant(x0, "x")
+        w, b = tape.leaf(w0, "w"), tape.leaf(b0, "b")
+        if fused:
+            y = tape.dense(x, w, b, act)
+            assert len(tape.nodes) == 4
+        else:
+            y = tape.add(tape.matmul(x, w), b)
+            y = oracle_layers.tape_gelu(tape, y) if act else y
+        value = y.value.copy()
+        tape.backward(y, seed)
+        runs.append([value] + [tape.grad(n) for n in (x, w, b)])
+    for new, old in zip(*runs):
+        assert new.dtype == old.dtype == dtype
+        assert new.tobytes() == old.tobytes()
+    if not x_leaf:
+        assert not runs[0][1].any()
+    plain = ARRAYS.dense(x0, w0, b0, act)
+    assert plain.tobytes() == runs[0][0].tobytes()
+    chain = np.add(np.matmul(x0, w0), b0)
+    assert plain.tobytes() == (oracle_layers.gelu_value(chain) if act else chain).tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gelu_value_equals_the_oracle_and_keeps_its_input(dtype):
+    x = (np.random.default_rng(2).normal(size=(64, 33)) * 3.0).astype(dtype)
+    before = x.copy()
+    out = gelu_value(x)
+    assert out.dtype == dtype and out.tobytes() == oracle_layers.gelu_value(x).tobytes()
+    assert x.tobytes() == before.tobytes()
+
+
+@pytest.mark.parametrize("act", [True, False])
+def test_dense_gradients_match_finite_differences(act):
+    x0, w0, b0, seed = _dense_case(np.float64, seed=3)
+    x0, seed = x0[:4], seed[:4]
+
+    def run(x_val, w_val, b_val):
+        tape = Tape()
+        nodes = [tape.leaf(v) for v in (x_val, w_val, b_val)]
+        out = tape.reduce_sum(tape.mul(tape.dense(*nodes, act), tape.constant(seed)))
+        return tape, nodes, out
+
+    tape, nodes, out = run(x0, w0, b0)
+    tape.backward(out)
+    args = [x0, w0, b0]
+    for i, node in enumerate(nodes):
+        def fn(v, i=i):
+            probe = list(args)
+            probe[i] = v
+            return float(run(*probe)[2].value)
+
+        assert rel_err(tape.grad(node), finite_diff_grad(fn, args[i])) < 1e-4, i
+
+
+def test_dense_rejects_a_non_finite_pre_activation_under_validate():
+    tape = Tape(validate=True)
+    x = tape.leaf([[1e300, 1.0]])
+    w, b = tape.leaf([[1e300], [0.0]]), tape.leaf([0.0])
+    with np.errstate(over="ignore"):
+        with pytest.raises(GraphError, match="non-finite pre-activation at node 'dense#3'"):
+            tape.dense(x, w, b, True)
+        with pytest.raises(GraphError, match="non-finite output at node 'dense#3'"):
+            tape.dense(x, w, b, False)
+    tape = Tape()
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = tape.dense(tape.leaf([[1e300, 1.0]]), tape.leaf([[1e300], [0.0]]),
+                         tape.leaf([0.0]), True)
+    assert not np.isfinite(out.value).all()  # only validate checks intermediates
+
+
+def test_dense_rejects_bad_shapes():
+    tape = Tape()
+    x, w = tape.leaf(np.ones((2, 3))), tape.leaf(np.ones((3, 4)))
+    with pytest.raises(GraphError, match="dense: incompatible shapes"):
+        tape.dense(x, tape.leaf(np.ones((4, 3))), tape.leaf(np.ones(3)), True)
+    with pytest.raises(GraphError, match="dense: incompatible shapes"):
+        tape.dense(x, w, tape.leaf(np.ones(3)), True)
+    with pytest.raises(GraphError, match="different tape"):
+        tape.dense(x, w, Tape().leaf(np.ones(4)), True)
 
 
 # ---- GELU shape --------------------------------------------------------------
@@ -348,18 +453,18 @@ def test_init_final_scale_shrinks_head():
 def test_adam_first_step_moves_by_lr():
     params = {"p": np.array([1.0])}
     state = AdamState.for_params(params)
-    adam_step(params, {"p": np.array([7.3])}, state, lr=1e-3)
+    adam_step(params["p"], np.array([7.3]), state, lr=1e-3)
     assert params["p"][0] == pytest.approx(1.0 - 1e-3, rel=1e-6)
     params = {"p": np.array([1.0])}
     state = AdamState.for_params(params)
-    adam_step(params, {"p": np.array([-0.02])}, state, lr=1e-3)
+    adam_step(params["p"], np.array([-0.02]), state, lr=1e-3)
     assert params["p"][0] == pytest.approx(1.0 + 1e-3, rel=1e-6)
 
 
 def test_adam_zero_gradient_leaves_params_unchanged():
     params = {"p": np.array([0.25, -1.0])}
     state = AdamState.for_params(params)
-    adam_step(params, {"p": np.zeros(2)}, state, lr=0.5)
+    adam_step(params["p"], np.zeros(2), state, lr=0.5)
     assert np.array_equal(params["p"], [0.25, -1.0])
 
 
@@ -370,7 +475,7 @@ def test_adam_three_step_trace_on_quadratic():
     state = AdamState.for_params(params)
     for step_target in expected:
         g = 2.0 * params["x"]
-        adam_step(params, {"x": g}, state, lr=0.1)
+        adam_step(params["x"], g, state, lr=0.1)
         assert params["x"][0] == pytest.approx(step_target, abs=1e-15)
 
 
@@ -378,20 +483,73 @@ def test_adam_rejects_nonfinite_gradients():
     params = {"p": np.array([1.0])}
     state = AdamState.for_params(params)
     with pytest.raises(GraphError, match="non-finite"):
-        adam_step(params, {"p": np.array([np.nan])}, state, lr=0.1)
+        adam_step(params["p"], np.array([np.nan]), state, lr=0.1)
+
+
+@pytest.mark.parametrize("at, name", [(0, "a"), (2, "a"), (3, "b"), (6, "b"), (7, "c")])
+def test_adam_non_finite_error_names_the_parameter(at, name):
+    like = {"a": np.zeros(3), "b": np.zeros((2, 2)), "c": np.zeros(())}
+    state = AdamState.for_params(like)
+    param, grad = np.ones(8), np.zeros(8)
+    grad[at] = np.nan
+    grad[7] = np.inf  # a later non-finite entry: the first one is named
+    with pytest.raises(GraphError) as err:
+        adam_step(param, grad, state, lr=0.1)
+    assert str(err.value) == f"adam_step: non-finite gradient for '{name}'"
+    assert state.count == 0 and np.array_equal(param, np.ones(8))
+    assert not state.m.any() and not state.v.any()
+
+
+def test_adam_moments_are_one_buffer_named_like_the_params():
+    like = {"a": np.zeros(3), "b": np.zeros((2, 2)), "c": np.zeros(())}
+    state = AdamState.for_params(like)
+    assert state.m.shape == state.v.shape == (8,)
+    for moments, flat in ((state.mean, state.m), (state.var, state.v)):
+        assert list(moments) == list(like)
+        assert [m.shape for m in moments.values()] == [(3,), (2, 2), ()]
+        assert all(np.shares_memory(m, flat) for m in moments.values())
+    with pytest.raises(GraphError, match="shape mismatch"):
+        adam_step(np.zeros(8), np.zeros(7), state, lr=0.1)
+
+
+def test_adam_flat_step_equals_the_per_array_oracle_bitwise():
+    rng = np.random.default_rng(4)
+    for dtype in (np.float32, np.float64):
+        shapes = [(3, 5), (5,), (), (5, 2)]
+        arrays = {f"p{i}": rng.normal(size=s).astype(dtype) for i, s in enumerate(shapes)}
+        old = {k: v.copy() for k, v in arrays.items()}
+        flat = np.concatenate([a.ravel() for a in arrays.values()])
+        state, old_state = AdamState.for_params(arrays), AdamState.for_params(old)
+        for _ in range(4):
+            grads = {k: rng.normal(size=v.shape).astype(dtype) for k, v in old.items()}
+            adam_step(flat, np.concatenate([g.ravel() for g in grads.values()]),
+                      state, lr=3e-4)
+            oracle_layers.adam_step(old, grads, old_state, lr=3e-4)
+        assert flat.tobytes() == np.concatenate([a.ravel() for a in old.values()]).tobytes()
+        assert state.m.tobytes() == np.concatenate(
+            [m.ravel() for m in old_state.mean.values()]).tobytes()
+        target = rng.normal(size=flat.shape).astype(dtype)
+        old_target = {k: v.copy() for k, v in zip(old, np.split(target, np.cumsum(
+            [a.size for a in old.values()])[:-1]))}
+        polyak_update(target, flat, 0.005)
+        oracle_layers.polyak_update(old_target, {k: v.ravel() for k, v in old.items()},
+                                    0.005)
+        assert target.tobytes() == np.concatenate(list(old_target.values())).tobytes()
 
 
 def test_polyak_update_endpoints():
-    target = {"p": np.array([0.0])}
-    online = {"p": np.array([1.0])}
+    online = np.array([1.0])
+    target = np.array([0.0])
     polyak_update(target, online, 1.0)
-    assert target["p"][0] == 1.0
-    target = {"p": np.array([0.0])}
+    assert target[0] == 1.0
+    target = np.array([0.0])
     polyak_update(target, online, 0.0)
-    assert target["p"][0] == 0.0
-    target = {"p": np.array([0.0])}
+    assert target[0] == 0.0
+    target = np.array([0.0])
     polyak_update(target, online, 0.005)
-    assert target["p"][0] == pytest.approx(0.005, abs=1e-18)
+    assert target[0] == pytest.approx(0.005, abs=1e-18)
+    with pytest.raises(GraphError, match="shape mismatch"):
+        polyak_update(np.zeros(2), online, 0.5)
 
 
 # ---- finite differences ---------------------------------------------------------

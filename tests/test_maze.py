@@ -71,6 +71,16 @@ def test_missing_border_rejected():
         MazeSpec("open", walls, 1.0, 10, 0.5, ())
 
 
+@pytest.mark.parametrize("budget", [0, -3, float("nan")])
+def test_episode_budget_below_one_rejected(budget):
+    walls = builtin_layout("medium").walls
+    with pytest.raises(MazeError) as err:
+        MazeSpec("medium", walls, 1.0, budget, 0.5, ())
+    assert str(err.value) == ("layout 'medium': max_episode_steps must be at "
+                              f"least 1, got {budget}")
+    assert MazeSpec("medium", walls, 1.0, 1, 0.5, ()).max_episode_steps == 1
+
+
 # ---- dynamics ------------------------------------------------------------------
 
 

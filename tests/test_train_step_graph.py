@@ -13,7 +13,7 @@ from mazegcrl import autodiff, data, maze, values
 from mazegcrl import training as T
 from mazegcrl.data import sample_batch
 from mazegcrl.training import TrainConfig, init_learner, train_step
-from tests import oracle_iqe, oracle_plain, oracle_step
+from tests import oracle_iqe, oracle_layers, oracle_plain, oracle_step
 
 KIND_CONFIGS = [dict(arch_kind=kind, hierarchical=hier, continuity_weight=wc)
                 for kind in values.KINDS for hier in (False, True) for wc in (0.0, 1.0)]
@@ -168,6 +168,32 @@ def test_plain_heads_train_like_per_kind_reference_bit_for_bit(
     assert set(tree) == set(ref_tree)
     for name in tree:
         assert tree[name].tobytes() == ref_tree[name].tobytes(), name
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("overrides", CONFIGS, ids=config_id)
+def test_dense_layers_and_flat_groups_train_like_the_oracle_bit_for_bit(
+        medium, monkeypatch, overrides, dtype):
+    spec, ds = medium
+    cfg = TrainConfig(batch_size=64, seed=3, dtype=dtype, **overrides)
+    batch_list = batches(spec, ds, cfg, 12)
+
+    def run(step):
+        state = init_learner(cfg, spec)
+        if overrides.get("continuity_weight"):
+            activate_continuity(state, batch_list)
+        rows = [step(state, batch)[1] for batch in batch_list]
+        return {k: v.tobytes() for k, v in T.state_tree(state).items()}, rows
+
+    tree, rows = run(train_step)
+    oracle_layers.patch_layers(monkeypatch, autodiff)
+    ref_tree, ref_rows = run(oracle_layers.train_step)
+    assert not overrides.get("continuity_weight") or ref_rows[0]["continuity_loss"] > 0.0
+    for row, ref in zip(rows, ref_rows):
+        assert [np.float64(row[k]).tobytes() for k in ref] == [
+            np.float64(v).tobytes() for v in ref.values()]
+    assert list(tree) == list(ref_tree)
+    assert [k for k in tree if tree[k] != ref_tree[k]] == []
 
 
 @pytest.fixture

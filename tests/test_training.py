@@ -555,6 +555,62 @@ def test_state_tree_key_order_is_pinned(overrides, groups):
     assert seen == groups
 
 
+def _assert_flat_views(state):
+    """Each group, its moments and the target heads are one buffer, in tree order."""
+    groups = state.groups()
+    assert list(state.buffers) == [*groups, "target"]
+    pairs = [(params, state.buffers[name]) for name, params in groups.items()]
+    for name, params in groups.items():
+        opt = state.opt[name]
+        assert list(opt.mean) == list(opt.var) == list(params)
+        pairs += [(opt.mean, opt.m), (opt.var, opt.v)]
+    pairs.append((state.target_arch.tree(), state.buffers["target"]))
+    for arrays, flat in pairs:
+        at = 0
+        for key, arr in arrays.items():
+            assert np.shares_memory(arr, flat), key
+            assert arr.ctypes.data == flat.ctypes.data + at * flat.itemsize, key
+            at += arr.size
+        assert at == flat.size and flat.flags.c_contiguous
+    buffers = [flat for _, flat in pairs]
+    assert not any(np.shares_memory(a, b) for i, a in enumerate(buffers)
+                   for b in buffers[i + 1:])
+    value = state.buffers["value"]
+    for key, arr in state.arch.tree().items():  # the value heads lead the value buffer
+        assert arr is groups["value"][f"value/{key}"] and np.shares_memory(arr, value)
+
+
+@pytest.mark.parametrize("overrides", [
+    dict(arch_kind="LAN", hierarchical=True, continuity_weight=1.0),
+    dict(arch_kind="IQE", hierarchical=False),
+    dict(arch_kind="IQE", hierarchical=True, dtype="float64"),
+    dict(arch_kind="MLP", hierarchical=False, objective="bc"),
+], ids=["lan-hier", "iqe-flat", "iqe-hier-f64", "mlp-bc"])
+def test_every_parameter_moment_and_target_is_a_view_of_its_flat_buffer(overrides):
+    spec = maze.builtin_layout("medium")
+    cfg = TrainConfig(batch_size=32, seed=2, **overrides)
+    state = init_learner(cfg, spec)
+    _assert_flat_views(state)
+    trained = init_learner(replace(cfg, seed=7), spec)
+    ds = data.collect_navigate(spec, 500, 0.5, seed=0)
+    rng = np.random.default_rng(0)
+    for _ in range(3):
+        b = sample_batch(ds, 32, cfg.value_goal_ratios, cfg.policy_goal_ratios,
+                         cfg.discount, cfg.subgoal_steps, spec.goal_radius, rng)
+        trained, _ = train_step(trained, b)
+    T.load_state_tree(state, T.state_tree(trained))
+    _assert_flat_views(state)
+    for name, flat in trained.buffers.items():
+        assert state.buffers[name].tobytes() == flat.tobytes(), name
+    for _ in range(3):
+        b = sample_batch(ds, 32, cfg.value_goal_ratios, cfg.policy_goal_ratios,
+                         cfg.discount, cfg.subgoal_steps, spec.goal_radius, rng)
+        state, _ = train_step(state, b)
+    _assert_flat_views(state)
+    assert state.step == 6 and all(opt.count == 6 for name, opt in state.opt.items()
+                                   if name != "value" or cfg.objective != "bc")
+
+
 def test_checkpoint_shape_mismatch_rejected():
     spec = maze.builtin_layout("medium")
     state = init_learner(TrainConfig(arch_kind="LAN", hierarchical=True), spec)
