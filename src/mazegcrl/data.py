@@ -5,17 +5,19 @@ long trajectories from a noisy expert that re-targets a random free cell on
 every arrival, ``stitch`` produces many short segments whose pairwise
 temporal span is bounded by construction, so long tasks are only solvable by
 composing segments. Both run one rollout loop that inlines ``maze.step``
-and ``maze.reward`` and makes exactly these ``rng`` draws, whose order fixes
-the dataset bytes: a ``random_free_cell`` start; a ``random_free_cell`` goal
-(navigate) or one ``integers`` over the start's goal candidates (stitch);
-two ``random()`` a step, angle then radius, only when the noise scale is
-positive; on navigate a ``random_free_cell`` goal after each arrival.
+and the goal-radius arrival test and makes exactly these ``rng`` draws,
+whose order fixes the dataset bytes: a ``random_free_cell`` start; a
+``random_free_cell`` goal (navigate) or one ``integers`` over the start's
+goal candidates (stitch); two ``random()`` a step, angle then radius, only
+when the noise scale is positive; on navigate a ``random_free_cell`` goal
+after each arrival.
 
 Goal sampling mixes four conditionals per transition (s_t in a trajectory
 s_0..s_T): the current state itself, a uniform future in-trajectory state
 s_k with k ~ U{min(t, T-1), ..., T-1}, a geometric lookahead s_{min(t+k, T-1)}
 with k ~ Geom(1 - discount) on {1, 2, ...}, and a uniform state from the
-whole dataset.
+whole dataset. A goal is a position in the ``Dataset`` store of states,
+and an in-trajectory goal lies ``goal - index[i]`` steps ahead of s_t.
 """
 
 from __future__ import annotations
@@ -94,16 +96,18 @@ class Trajectory:
 
 @dataclass
 class Dataset:
-    """Trajectory list plus a flat index over every transition."""
+    """Every trajectory's states and actions in one store, each state once.
+
+    Transition i is (states[index[i]], actions[i], states[index[i] + 1]);
+    end[i] is the position of its trajectory's s_T. ``trajectories`` become
+    new views of the store; the caller's Trajectory objects are untouched.
+    """
 
     trajectories: list[Trajectory]
-    trans_traj: np.ndarray = field(init=False)    # transition -> trajectory id
-    trans_step: np.ndarray = field(init=False)    # transition -> step t
-    _all_states: np.ndarray = field(init=False)   # concatenated states
-    _all_actions: np.ndarray = field(init=False)  # concatenated actions
-    _state_offset: np.ndarray = field(init=False) # trajectory -> index of s_0
-    _action_offset: np.ndarray = field(init=False)
-    _traj_len: np.ndarray = field(init=False)
+    states: np.ndarray = field(init=False)   # each trajectory's s_0..s_T in turn
+    actions: np.ndarray = field(init=False)  # and its a_0..a_{T-1}
+    index: np.ndarray = field(init=False)    # transition -> position of s_t
+    end: np.ndarray = field(init=False)      # transition -> position of s_T
 
     def __post_init__(self):
         if not self.trajectories:
@@ -111,25 +115,28 @@ class Dataset:
         lens = np.array([t.length for t in self.trajectories], dtype=np.int64)
         if (lens == 0).any():
             raise ValueError("empty trajectory in dataset")
-        self._traj_len = lens
-        self._state_offset = np.concatenate([[0], np.cumsum(lens + 1)[:-1]])
-        self._action_offset = np.concatenate([[0], np.cumsum(lens)[:-1]])
-        self._all_states = np.concatenate([t.states for t in self.trajectories])
-        self._all_actions = np.concatenate([t.actions for t in self.trajectories])
-        self.trans_traj = np.repeat(np.arange(len(lens)), lens)
-        self.trans_step = np.concatenate([np.arange(n) for n in lens])
+        self.states = np.concatenate([t.states for t in self.trajectories])
+        self.actions = np.concatenate([t.actions for t in self.trajectories])
+        ends = np.cumsum(lens + 1) - 1
+        self.index = np.delete(np.arange(len(self.states)), ends)
+        self.end = np.repeat(ends, lens)
+        starts = (ends - lens).tolist()
+        # trajectory k's actions sit k places before its states
+        self.trajectories = [
+            Trajectory(self.states[s:e + 1], self.actions[s - k:e - k])
+            for k, (s, e) in enumerate(zip(starts, ends.tolist()))]
 
     @property
     def n_transitions(self) -> int:
-        return int(self._traj_len.sum())
+        return len(self.actions)
 
     @property
     def state_dim(self) -> int:
-        return self.trajectories[0].states.shape[1]
+        return self.states.shape[1]
 
     @property
     def action_dim(self) -> int:
-        return self.trajectories[0].actions.shape[1]
+        return self.actions.shape[1]
 
 
 # ---- collection ----------------------------------------------------------------
@@ -246,9 +253,8 @@ def _collect(spec: MazeSpec, n_transitions: int, noise_scale: float, seed: int,
 # ---- goal sampling ---------------------------------------------------------------
 
 
-def sample_goals(dataset: Dataset, traj_ids: np.ndarray, steps: np.ndarray,
-                 ratios: GoalSampleRatios, discount: float,
-                 rng: np.random.Generator):
+def sample_goals(dataset: Dataset, idx: np.ndarray, ratios: GoalSampleRatios,
+                 discount: float, rng: np.random.Generator):
     """Vectorized goal draw for a batch of transition indices.
 
     Returns (goals, sources) where sources indexes into GOAL_SOURCES.
@@ -256,37 +262,21 @@ def sample_goals(dataset: Dataset, traj_ids: np.ndarray, steps: np.ndarray,
     ratios = GoalSampleRatios(*ratios).validate()
     if not 0.0 < discount < 1.0:
         raise ValueError("discount must lie in (0, 1)")
-    n = len(traj_ids)
-    lengths = dataset._traj_len[traj_ids]          # T per element
-    offsets = dataset._state_offset[traj_ids]
+    index, end = dataset.index[idx], dataset.end[idx]
     edges = np.cumsum(ratios)
-    source = np.searchsorted(edges, rng.random(n), side="right")
+    source = np.searchsorted(edges, rng.random(len(idx)), side="right")
     source = np.minimum(source, 3)
-    state_idx = np.empty(n, dtype=np.int64)
-
-    cur = source == 0
-    state_idx[cur] = offsets[cur] + steps[cur]
-
-    traj_mask = source == 1
-    if traj_mask.any():
-        lo = np.minimum(steps[traj_mask], lengths[traj_mask] - 1)
-        width = lengths[traj_mask] - lo             # draws k in [lo, T-1]
-        k = lo + np.floor(rng.random(int(traj_mask.sum())) * width).astype(np.int64)
-        state_idx[traj_mask] = offsets[traj_mask] + k
-
-    geom_mask = source == 2
-    if geom_mask.any():
-        k = rng.geometric(1.0 - discount, size=int(geom_mask.sum()))
-        idx = np.minimum(steps[geom_mask] + k, lengths[geom_mask] - 1)
-        state_idx[geom_mask] = offsets[geom_mask] + idx
-
-    rand_mask = source == 3
-    if rand_mask.any():
-        j = rng.integers(dataset.n_transitions, size=int(rand_mask.sum()))
-        state_idx[rand_mask] = (dataset._state_offset[dataset.trans_traj[j]]
-                                + dataset.trans_step[j])
-
-    return dataset._all_states[state_idx], source
+    # an empty source draws nothing, so every branch runs unguarded
+    traj, geom, rand = source == 1, source == 2, source == 3
+    goal = index.copy()  # cur
+    lo = np.minimum(index[traj], end[traj] - 1)  # draws in [lo, end - 1]
+    goal[traj] = lo + np.floor(rng.random(int(traj.sum()))
+                               * (end[traj] - lo)).astype(np.int64)
+    k = rng.geometric(1.0 - discount, size=int(geom.sum()))
+    goal[geom] = np.minimum(index[geom] + k, end[geom] - 1)
+    goal[rand] = dataset.index[rng.integers(dataset.n_transitions,
+                                            size=int(rand.sum()))]
+    return dataset.states[goal], source
 
 
 def sample_batch(dataset: Dataset, batch_size: int,
@@ -305,26 +295,20 @@ def sample_batch(dataset: Dataset, batch_size: int,
     if subgoal_steps < 1:
         raise ValueError("subgoal_steps must be at least 1")
     idx = rng.integers(dataset.n_transitions, size=batch_size)
-    traj_ids = dataset.trans_traj[idx]
-    steps = dataset.trans_step[idx]
-    offsets = dataset._state_offset[traj_ids]
-    lengths = dataset._traj_len[traj_ids]
+    index = dataset.index[idx]
 
     # integer-array indexing copies, so no row aliases the dataset
-    obs = dataset._all_states[offsets + steps]
-    next_obs = dataset._all_states[offsets + steps + 1]
-    actions = dataset._all_actions[dataset._action_offset[traj_ids] + steps]
+    obs = dataset.states[index]
+    next_obs = dataset.states[index + 1]
+    actions = dataset.actions[idx]
 
-    value_goal, value_src = sample_goals(dataset, traj_ids, steps,
-                                         value_ratios, discount, rng)
-    policy_goal, policy_src = sample_goals(dataset, traj_ids, steps,
-                                           policy_ratios, discount, rng)
-    sub_idx = np.minimum(steps + subgoal_steps, lengths - 1)
-    subgoal = dataset._all_states[offsets + sub_idx]
-
+    value_goal, value_src = sample_goals(dataset, idx, value_ratios,
+                                         discount, rng)
+    policy_goal, _ = sample_goals(dataset, idx, policy_ratios, discount, rng)
+    subgoal = dataset.states[np.minimum(index + subgoal_steps,
+                                        dataset.end[idx] - 1)]
     j = rng.integers(dataset.n_transitions, size=batch_size)
-    rand_goal = dataset._all_states[
-        dataset._state_offset[dataset.trans_traj[j]] + dataset.trans_step[j]]
+    rand_goal = dataset.states[dataset.index[j]]
 
     dist = np.linalg.norm(obs - value_goal, axis=1)
     done = dist <= goal_radius
@@ -338,7 +322,6 @@ def sample_batch(dataset: Dataset, batch_size: int,
         "reward": rew,
         "done": done.astype(np.float64),
         "policy_goal": policy_goal,
-        "policy_goal_src": policy_src,
         "subgoal": subgoal,
         "rand_goal": rand_goal,
     }
@@ -347,23 +330,20 @@ def sample_batch(dataset: Dataset, batch_size: int,
 # ---- dataset diagnostics ------------------------------------------------------------
 
 
-def _visited_cells(spec: MazeSpec, traj: Trajectory) -> set:
-    cols = np.floor(traj.states[:, 0] / spec.cell_size).astype(int)
-    rows = np.floor(traj.states[:, 1] / spec.cell_size).astype(int)
+def _visited_cells(spec: MazeSpec, states: np.ndarray) -> set:
+    cols = np.floor(states[:, 0] / spec.cell_size).astype(int)
+    rows = np.floor(states[:, 1] / spec.cell_size).astype(int)
     return set(zip(rows.tolist(), cols.tolist()))
 
 
 def cell_coverage(dataset: Dataset, spec: MazeSpec) -> float:
     """Fraction of free cells visited by any state in the dataset."""
-    visited = set()
-    for traj in dataset.trajectories:
-        visited |= _visited_cells(spec, traj)
-    return len(visited) / len(spec.free_cells())
+    return len(_visited_cells(spec, dataset.states)) / len(spec.free_cells())
 
 
 def trajectory_span(spec: MazeSpec, traj: Trajectory) -> int:
     """Largest BFS distance between any two cells visited by one trajectory."""
-    cells = sorted(_visited_cells(spec, traj))
+    cells = sorted(_visited_cells(spec, traj.states))
     span = 0
     for i, a in enumerate(cells):
         dist = maze.distance_field(spec, a)
@@ -374,13 +354,9 @@ def trajectory_span(spec: MazeSpec, traj: Trajectory) -> int:
 
 def task_covered(dataset: Dataset, spec: MazeSpec, task: maze.Task) -> bool:
     """True if one single trajectory visits both the start and goal cells."""
-    start_cell = maze.cell_of(spec, task.start)
-    goal_cell = maze.cell_of(spec, task.goal)
-    for traj in dataset.trajectories:
-        cells = _visited_cells(spec, traj)
-        if start_cell in cells and goal_cell in cells:
-            return True
-    return False
+    cells = {maze.cell_of(spec, task.start), maze.cell_of(spec, task.goal)}
+    return any(cells <= _visited_cells(spec, traj.states)
+               for traj in dataset.trajectories)
 
 
 # ---- file format -------------------------------------------------------------------
@@ -417,7 +393,7 @@ def dataset_from_text(text: str) -> Dataset:
             raise ValueError(f"dataset ends at line {len(lines)}, before "
                              f"trajectory {i} of {n_traj}")
         marker = lines[pos].split()
-        if len(marker) != 2 or marker[0] != "T":
+        if len(marker) != 2 or marker[0] != "T" or not marker[1].isdecimal():
             raise ValueError(f"expected trajectory marker at line {pos + 1}")
         length = int(marker[1])
         pos += 1
@@ -438,6 +414,9 @@ def dataset_from_text(text: str) -> Dataset:
         states = np.vstack((pairs[:, :state_dim], flat[n_pairs:]))
         trajectories.append(Trajectory(states, pairs[:, state_dim:]))
         pos = end
+    if pos < len(lines):
+        raise ValueError(f"line {pos + 1} follows the last of the {n_traj} "
+                         f"trajectories the header declares")
     return Dataset(trajectories)
 
 

@@ -31,7 +31,6 @@ __all__ = [
     "LAYOUT_NAMES",
     "step",
     "step_batch",
-    "reward",
     "bfs_distance",
     "distance_field",
     "next_cell",
@@ -167,8 +166,8 @@ def step_batch(spec: MazeSpec, positions: np.ndarray,
     Every row equals the scalar ``step`` bit for bit. ``np.fmin``/``np.fmax``
     clamp a NaN action component to -1 as Python's ``min``/``max`` do
     (``np.clip`` would pass it through). Data collection inlines the scalar
-    ``step`` and ``reward`` in its rollout loop instead: one transition at a
-    time between the noise and arrival draws whose order fixes dataset bytes.
+    ``step`` in its rollout loop instead: one transition at a time between
+    the noise and arrival draws whose order fixes dataset bytes.
     """
     pos = np.asarray(positions, dtype=np.float64)
     a = np.fmin(1.0, np.fmax(-1.0, np.asarray(actions, dtype=np.float64)))
@@ -178,13 +177,6 @@ def step_batch(spec: MazeSpec, positions: np.ndarray,
     ny = y + spec.step_length * a[:, 1]
     ny = np.where(_walls_at(spec, nx, ny), y, ny)
     return np.stack([nx, ny], axis=1)
-
-
-def reward(s: State, g: State, radius: float) -> tuple[float, bool]:
-    """Sparse goal reward: 0 and done inside the radius, -1 otherwise."""
-    if math.hypot(s[0] - g[0], s[1] - g[1]) <= radius:
-        return 0.0, True
-    return -1.0, False
 
 
 def _check_free_cell(spec: MazeSpec, cell: tuple[int, int], what: str) -> None:

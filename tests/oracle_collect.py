@@ -5,8 +5,9 @@ Copies of ``data.expert_action``, ``data.collect_navigate``,
 verbatim except that the BFS keeps its own cache (so comparing the two never
 reads one array twice) and the stitch collector measures spans with it.
 Every expert step here goes through ``maze.cell_of``, ``maze.next_cell``,
-``maze.step`` and ``maze.reward`` one call at a time. The library's datasets
-must equal these byte for byte, and its distance fields these arrays.
+``maze.step`` and a ``math.hypot`` goal-radius test one call at a time. The
+library's datasets must equal these byte for byte, and its distance fields
+these arrays.
 """
 
 import math
@@ -88,7 +89,8 @@ def collect_navigate(spec: MazeSpec, n_transitions: int, noise_scale: float,
             s = maze.step(spec, s, a)
             states.append(s)
             actions.append(a)
-            if maze.reward(s, goal, spec.goal_radius)[1]:
+            if (math.hypot(s[0] - goal[0], s[1] - goal[1])
+                    <= spec.goal_radius):
                 goal = maze.cell_center(spec, maze.random_free_cell(spec, rng))
         trajectories.append(Trajectory(np.array(states), np.array(actions)))
         total += len(actions)
@@ -140,7 +142,8 @@ def collect_stitch(spec: MazeSpec, n_transitions: int, segment_len: int,
             s = nxt
             states.append(s)
             actions.append(a)
-            if maze.reward(s, goal, spec.goal_radius)[1]:
+            if (math.hypot(s[0] - goal[0], s[1] - goal[1])
+                    <= spec.goal_radius):
                 break
         if not actions:
             continue

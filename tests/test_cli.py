@@ -588,6 +588,23 @@ def test_short_dataset_row_exits_2_naming_the_line(tmp_path):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("text, message", [
+    ("GCRL-DSET v1 2 2 1\nT -1\n0.5 0.5\n",
+     "config: expected trajectory marker at line 2"),
+    ("GCRL-DSET v1 2 2 1\n" + "T 1\n0.5 0.5\n0.1 0.1\n2.5 2.5\n" * 2,
+     "config: line 6 follows the last of the 1 trajectories the header "
+     "declares"),
+])
+def test_bad_trajectory_count_exits_2_naming_the_line(tmp_path, capsys, text,
+                                                      message):
+    bad = tmp_path / "bad.dset"
+    bad.write_text(text)
+    assert cli.main(["train", "--data", str(bad),
+                     "--out", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err.splitlines() == [message]
+    assert not (tmp_path / "run").exists()
+
+
 def test_truncated_checkpoint_exits_2_naming_the_last_line(tmp_path):
     _gen_and_train(tmp_path, "train.steps=0")
     ckpt = tmp_path / "run" / "ckpt_00000000.txt"

@@ -19,7 +19,7 @@ from mazegcrl.data import (
     sample_batch,
     sample_goals,
 )
-from tests import oracle_collect, oracle_io
+from tests import oracle_collect, oracle_io, oracle_sample
 from tests.oracle_collect import expert_action
 
 
@@ -42,9 +42,39 @@ def test_trajectory_length_consistency_enforced():
 def test_dataset_flat_index_covers_all_transitions():
     ds = Dataset([synthetic_trajectory(3), synthetic_trajectory(5)])
     assert ds.n_transitions == 8
-    assert len(ds.trans_traj) == 8
-    pairs = set(zip(ds.trans_traj.tolist(), ds.trans_step.tolist()))
-    assert pairs == {(0, t) for t in range(3)} | {(1, t) for t in range(5)}
+    assert ds.states.shape == (10, 2) and ds.actions.shape == (8, 2)
+    assert ds.index.tolist() == [0, 1, 2, 4, 5, 6, 7, 8]
+    assert ds.end.tolist() == [3] * 3 + [9] * 5
+    # x encodes the step: s_t at index, s_{t+1} after it, s_T at end
+    assert ds.states[ds.index, 0].tolist() == [0, 1, 2, 0, 1, 2, 3, 4]
+    assert ds.states[ds.end, 0].tolist() == [3] * 3 + [5] * 5
+
+
+def test_dataset_stores_each_state_once():
+    caller = [synthetic_trajectory(n) for n in (1, 4, 1, 2)]
+    for traj in caller:
+        traj.actions[:] = np.arange(traj.length)[:, None] + 0.5
+    before = [(t.states, t.actions, t.states.copy(), t.actions.copy())
+              for t in caller]
+    ds = Dataset(list(caller))
+    for traj, (states, actions, s_copy, a_copy), view in zip(
+            caller, before, ds.trajectories):
+        assert traj.states is states and traj.actions is actions
+        assert np.array_equal(states, s_copy) and np.array_equal(actions, a_copy)
+        assert view is not traj
+        assert np.shares_memory(view.states, ds.states)
+        assert np.shares_memory(view.actions, ds.actions)
+        assert not np.shares_memory(view.states, states)
+        assert np.array_equal(view.states, states)
+        assert np.array_equal(view.actions, actions)
+    spec = maze.builtin_layout("medium")
+    for got in (collect_stitch(spec, 500, 4, 0.5, seed=0),
+                data.dataset_from_text(data.dataset_to_text(
+                    collect_navigate(spec, 500, 0.5, seed=0)))):
+        assert sum(len(t.states) for t in got.trajectories) == len(got.states)
+        for view in got.trajectories:
+            assert np.shares_memory(view.states, got.states)
+            assert np.shares_memory(view.actions, got.actions)
 
 
 def test_empty_dataset_rejected():
@@ -92,11 +122,11 @@ def test_noiseless_expert_reaches_all_canonical_goals(name):
     rng = np.random.default_rng(0)
     for task in spec.tasks:
         d = maze.bfs_distance(spec, task.start, task.goal)
-        s = task.start
+        s, (gx, gy) = task
         reached = False
         for _ in range(3 * max(d, 1)):
             s = maze.step(spec, s, expert_action(spec, s, task.goal, 0.0, rng))
-            if maze.reward(s, task.goal, spec.goal_radius)[1]:
+            if math.hypot(s[0] - gx, s[1] - gy) <= spec.goal_radius:
                 reached = True
                 break
         assert reached, f"{name}: expert failed task at distance {d}"
@@ -255,7 +285,7 @@ def test_sample_goal_cur_branch():
     ds = Dataset([synthetic_trajectory(10)])
     rng = np.random.default_rng(0)
     ts = np.array([0, 4, 9])
-    goals, src = sample_goals(ds, np.zeros(3, dtype=int), ts, (1, 0, 0, 0), 0.99, rng)
+    goals, src = sample_goals(ds, ts, (1, 0, 0, 0), 0.99, rng)
     assert [data.GOAL_SOURCES[k] for k in src] == ["cur"] * 3
     assert goals[:, 0].tolist() == ts.tolist()
 
@@ -263,8 +293,7 @@ def test_sample_goal_cur_branch():
 def test_sample_goal_geom_clips_to_last_usable_state():
     ds = Dataset([synthetic_trajectory(10)])
     rng = np.random.default_rng(0)
-    goals, src = sample_goals(ds, np.zeros(50, dtype=int), np.full(50, 9),
-                              (0, 0, 1, 0), 0.99, rng)
+    goals, src = sample_goals(ds, np.full(50, 9), (0, 0, 1, 0), 0.99, rng)
     assert [data.GOAL_SOURCES[k] for k in src] == ["geom"] * 50
     assert (goals[:, 0] == 9).all()  # index T-1, never the final state
 
@@ -274,7 +303,7 @@ def test_geometric_offset_mean_matches_distribution():
     ds = Dataset([synthetic_trajectory(20_000)])
     rng = np.random.default_rng(12)
     n = 100_000
-    goals, src = sample_goals(ds, np.zeros(n, dtype=int), np.zeros(n, dtype=int),
+    goals, src = sample_goals(ds, np.zeros(n, dtype=int),
                               GoalSampleRatios(0, 0, 1, 0), 0.99, rng)
     assert (src == 2).all()
     offsets = goals[:, 0]
@@ -287,8 +316,7 @@ def test_uniform_branch_respects_index_bounds():
     rng = np.random.default_rng(1)
     n = 20_000
     ts = rng.integers(0, 12, size=n)
-    goals, src = sample_goals(ds, np.zeros(n, dtype=int), ts,
-                              GoalSampleRatios(0, 1, 0, 0), 0.99, rng)
+    goals, src = sample_goals(ds, ts, GoalSampleRatios(0, 1, 0, 0), 0.99, rng)
     ks = goals[:, 0].astype(int)
     assert (ks >= np.minimum(ts, 11)).all()
     assert (ks <= 11).all()
@@ -300,8 +328,7 @@ def test_in_trajectory_goals_never_precede_current_state(length, t_frac, seed):
     ds = Dataset([synthetic_trajectory(length)])
     t = min(int(t_frac * length), length - 1)
     rng = np.random.default_rng(seed)
-    goals, src = sample_goals(ds, np.zeros(64, dtype=int),
-                              np.full(64, t, dtype=int),
+    goals, src = sample_goals(ds, np.full(64, t, dtype=int),
                               GoalSampleRatios(0, 0.5, 0.5, 0), 0.9, rng)
     assert (goals[:, 0].astype(int) >= t).all()
 
@@ -313,8 +340,7 @@ def test_source_tag_frequencies_match_ratios():
     n = 100_000
     idx = rng.integers(ds.n_transitions, size=n)
     ratios = GoalSampleRatios(0.2, 0.0, 0.5, 0.3)
-    _, src = sample_goals(ds, ds.trans_traj[idx], ds.trans_step[idx],
-                          ratios, 0.99, rng)
+    _, src = sample_goals(ds, idx, ratios, 0.99, rng)
     freq = np.bincount(src, minlength=4) / n
     assert np.abs(freq - np.array(ratios)).max() < 0.01
 
@@ -325,8 +351,7 @@ def test_random_goal_marginal_matches_dataset_marginal():
     rng = np.random.default_rng(5)
     n = 100_000
     idx = rng.integers(ds.n_transitions, size=n)
-    goals, _ = sample_goals(ds, ds.trans_traj[idx], ds.trans_step[idx],
-                            GoalSampleRatios(0, 0, 0, 1), 0.99, rng)
+    goals, _ = sample_goals(ds, idx, GoalSampleRatios(0, 0, 0, 1), 0.99, rng)
 
     def occupancy(points):
         rows = np.floor(points[:, 1] / spec.cell_size).astype(int)
@@ -334,8 +359,7 @@ def test_random_goal_marginal_matches_dataset_marginal():
         return np.bincount(rows * spec.shape[1] + cols,
                            minlength=spec.shape[0] * spec.shape[1])
 
-    trans_states = ds._all_states[ds._state_offset[ds.trans_traj] + ds.trans_step]
-    expected = occupancy(trans_states).astype(np.float64)
+    expected = occupancy(ds.states[ds.index]).astype(np.float64)
     got = occupancy(goals).astype(np.float64)
     keep = expected > 0
     expected = expected[keep] / expected[keep].sum() * n
@@ -369,8 +393,12 @@ def test_batch_tag_frequencies():
     b = sample_batch(ds, 100_000, (0.2, 0.3, 0.0, 0.5), (0.0, 0.5, 0.0, 0.5),
                      0.99, 5, spec.goal_radius, rng)
     vfreq = np.bincount(b["value_goal_src"], minlength=4) / 100_000
-    pfreq = np.bincount(b["policy_goal_src"], minlength=4) / 100_000
     assert np.abs(vfreq - np.array([0.2, 0.3, 0.0, 0.5])).max() < 0.01
+    assert "policy_goal_src" not in b
+    # the policy goal is the same draw over the policy ratios
+    idx = rng.integers(ds.n_transitions, size=100_000)
+    _, psrc = sample_goals(ds, idx, (0.0, 0.5, 0.0, 0.5), 0.99, rng)
+    pfreq = np.bincount(psrc, minlength=4) / 100_000
     assert np.abs(pfreq - np.array([0.0, 0.5, 0.0, 0.5])).max() < 0.01
 
 
@@ -391,6 +419,61 @@ def test_batch_reward_done_consistency():
     assert np.array_equal(b["reward"] == 0.0, b["done"] == 1.0)
     dist = np.linalg.norm(b["obs"] - b["value_goal"], axis=1)
     assert np.array_equal(b["done"] == 1.0, dist <= spec.goal_radius)
+
+
+# ---- batches against the (trajectory, step) oracle --------------------------------------
+
+RATIO_SETS = (data.VALUE_GOAL_RATIOS_DEFAULT, data.VALUE_GOAL_RATIOS_STITCH,
+              data.POLICY_GOAL_RATIOS_DEFAULT, (0.1, 0.2, 0.3, 0.4))
+
+
+def short_trajectory_dataset() -> Dataset:
+    rng = np.random.default_rng(3)
+    return Dataset([Trajectory(rng.random((n + 1, 2)), rng.random((n, 2)))
+                    for n in (1, 1, 3, 1, 7, 2, 1, 12, 1)])
+
+
+@pytest.fixture(scope="module")
+def oracle_datasets():
+    sets = {"short": short_trajectory_dataset()}
+    for name in ("medium", "giant"):
+        spec = maze.builtin_layout(name)
+        sets[f"{name}/navigate"] = collect_navigate(spec, 2000, 0.5, seed=1)
+        sets[f"{name}/stitch"] = collect_stitch(spec, 2000, 8, 0.5, seed=1)
+    return sets
+
+
+def assert_same_arrays(got: dict, want: dict, where) -> None:
+    assert list(got) == list(want), where
+    for key in want:
+        assert got[key].dtype == want[key].dtype, (where, key)
+        assert got[key].tobytes() == want[key].tobytes(), (where, key)
+
+
+@pytest.mark.parametrize("name", ["short", "medium/navigate", "medium/stitch",
+                                  "giant/navigate", "giant/stitch"])
+def test_batches_equal_the_oracle_bitwise(oracle_datasets, name):
+    ds = oracle_datasets[name]
+    old = oracle_sample.legacy(ds)
+    for seed, batch_size, (v, value_ratios) in itertools.product(
+            range(3), (1, 256), enumerate(RATIO_SETS)):
+        policy_ratios = RATIO_SETS[(v + 1) % len(RATIO_SETS)]
+        args = (value_ratios, policy_ratios, 0.95, 1 + 7 * v, 0.5)
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(3):
+            got = sample_batch(ds, batch_size, *args, rng)
+            want = oracle_sample.sample_batch(old, batch_size, *args, ref)
+            del want["policy_goal_src"]
+            assert_same_arrays(got, want, (name, seed, batch_size, v))
+        idx = rng.integers(ds.n_transitions, size=batch_size)
+        ref.integers(ds.n_transitions, size=batch_size)
+        got = sample_goals(ds, idx, value_ratios, 0.95, rng)
+        want = oracle_sample.sample_goals(old, old.trans_traj[idx],
+                                          old.trans_step[idx], value_ratios,
+                                          0.95, ref)
+        assert_same_arrays(dict(enumerate(got)), dict(enumerate(want)),
+                           (name, seed, batch_size, v))
+        assert rng.bit_generator.state == ref.bit_generator.state
 
 
 # ---- file format -----------------------------------------------------------------------
@@ -426,3 +509,19 @@ def test_dataset_row_width_checked(row, line):
     with pytest.raises(ValueError, match=f"line {line} has {len(row.split())} "
                                          f"numbers, expected 2"):
         data.dataset_from_text("\n".join(lines) + "\n")
+
+
+def test_dataset_negative_trajectory_length_rejected():
+    text = "GCRL-DSET v1 2 2 1\nT -1\n0.5 0.5\n"
+    with pytest.raises(ValueError, match="expected trajectory marker at line 2"):
+        data.dataset_from_text(text)
+
+
+def test_dataset_content_after_the_declared_trajectories_rejected():
+    one = "T 1\n0.5 0.5\n0.1 0.1\n2.5 2.5\n"
+    text = "GCRL-DSET v1 2 2 1\n" + one + one
+    with pytest.raises(ValueError, match="line 6 follows the last of the 1 "
+                                         "trajectories"):
+        data.dataset_from_text(text)
+    two = data.dataset_from_text(text.replace(" 1\n", " 2\n", 1))
+    assert two.n_transitions == 2

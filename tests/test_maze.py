@@ -172,30 +172,6 @@ def test_step_batch_clamps_nan_action_to_minus_one():
                             [5.5 + spec.step_length, 1.5]]
 
 
-# ---- reward --------------------------------------------------------------------
-
-
-def test_reward_at_goal():
-    assert maze.reward((1.0, 1.0), (1.0, 1.0), 0.5) == (0.0, True)
-
-
-def test_reward_outside_radius():
-    assert maze.reward((0.0, 0.0), (1.0, 0.0), 0.5) == (-1.0, False)
-
-
-def test_reward_boundary_inclusive():
-    assert maze.reward((0.0, 0.0), (0.5, 0.0), 0.5) == (0.0, True)
-
-
-def test_reward_done_consistency():
-    rng = np.random.default_rng(4)
-    for _ in range(200):
-        s = tuple(rng.uniform(0, 5, 2))
-        g = tuple(rng.uniform(0, 5, 2))
-        r, done = maze.reward(s, g, 0.5)
-        assert done == (r == 0.0)
-
-
 # ---- BFS oracle ----------------------------------------------------------------
 
 

@@ -1,20 +1,27 @@
-"""The quality probe script, on a few steps of one config."""
+"""The quality probe on a few steps of one config, and the byte probe."""
 
 import importlib.util
 import json
+import re
+import time
 from pathlib import Path
 
 import pytest
 
-SCRIPT = Path(__file__).resolve().parent.parent / "probe" / "run.py"
+PROBE = Path(__file__).resolve().parent.parent / "probe"
+
+
+def load(name: str):
+    spec = importlib.util.spec_from_file_location(f"probe_{name}",
+                                                  PROBE / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="module")
 def probe():
-    spec = importlib.util.spec_from_file_location("probe_run", SCRIPT)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load("run")
 
 
 def test_probe_reports_every_task_at_every_checkpoint(probe, tmp_path, capsys):
@@ -46,3 +53,28 @@ def test_probe_reports_every_task_at_every_checkpoint(probe, tmp_path, capsys):
 def test_probe_rejects_steps_off_the_first_cadence(probe, steps):
     with pytest.raises(SystemExit):
         probe.main(["--steps", steps])
+
+
+def test_byte_probe_prints_the_same_hashes_on_every_run(capsys, monkeypatch):
+    bytes_probe = load("bytes")
+    outputs = []
+    for stamp in ("2001-01-01T00:00:00", "2002-02-02T02:02:02"):
+        monkeypatch.setattr(time, "strftime", lambda fmt, stamp=stamp: stamp)
+        assert bytes_probe.main() == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    lines = outputs[0].splitlines()
+    assert all(re.fullmatch(r"[0-9a-f]{64}  \S+", line) for line in lines)
+    paths = [line.split("  ")[1] for line in lines]
+    labels = [label for label, _ in bytes_probe.commands(Path("tmp"))]
+    assert paths[:len(labels)] == [f"{label}.stdout" for label in labels]
+    runs = [f"{name}-{dtype}" for name in bytes_probe.TRAINS
+            for dtype in ("float32", "float64")]
+    for path in (["data/navigate.dset", "data/stitch.dset.manifest.json",
+                  "ablate/runs.csv", "ablate/summary.csv"]
+                 + [f"train/{run}/{name}" for run in runs
+                    for name in ("metrics.csv", "report.csv", "manifest.json",
+                                 f"ckpt_{bytes_probe.STEPS:08d}.txt")]
+                 + [f"{verb}/{run}.csv" for run in runs
+                    for verb in ("eval", "landscape")]):
+        assert path in paths
