@@ -251,7 +251,7 @@ def _dataset_manifest(config: RunConfig, spec, dataset) -> dict:
         "layout": config.layout,
         "style": config.style,
         "transitions": dataset.n_transitions,
-        "n_trajectories": len(dataset.trajectories),
+        "n_trajectories": len(dataset.lengths),
         "cell_coverage": datamod.cell_coverage(dataset, spec),
         "tasks_covered_by_single_trajectory": [
             datamod.task_covered(dataset, spec, task) for task in spec.tasks],
@@ -272,7 +272,7 @@ def cmd_gen_data(config: RunConfig, out_path: str) -> dict:
     Path(str(out_path) + ".manifest.json").write_text(
         json.dumps(info, indent=2) + "\n")
     print(f"wrote {dataset.n_transitions} transitions "
-          f"({len(dataset.trajectories)} trajectories) to {out_path}")
+          f"({len(dataset.lengths)} trajectories) to {out_path}")
     print(f"free-cell coverage: {info['cell_coverage']:.3f}")
     if "max_bfs_span" in info:
         print(f"max single-trajectory span: {info['max_bfs_span']} cells")
@@ -306,10 +306,11 @@ def read_metrics_csv(text: str) -> list[dict]:
 
 
 def cmd_train(config: RunConfig, dataset: datamod.Dataset) -> dict:
-    """Train one agent on an already-read dataset; write the run directory.
+    """Train one agent on a dataset in memory; write the run directory.
 
     The train verb passes data.read_dataset of its --data file; the ablate
-    grid passes the copy it read back from its own dataset file.
+    grid passes the store it collected, which is what reading back the
+    dataset file it wrote gives.
     """
     spec = maze.builtin_layout(config.layout)
     if dataset.state_dim != 2 or dataset.action_dim != 2:
@@ -409,9 +410,10 @@ def read_runs_csv(text: str) -> list[dict]:
 def cmd_ablate(config: RunConfig, out_dir: str) -> list[dict]:
     """Run the grid end to end: per-seed rows plus per-cell aggregates.
 
-    Each style's dataset is written once to the grid directory and read back
-    once; every cell of that style trains on the read-back copy. An empty
-    grid tuple is a ConfigError, raised before anything is written.
+    Each style's dataset is collected once and written to the grid directory
+    for the record; every cell of that style trains on the collected store,
+    never on a read-back copy (``%.17g`` text round-trips float64 exactly).
+    An empty grid tuple is a ConfigError, raised before anything is written.
     """
     for key in _KEYS:
         if key.startswith("grid.") and not getattr(*_field(config, key)):
@@ -422,9 +424,8 @@ def cmd_ablate(config: RunConfig, out_dir: str) -> list[dict]:
     datasets = {}
     for style in config.grid_styles:
         path = out / f"dataset_{config.layout}_{style}.dset"
-        datamod.write_dataset(
-            _generate_dataset(replace_style(config, style), spec), path)
-        datasets[style] = datamod.read_dataset(path)
+        datasets[style] = _generate_dataset(replace_style(config, style), spec)
+        datamod.write_dataset(datasets[style], path)
 
     rows, runs = [], []
     for kind, hier, wc, style in itertools.product(

@@ -10,7 +10,10 @@ whose order fixes the dataset bytes: a ``random_free_cell`` start; a
 ``random_free_cell`` goal (navigate) or one ``integers`` over the start's
 goal candidates (stitch); two ``random()`` a step, angle then radius, only
 when the noise scale is positive; on navigate a ``random_free_cell`` goal
-after each arrival.
+after each arrival. The rollouts append straight into the flat store that
+``Dataset`` takes (``states``, ``actions`` and per-trajectory ``lengths``),
+as ``read_dataset`` parses each file block into it; a ``Trajectory`` is a
+view of that store, built when ``Dataset.trajectories`` is read.
 
 Goal sampling mixes four conditionals per transition (s_t in a trajectory
 s_0..s_T): the current state itself, a uniform future in-trajectory state
@@ -22,9 +25,11 @@ and an in-trajectory goal lies ``goal - index[i]`` steps ahead of s_t.
 
 from __future__ import annotations
 
+import io
 import math
+from array import array
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, islice, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -96,35 +101,44 @@ class Trajectory:
 
 @dataclass
 class Dataset:
-    """Every trajectory's states and actions in one store, each state once.
+    """Every trajectory's states and actions in one flat store, each state once.
 
-    Transition i is (states[index[i]], actions[i], states[index[i] + 1]);
-    end[i] is the position of its trajectory's s_T. ``trajectories`` become
-    new views of the store; the caller's Trajectory objects are untouched.
+    ``states`` holds each trajectory's s_0..s_T in turn, ``actions`` its
+    a_0..a_{T-1} and ``lengths`` its T. Transition i is (states[index[i]],
+    actions[i], states[index[i] + 1]); end[i] is the position of its
+    trajectory's s_T. ``trajectories`` builds new views of the store on
+    every read.
     """
 
-    trajectories: list[Trajectory]
-    states: np.ndarray = field(init=False)   # each trajectory's s_0..s_T in turn
-    actions: np.ndarray = field(init=False)  # and its a_0..a_{T-1}
-    index: np.ndarray = field(init=False)    # transition -> position of s_t
-    end: np.ndarray = field(init=False)      # transition -> position of s_T
+    states: np.ndarray   # (sum(lengths) + len(lengths), state_dim)
+    actions: np.ndarray  # (sum(lengths), action_dim)
+    lengths: np.ndarray  # trajectory -> its number of transitions, each >= 1
+    index: np.ndarray = field(init=False)  # transition -> position of s_t
+    end: np.ndarray = field(init=False)    # transition -> position of s_T
 
     def __post_init__(self):
-        if not self.trajectories:
+        self.states = np.asarray(self.states, dtype=np.float64)
+        self.actions = np.asarray(self.actions, dtype=np.float64)
+        self.lengths = np.asarray(self.lengths, dtype=np.int64)
+        if not len(self.lengths):
             raise ValueError("dataset must contain at least one trajectory")
-        lens = np.array([t.length for t in self.trajectories], dtype=np.int64)
-        if (lens == 0).any():
+        if (self.lengths < 1).any():
             raise ValueError("empty trajectory in dataset")
-        self.states = np.concatenate([t.states for t in self.trajectories])
-        self.actions = np.concatenate([t.actions for t in self.trajectories])
-        ends = np.cumsum(lens + 1) - 1
+        n = int(self.lengths.sum())
+        if (self.states.ndim != 2 or self.actions.ndim != 2 or (
+                len(self.states), len(self.actions)) != (n + len(self.lengths), n)):
+            raise ValueError(f"{len(self.lengths)} trajectories of {n} transitions "
+                             f"need {n + len(self.lengths)} states and {n} actions")
+        ends = np.cumsum(self.lengths + 1) - 1
         self.index = np.delete(np.arange(len(self.states)), ends)
-        self.end = np.repeat(ends, lens)
-        starts = (ends - lens).tolist()
+        self.end = np.repeat(ends, self.lengths)
+
+    @property
+    def trajectories(self) -> list[Trajectory]:
+        ends = (np.cumsum(self.lengths + 1) - 1).tolist()
         # trajectory k's actions sit k places before its states
-        self.trajectories = [
-            Trajectory(self.states[s:e + 1], self.actions[s - k:e - k])
-            for k, (s, e) in enumerate(zip(starts, ends.tolist()))]
+        return [Trajectory(self.states[e - n:e + 1], self.actions[e - n - k:e - k])
+                for k, (n, e) in enumerate(zip(self.lengths.tolist(), ends))]
 
     @property
     def n_transitions(self) -> int:
@@ -179,7 +193,9 @@ def _collect(spec: MazeSpec, n_transitions: int, noise_scale: float, seed: int,
     candidates: dict = {}  # stitch start cell -> goal cells within segment_len
     free_cells = spec.free_cells()
     free_rows, free_cols = np.array(free_cells).T
-    trajectories, total = [], 0
+    states, actions, lengths = array("d"), array("d"), []
+    push_state, push_action = states.extend, actions.extend
+    total = 0
     while total < n_transitions:
         cell = r, c = maze.random_free_cell(spec, rng)
         if segment_len:
@@ -197,7 +213,8 @@ def _collect(spec: MazeSpec, n_transitions: int, noise_scale: float, seed: int,
         x, y = maze.cell_center(spec, cell)
         gx, gy = maze.cell_center(spec, goal_cell)
         to_goal = hops.setdefault(goal_cell, {})
-        states, actions = [(x, y)], []
+        mark = len(actions)
+        push_state((x, y))
         for _ in range(n_steps):
             cur = (r, c)
             target = to_goal.get(cur)
@@ -236,18 +253,22 @@ def _collect(spec: MazeSpec, n_transitions: int, noise_scale: float, seed: int,
                 if span > segment_len:
                     break
                 fields[new] = maze.distance_field(spec, new)
-            states.append((x, y))
-            actions.append((ax, ay))
+            push_state((x, y))
+            push_action((ax, ay))
             if hypot(x - gx, y - gy) <= arrive:
                 if fields is not None:
                     break
                 goal_cell = maze.random_free_cell(spec, rng)
                 gx, gy = maze.cell_center(spec, goal_cell)
                 to_goal = hops.setdefault(goal_cell, {})
-        if actions or fields is None:  # an empty navigate rollout is an error
-            trajectories.append(Trajectory(np.array(states), np.array(actions)))
-            total += len(actions)
-    return Dataset(trajectories)
+        n = (len(actions) - mark) // 2
+        if n or fields is None:  # an empty navigate rollout is an error
+            lengths.append(n)
+            total += n
+        else:  # a stitch segment that ended before its first step
+            del states[-2:]
+    return Dataset(np.frombuffer(states).reshape(-1, 2),
+                   np.frombuffer(actions).reshape(-1, 2), lengths)
 
 
 # ---- goal sampling ---------------------------------------------------------------
@@ -365,7 +386,7 @@ def task_covered(dataset: Dataset, spec: MazeSpec, task: maze.Task) -> bool:
 def _dataset_blocks(dataset: Dataset):
     """Header line, then one string per trajectory, each formatted in one call."""
     sd, ad = dataset.state_dim, dataset.action_dim
-    yield f"GCRL-DSET v1 {sd} {ad} {len(dataset.trajectories)}\n"
+    yield f"GCRL-DSET v1 {sd} {ad} {len(dataset.lengths)}\n"
     state_row = " ".join(["%.17g"] * sd) + "\n"
     pair_rows = state_row + " ".join(["%.17g"] * ad) + "\n"
     for traj in dataset.trajectories:
@@ -380,28 +401,46 @@ def dataset_to_text(dataset: Dataset) -> str:
     return "".join(_dataset_blocks(dataset))
 
 
-def dataset_from_text(text: str) -> Dataset:
-    lines = text.strip().split("\n")
-    head = lines[0].split()
+def _content_lines(lines):
+    """The lines of ``text.strip().split("\n")``, from the lines of a file."""
+    blank, started = 0, False
+    for line in lines:
+        if line.isspace():
+            blank += 1
+            continue
+        if blank and started:
+            yield from repeat("", blank)
+        started, blank = True, 0
+        yield line
+
+
+def _parse_dataset(lines) -> Dataset:
+    """Parse each ``T n`` block of a line stream straight into the store.
+
+    Lines are numbered from the header; one block's lines are held at a time.
+    """
+    lines = _content_lines(lines)
+    head = next(lines, "").split()
     if len(head) != 5 or head[0] != "GCRL-DSET" or head[1] != "v1":
         raise ValueError("bad dataset header")
     state_dim, action_dim, n_traj = int(head[2]), int(head[3]), int(head[4])
-    pos = 1
-    trajectories = []
+    states, actions, lengths = array("d"), array("d"), []
+    pos = 1  # lines read
     for i in range(n_traj):
-        if pos >= len(lines):
-            raise ValueError(f"dataset ends at line {len(lines)}, before "
+        line = next(lines, None)
+        if line is None:
+            raise ValueError(f"dataset ends at line {pos}, before "
                              f"trajectory {i} of {n_traj}")
-        marker = lines[pos].split()
-        if len(marker) != 2 or marker[0] != "T" or not marker[1].isdecimal():
-            raise ValueError(f"expected trajectory marker at line {pos + 1}")
-        length = int(marker[1])
         pos += 1
-        end = pos + 2 * length + 1
-        if end > len(lines):
-            raise ValueError(f"dataset ends at line {len(lines)}, inside "
+        marker = line.split()
+        if (len(marker) != 2 or marker[0] != "T" or not marker[1].isdecimal()
+                or int(marker[1]) < 1):
+            raise ValueError(f"expected trajectory marker at line {pos}")
+        length = int(marker[1])
+        rows = [row.split() for row in islice(lines, 2 * length + 1)]
+        if len(rows) < 2 * length + 1:
+            raise ValueError(f"dataset ends at line {pos + len(rows)}, inside "
                              f"trajectory {i} (marker at line {pos})")
-        rows = [line.split() for line in lines[pos:end]]
         widths = [state_dim, action_dim] * length + [state_dim]
         if list(map(len, rows)) != widths:
             k = next(k for k, (row, w) in enumerate(zip(rows, widths))
@@ -411,13 +450,23 @@ def dataset_from_text(text: str) -> Dataset:
         flat = np.array(list(map(float, chain.from_iterable(rows))))
         n_pairs = length * (state_dim + action_dim)
         pairs = flat[:n_pairs].reshape(length, state_dim + action_dim)
-        states = np.vstack((pairs[:, :state_dim], flat[n_pairs:]))
-        trajectories.append(Trajectory(states, pairs[:, state_dim:]))
-        pos = end
-    if pos < len(lines):
+        states.frombytes(pairs[:, :state_dim].tobytes())
+        states.frombytes(flat[n_pairs:].tobytes())
+        actions.frombytes(pairs[:, state_dim:].tobytes())
+        lengths.append(length)
+        pos += 2 * length + 1
+    if next(lines, None) is not None:
         raise ValueError(f"line {pos + 1} follows the last of the {n_traj} "
                          f"trajectories the header declares")
-    return Dataset(trajectories)
+    if not lengths:
+        raise ValueError("dataset must contain at least one trajectory")
+    n = sum(lengths)
+    return Dataset(np.frombuffer(states).reshape(n + len(lengths), state_dim),
+                   np.frombuffer(actions).reshape(n, action_dim), lengths)
+
+
+def dataset_from_text(text: str) -> Dataset:
+    return _parse_dataset(io.StringIO(text))
 
 
 def write_dataset(dataset: Dataset, path) -> None:
@@ -427,4 +476,4 @@ def write_dataset(dataset: Dataset, path) -> None:
 
 def read_dataset(path) -> Dataset:
     with open(path) as fh:
-        return dataset_from_text(fh.read())
+        return _parse_dataset(fh)

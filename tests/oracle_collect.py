@@ -4,6 +4,7 @@ Copies of ``data.expert_action``, ``data.collect_navigate``,
 ``data.collect_stitch`` and the NumPy-indexed BFS ``maze.distance_field``,
 verbatim except that the BFS keeps its own cache (so comparing the two never
 reads one array twice) and the stitch collector measures spans with it.
+``dataset_of`` is the old ``Dataset(trajectories)`` constructor.
 Every expert step here goes through ``maze.cell_of``, ``maze.next_cell``,
 ``maze.step`` and a ``math.hypot`` goal-radius test one call at a time. The
 library's datasets must equal these byte for byte, and its distance fields
@@ -19,6 +20,16 @@ import numpy as np
 from mazegcrl import maze
 from mazegcrl.data import Dataset, Trajectory
 from mazegcrl.maze import MazeSpec
+
+
+def dataset_of(trajectories: list[Trajectory]) -> Dataset:
+    """The dataset whose store holds these trajectories, in order (copied)."""
+    if not trajectories:
+        raise ValueError("dataset must contain at least one trajectory")
+    return Dataset(np.concatenate([t.states for t in trajectories]),
+                   np.concatenate([t.actions for t in trajectories]),
+                   [t.length for t in trajectories])
+
 
 _FIELDS = weakref.WeakKeyDictionary()  # spec -> {source cell: distance array}
 
@@ -94,7 +105,7 @@ def collect_navigate(spec: MazeSpec, n_transitions: int, noise_scale: float,
                 goal = maze.cell_center(spec, maze.random_free_cell(spec, rng))
         trajectories.append(Trajectory(np.array(states), np.array(actions)))
         total += len(actions)
-    return Dataset(trajectories)
+    return dataset_of(trajectories)
 
 
 def collect_stitch(spec: MazeSpec, n_transitions: int, segment_len: int,
@@ -149,4 +160,4 @@ def collect_stitch(spec: MazeSpec, n_transitions: int, segment_len: int,
             continue
         trajectories.append(Trajectory(np.array(states), np.array(actions)))
         total += len(actions)
-    return Dataset(trajectories)
+    return dataset_of(trajectories)

@@ -1,14 +1,21 @@
-"""Reference text writers for datasets and checkpoints, one float at a time.
+"""Reference text writers for datasets and checkpoints, one float at a time,
+and the reference dataset reader.
 
 Test-only copy of ``data.dataset_to_text`` (with ``_fmt_row``) and
 ``values.tensors_to_text`` as they were before each trajectory and each
 tensor was formatted in one call. The library's text must equal these by
-bytes.
+bytes. ``dataset_from_text`` is the reader as it was before it streamed its
+input: it splits the whole text into lines first. It differs only in
+rejecting a ``T 0`` marker at its own line. The library must accept what it
+accepts, with equal arrays, and reject the rest with the same message.
 """
+
+from itertools import chain
 
 import numpy as np
 
-from mazegcrl.data import Dataset
+from mazegcrl.data import Dataset, Trajectory
+from tests.oracle_collect import dataset_of
 
 
 def _fmt_row(row: np.ndarray) -> str:
@@ -38,3 +45,44 @@ def tensors_to_text(tree: dict[str, np.ndarray]) -> str:
         for row in rows:
             lines.append(" ".join(f"{x:.17g}" for x in row))
     return "\n".join(lines) + "\n"
+
+
+def dataset_from_text(text: str) -> Dataset:
+    lines = text.strip().split("\n")
+    head = lines[0].split()
+    if len(head) != 5 or head[0] != "GCRL-DSET" or head[1] != "v1":
+        raise ValueError("bad dataset header")
+    state_dim, action_dim, n_traj = int(head[2]), int(head[3]), int(head[4])
+    pos = 1
+    trajectories = []
+    for i in range(n_traj):
+        if pos >= len(lines):
+            raise ValueError(f"dataset ends at line {len(lines)}, before "
+                             f"trajectory {i} of {n_traj}")
+        marker = lines[pos].split()
+        if (len(marker) != 2 or marker[0] != "T" or not marker[1].isdecimal()
+                or int(marker[1]) == 0):
+            raise ValueError(f"expected trajectory marker at line {pos + 1}")
+        length = int(marker[1])
+        pos += 1
+        end = pos + 2 * length + 1
+        if end > len(lines):
+            raise ValueError(f"dataset ends at line {len(lines)}, inside "
+                             f"trajectory {i} (marker at line {pos})")
+        rows = [line.split() for line in lines[pos:end]]
+        widths = [state_dim, action_dim] * length + [state_dim]
+        if list(map(len, rows)) != widths:
+            k = next(k for k, (row, w) in enumerate(zip(rows, widths))
+                     if len(row) != w)
+            raise ValueError(f"line {pos + k + 1} has {len(rows[k])} numbers, "
+                             f"expected {widths[k]}")
+        flat = np.array(list(map(float, chain.from_iterable(rows))))
+        n_pairs = length * (state_dim + action_dim)
+        pairs = flat[:n_pairs].reshape(length, state_dim + action_dim)
+        states = np.vstack((pairs[:, :state_dim], flat[n_pairs:]))
+        trajectories.append(Trajectory(states, pairs[:, state_dim:]))
+        pos = end
+    if pos < len(lines):
+        raise ValueError(f"line {pos + 1} follows the last of the {n_traj} "
+                         f"trajectories the header declares")
+    return dataset_of(trajectories)

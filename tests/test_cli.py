@@ -278,7 +278,7 @@ def test_train_abort_keeps_a_loadable_checkpoint_and_parseable_logs(
 
 
 def test_train_rejects_mismatched_dataset(tmp_path):
-    bad = data.Dataset([data.Trajectory(np.zeros((3, 4)), np.zeros((2, 2)))])
+    bad = data.Dataset(np.zeros((3, 4)), np.zeros((2, 2)), [2])
     path = tmp_path / "bad.dset"
     data.write_dataset(bad, path)
     cfg = tiny_config()
@@ -389,8 +389,8 @@ def test_ablate_five_archs_three_seeds(tmp_path, monkeypatch):
     summary = read_summary_csv((tmp_path / "grid" / "summary.csv").read_text())
     assert len(summary) == 5
     assert all(r["n_ok"] == 3 for r in summary)
-    # the grid's one dataset is read back once, not once per run
-    assert reads == [tmp_path / "grid" / "dataset_medium_navigate.dset"]
+    # the grid trains on the store it collected; its file is not read back
+    assert reads == []
 
 
 @pytest.mark.parametrize("key", ["grid.styles", "grid.arch_kinds"])
@@ -594,6 +594,8 @@ def test_short_dataset_row_exits_2_naming_the_line(tmp_path):
     ("GCRL-DSET v1 2 2 1\n" + "T 1\n0.5 0.5\n0.1 0.1\n2.5 2.5\n" * 2,
      "config: line 6 follows the last of the 1 trajectories the header "
      "declares"),
+    ("GCRL-DSET v1 2 2 2\nT 1\n0.5 0.5\n0.1 0.1\n2.5 2.5\nT 0\n0.5 0.5\n",
+     "config: expected trajectory marker at line 6"),
 ])
 def test_bad_trajectory_count_exits_2_naming_the_line(tmp_path, capsys, text,
                                                       message):

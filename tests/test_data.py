@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from mazegcrl.data import (
     sample_goals,
 )
 from tests import oracle_collect, oracle_io, oracle_sample
-from tests.oracle_collect import expert_action
+from tests.oracle_collect import dataset_of, expert_action
 
 
 def synthetic_trajectory(length: int) -> Trajectory:
@@ -40,7 +41,7 @@ def test_trajectory_length_consistency_enforced():
 
 
 def test_dataset_flat_index_covers_all_transitions():
-    ds = Dataset([synthetic_trajectory(3), synthetic_trajectory(5)])
+    ds = dataset_of([synthetic_trajectory(3), synthetic_trajectory(5)])
     assert ds.n_transitions == 8
     assert ds.states.shape == (10, 2) and ds.actions.shape == (8, 2)
     assert ds.index.tolist() == [0, 1, 2, 4, 5, 6, 7, 8]
@@ -56,7 +57,7 @@ def test_dataset_stores_each_state_once():
         traj.actions[:] = np.arange(traj.length)[:, None] + 0.5
     before = [(t.states, t.actions, t.states.copy(), t.actions.copy())
               for t in caller]
-    ds = Dataset(list(caller))
+    ds = dataset_of(list(caller))
     for traj, (states, actions, s_copy, a_copy), view in zip(
             caller, before, ds.trajectories):
         assert traj.states is states and traj.actions is actions
@@ -67,6 +68,9 @@ def test_dataset_stores_each_state_once():
         assert not np.shares_memory(view.states, states)
         assert np.array_equal(view.states, states)
         assert np.array_equal(view.actions, actions)
+    assert ds.lengths.tolist() == [1, 4, 1, 2]
+    # every read builds new views of the one store
+    assert ds.trajectories[1] is not ds.trajectories[1]
     spec = maze.builtin_layout("medium")
     for got in (collect_stitch(spec, 500, 4, 0.5, seed=0),
                 data.dataset_from_text(data.dataset_to_text(
@@ -78,8 +82,15 @@ def test_dataset_stores_each_state_once():
 
 
 def test_empty_dataset_rejected():
-    with pytest.raises(ValueError):
-        Dataset([])
+    with pytest.raises(ValueError, match="at least one trajectory"):
+        Dataset(np.zeros((0, 2)), np.zeros((0, 2)), [])
+    with pytest.raises(ValueError, match="empty trajectory"):
+        Dataset(np.zeros((3, 2)), np.zeros((1, 2)), [1, 0])
+    with pytest.raises(ValueError, match="1 trajectories of 1 transitions need "
+                                         "2 states and 1 actions"):
+        Dataset(np.zeros((3, 2)), np.zeros((1, 2)), [1])
+    with pytest.raises(ValueError, match="need 2 states"):
+        Dataset(np.zeros(4), np.zeros((1, 2)), [1])
 
 
 # ---- expert ------------------------------------------------------------------------
@@ -282,7 +293,7 @@ def test_ratios_validation():
 
 
 def test_sample_goal_cur_branch():
-    ds = Dataset([synthetic_trajectory(10)])
+    ds = dataset_of([synthetic_trajectory(10)])
     rng = np.random.default_rng(0)
     ts = np.array([0, 4, 9])
     goals, src = sample_goals(ds, ts, (1, 0, 0, 0), 0.99, rng)
@@ -291,7 +302,7 @@ def test_sample_goal_cur_branch():
 
 
 def test_sample_goal_geom_clips_to_last_usable_state():
-    ds = Dataset([synthetic_trajectory(10)])
+    ds = dataset_of([synthetic_trajectory(10)])
     rng = np.random.default_rng(0)
     goals, src = sample_goals(ds, np.full(50, 9), (0, 0, 1, 0), 0.99, rng)
     assert [data.GOAL_SOURCES[k] for k in src] == ["geom"] * 50
@@ -300,7 +311,7 @@ def test_sample_goal_geom_clips_to_last_usable_state():
 
 def test_geometric_offset_mean_matches_distribution():
     # long trajectory so the in-trajectory clip is immaterial at t=0
-    ds = Dataset([synthetic_trajectory(20_000)])
+    ds = dataset_of([synthetic_trajectory(20_000)])
     rng = np.random.default_rng(12)
     n = 100_000
     goals, src = sample_goals(ds, np.zeros(n, dtype=int),
@@ -312,7 +323,7 @@ def test_geometric_offset_mean_matches_distribution():
 
 
 def test_uniform_branch_respects_index_bounds():
-    ds = Dataset([synthetic_trajectory(12)])
+    ds = dataset_of([synthetic_trajectory(12)])
     rng = np.random.default_rng(1)
     n = 20_000
     ts = rng.integers(0, 12, size=n)
@@ -325,7 +336,7 @@ def test_uniform_branch_respects_index_bounds():
 @settings(max_examples=50, deadline=None)
 @given(length=st.integers(2, 40), t_frac=st.floats(0, 1), seed=st.integers(0, 10**6))
 def test_in_trajectory_goals_never_precede_current_state(length, t_frac, seed):
-    ds = Dataset([synthetic_trajectory(length)])
+    ds = dataset_of([synthetic_trajectory(length)])
     t = min(int(t_frac * length), length - 1)
     rng = np.random.default_rng(seed)
     goals, src = sample_goals(ds, np.full(64, t, dtype=int),
@@ -371,7 +382,7 @@ def test_random_goal_marginal_matches_dataset_marginal():
 
 
 def test_batch_cur_goal_gives_reward_zero_done():
-    ds = Dataset([synthetic_trajectory(1)])
+    ds = dataset_of([synthetic_trajectory(1)])
     rng = np.random.default_rng(0)
     b = sample_batch(ds, 1, (1, 0, 0, 0), (0, 1, 0, 0), 0.99, 5, 0.5, rng)
     assert b["reward"][0] == 0.0
@@ -380,7 +391,7 @@ def test_batch_cur_goal_gives_reward_zero_done():
 
 
 def test_batch_subgoal_clipped_to_penultimate_state():
-    ds = Dataset([synthetic_trajectory(4)])
+    ds = dataset_of([synthetic_trajectory(4)])
     rng = np.random.default_rng(0)
     b = sample_batch(ds, 256, (1, 0, 0, 0), (0, 1, 0, 0), 0.99, 99, 0.5, rng)
     assert (b["subgoal"][:, 0] == 3).all()  # index T-1 = 3
@@ -403,7 +414,7 @@ def test_batch_tag_frequencies():
 
 
 def test_batch_rejects_bad_ratios():
-    ds = Dataset([synthetic_trajectory(5)])
+    ds = dataset_of([synthetic_trajectory(5)])
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError):
         sample_batch(ds, 4, (0.9, 0.9, 0, 0), (0, 1, 0, 0), 0.99, 5, 0.5, rng)
@@ -429,7 +440,7 @@ RATIO_SETS = (data.VALUE_GOAL_RATIOS_DEFAULT, data.VALUE_GOAL_RATIOS_STITCH,
 
 def short_trajectory_dataset() -> Dataset:
     rng = np.random.default_rng(3)
-    return Dataset([Trajectory(rng.random((n + 1, 2)), rng.random((n, 2)))
+    return dataset_of([Trajectory(rng.random((n + 1, 2)), rng.random((n, 2)))
                     for n in (1, 1, 3, 1, 7, 2, 1, 12, 1)])
 
 
@@ -492,6 +503,53 @@ def test_dataset_file_round_trip_bit_exact(tmp_path):
     # the file holds the reference text, and writing again reproduces it
     assert path.read_text() == oracle_io.dataset_to_text(ds)
     assert data.dataset_to_text(back) == data.dataset_to_text(ds)
+
+
+@pytest.mark.parametrize("name", ["medium", "giant"])
+@pytest.mark.parametrize("style", ["navigate", "stitch"])
+def test_read_dataset_gives_the_written_store_byte_for_byte(tmp_path, name, style):
+    # what lets a grid train on its collected store and never read it back
+    spec = maze.builtin_layout(name)
+    for seed in range(3):
+        ds = (collect_navigate(spec, 2000, 0.5, seed) if style == "navigate"
+              else collect_stitch(spec, 2000, 8, 0.5, seed))
+        path = tmp_path / f"{seed}.dset"
+        data.write_dataset(ds, path)
+        back = data.read_dataset(path)
+        for key in ("states", "actions", "lengths", "index", "end"):
+            got, want = getattr(back, key), getattr(ds, key)
+            assert got.dtype == want.dtype and got.shape == want.shape, key
+            assert got.tobytes() == want.tobytes(), (seed, key)
+
+
+def _store_bytes(dataset: Dataset) -> int:
+    return sum(a.nbytes for a in (dataset.states, dataset.actions,
+                                  dataset.lengths, dataset.index, dataset.end))
+
+
+def _traced(fn, *args):
+    """fn(*args) and the tracemalloc peak of the call, in bytes."""
+    tracemalloc.start()
+    try:
+        return fn(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_collect_peak_memory_at_most_twice_its_store():
+    # at 100k the distance fields and expert hops the rollouts cache are
+    # small beside the store; tracing makes this collection take ~15 s
+    ds, peak = _traced(collect_stitch, maze.builtin_layout("medium"), 100_000,
+                       8, 0.5, 1)
+    assert peak <= 2 * _store_bytes(ds)
+
+
+def test_read_dataset_peak_memory_at_most_file_plus_twice_store(tmp_path):
+    path = tmp_path / "stitch.dset"
+    data.write_dataset(collect_stitch(maze.builtin_layout("medium"), 25_000, 8,
+                                      0.5, 1), path)
+    back, peak = _traced(data.read_dataset, path)
+    assert peak <= path.stat().st_size + 2 * _store_bytes(back)
 
 
 def test_dataset_header_checked():

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from mazegcrl import cli, data, evaluation as E, values as V
 from tests import oracle_csv, oracle_io
+from tests.oracle_collect import dataset_of
 
 # values whose 17-digit text differs from their 16-digit or their repr text
 SEVENTEEN_DIGITS = (0.1, 1.0 / 3.0, 2.0 / 3.0, 1e23, 0.30000000000000004,
@@ -39,7 +40,7 @@ def datasets(draw):
     for length in draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)):
         trajectories.append(data.Trajectory(draw(_matrix(length + 1, state_dim)),
                                             draw(_matrix(length, action_dim))))
-    return data.Dataset(trajectories)
+    return dataset_of(trajectories)
 
 
 SHAPES = ((), (1,), (4,), (0,), (2, 3), (3, 0), (0, 3), (1, 1))
@@ -56,7 +57,7 @@ def tensor_trees(draw):
     return tree
 
 
-EDGE_DATASET = data.Dataset([
+EDGE_DATASET = dataset_of([
     data.Trajectory(np.array([SPECIAL[:2], SPECIAL[2:4]]), np.array([SPECIAL[4:6]])),
     data.Trajectory(np.array(SEVENTEEN_DIGITS[:6]).reshape(3, 2),
                     np.array([[1e308, -0.0], [0.1, 7.0]])),
@@ -73,6 +74,51 @@ EDGE_TREE = {"scalar": np.array(0.1), "vec": np.array(SPECIAL),
 @example(dataset=EDGE_DATASET)
 def test_dataset_text_equals_reference_bytes(dataset):
     assert data.dataset_to_text(dataset) == oracle_io.dataset_to_text(dataset)
+
+
+# lines that break a dataset file's layout where they land
+ODD_LINES = ("", "  ", "\t", "\x0c", "T 0", "T 1", "T 2", "T -1", "T x", "T",
+             "0.5", "0.5 0.5", "1 2 3", "nan -inf", "x y", "GCRL-DSET v1 2 2 1")
+
+
+@st.composite
+def dataset_texts(draw):
+    """Dataset files, some intact, most with a few lines inserted, dropped,
+    replaced or cut, and whitespace before and after."""
+    lines = data.dataset_to_text(draw(datasets())).split("\n")
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        edit = draw(st.sampled_from(("insert", "drop", "replace")))
+        if edit == "drop":
+            del lines[i]
+        else:
+            lines[i:i + (edit == "replace")] = [draw(st.sampled_from(ODD_LINES))]
+    text = "\n".join(lines)
+    if draw(st.booleans()):
+        text = text[:draw(st.integers(0, len(text)))]
+    pad = st.sampled_from(("", "\n", " \n\n", "\t"))
+    return draw(pad) + text + draw(pad)
+
+
+def _outcome(read, text: str):
+    try:
+        ds = read(text)
+    except ValueError as err:
+        return str(err)
+    return [(a.dtype, a.shape, a.tobytes())
+            for a in (ds.states, ds.actions, ds.lengths, ds.index, ds.end)]
+
+
+@settings(max_examples=500, deadline=None)
+@given(text=dataset_texts())
+@example(text="GCRL-DSET v1 2 2 1\nT 1\n0.5 0.5\n0.1 0.1\n\n\n")
+@example(text="\n\nGCRL-DSET v1 2 0 1\nT 1\n0.5 0.5\n\n2.5 2.5\n \n")
+@example(text="GCRL-DSET v1 1 1 2\nT 1\n1\n2\n3\n\n\nT 1\n")
+@example(text="GCRL-DSET v1 -1 2 0\n")
+def test_streamed_reader_decides_as_the_reference_reader(text):
+    # same arrays, or the same error; the reader never holds every line
+    assert _outcome(data.dataset_from_text, text) == \
+        _outcome(oracle_io.dataset_from_text, text)
 
 
 @settings(max_examples=200, deadline=None)

@@ -8,7 +8,7 @@ import pytest
 from mazegcrl import data, maze
 from mazegcrl import training as T
 from mazegcrl.autodiff import GraphError, MlpParams
-from mazegcrl.data import Dataset, Trajectory, sample_batch
+from mazegcrl.data import Dataset, sample_batch
 from mazegcrl.training import (
     LearnerState,
     TrainConfig,
@@ -411,8 +411,7 @@ def test_gcbc_reference_run_monotone_on_fixed_probe():
 
 def test_bc_single_transition_recovers_dataset_action():
     spec = corridor_spec(3)
-    traj = Trajectory(np.array([[1.5, 1.5], [1.9, 1.5]]), np.array([[1.0, 0.0]]))
-    ds = Dataset([traj])
+    ds = Dataset(np.array([[1.5, 1.5], [1.9, 1.5]]), np.array([[1.0, 0.0]]), [1])
     cfg = TrainConfig(arch_kind="MLP", hierarchical=False, objective="bc",
                       policy_goal_ratios=(0.0, 1.0, 0.0, 0.0), lr=3e-3,
                       batch_size=16, seed=0)
