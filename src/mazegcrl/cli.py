@@ -306,11 +306,10 @@ def read_metrics_csv(text: str) -> list[dict]:
 
 
 def cmd_train(config: RunConfig, dataset: datamod.Dataset) -> dict:
-    """Train one agent on a dataset in memory; write the run directory.
+    """Train one agent on an already-read dataset; write the run directory.
 
     The train verb passes data.read_dataset of its --data file; the ablate
-    grid passes the store it collected, which is what reading back the
-    dataset file it wrote gives.
+    grid passes the copy it read back from its own dataset file.
     """
     spec = maze.builtin_layout(config.layout)
     if dataset.state_dim != 2 or dataset.action_dim != 2:
@@ -410,10 +409,11 @@ def read_runs_csv(text: str) -> list[dict]:
 def cmd_ablate(config: RunConfig, out_dir: str) -> list[dict]:
     """Run the grid end to end: per-seed rows plus per-cell aggregates.
 
-    Each style's dataset is collected once and written to the grid directory
-    for the record; every cell of that style trains on the collected store,
-    never on a read-back copy (``%.17g`` text round-trips float64 exactly).
-    An empty grid tuple is a ConfigError, raised before anything is written.
+    Each style's dataset is collected straight into its store, written once
+    to the grid directory and read back once, block by block, so every cell
+    of that style trains on exactly the file it leaves behind. The collected
+    store is dropped before the read. An empty grid tuple is a ConfigError,
+    raised before anything is written.
     """
     for key in _KEYS:
         if key.startswith("grid.") and not getattr(*_field(config, key)):
@@ -424,8 +424,9 @@ def cmd_ablate(config: RunConfig, out_dir: str) -> list[dict]:
     datasets = {}
     for style in config.grid_styles:
         path = out / f"dataset_{config.layout}_{style}.dset"
-        datasets[style] = _generate_dataset(replace_style(config, style), spec)
-        datamod.write_dataset(datasets[style], path)
+        datamod.write_dataset(
+            _generate_dataset(replace_style(config, style), spec), path)
+        datasets[style] = datamod.read_dataset(path)
 
     rows, runs = [], []
     for kind, hier, wc, style in itertools.product(

@@ -104,10 +104,10 @@ class Dataset:
     """Every trajectory's states and actions in one flat store, each state once.
 
     ``states`` holds each trajectory's s_0..s_T in turn, ``actions`` its
-    a_0..a_{T-1} and ``lengths`` its T. Transition i is (states[index[i]],
-    actions[i], states[index[i] + 1]); end[i] is the position of its
-    trajectory's s_T. ``trajectories`` builds new views of the store on
-    every read.
+    a_0..a_{T-1} and ``lengths`` its T; the caller keeps those shapes
+    consistent. Transition i is (states[index[i]], actions[i],
+    states[index[i] + 1]); end[i] is the position of its trajectory's s_T.
+    ``trajectories`` builds new views of the store on every read.
     """
 
     states: np.ndarray   # (sum(lengths) + len(lengths), state_dim)
@@ -124,11 +124,6 @@ class Dataset:
             raise ValueError("dataset must contain at least one trajectory")
         if (self.lengths < 1).any():
             raise ValueError("empty trajectory in dataset")
-        n = int(self.lengths.sum())
-        if (self.states.ndim != 2 or self.actions.ndim != 2 or (
-                len(self.states), len(self.actions)) != (n + len(self.lengths), n)):
-            raise ValueError(f"{len(self.lengths)} trajectories of {n} transitions "
-                             f"need {n + len(self.lengths)} states and {n} actions")
         ends = np.cumsum(self.lengths + 1) - 1
         self.index = np.delete(np.arange(len(self.states)), ends)
         self.end = np.repeat(ends, self.lengths)
@@ -267,8 +262,17 @@ def _collect(spec: MazeSpec, n_transitions: int, noise_scale: float, seed: int,
             total += n
         else:  # a stitch segment that ended before its first step
             del states[-2:]
-    return Dataset(np.frombuffer(states).reshape(-1, 2),
-                   np.frombuffer(actions).reshape(-1, 2), lengths)
+    return _stored(states, actions, lengths, 2, 2)
+
+
+def _stored(states: array, actions: array, lengths: list, state_dim: int,
+            action_dim: int) -> Dataset:
+    """The Dataset over two flat float64 buffers, viewed without a copy."""
+    if not lengths:  # before the reshape: a file may declare any dims then
+        raise ValueError("dataset must contain at least one trajectory")
+    n = sum(lengths)
+    return Dataset(np.frombuffer(states).reshape(n + len(lengths), state_dim),
+                   np.frombuffer(actions).reshape(n, action_dim), lengths)
 
 
 # ---- goal sampling ---------------------------------------------------------------
@@ -447,22 +451,14 @@ def _parse_dataset(lines) -> Dataset:
                      if len(row) != w)
             raise ValueError(f"line {pos + k + 1} has {len(rows[k])} numbers, "
                              f"expected {widths[k]}")
-        flat = np.array(list(map(float, chain.from_iterable(rows))))
-        n_pairs = length * (state_dim + action_dim)
-        pairs = flat[:n_pairs].reshape(length, state_dim + action_dim)
-        states.frombytes(pairs[:, :state_dim].tobytes())
-        states.frombytes(flat[n_pairs:].tobytes())
-        actions.frombytes(pairs[:, state_dim:].tobytes())
+        states.extend(map(float, chain.from_iterable(rows[0::2])))
+        actions.extend(map(float, chain.from_iterable(rows[1::2])))
         lengths.append(length)
         pos += 2 * length + 1
     if next(lines, None) is not None:
         raise ValueError(f"line {pos + 1} follows the last of the {n_traj} "
                          f"trajectories the header declares")
-    if not lengths:
-        raise ValueError("dataset must contain at least one trajectory")
-    n = sum(lengths)
-    return Dataset(np.frombuffer(states).reshape(n + len(lengths), state_dim),
-                   np.frombuffer(actions).reshape(n, action_dim), lengths)
+    return _stored(states, actions, lengths, state_dim, action_dim)
 
 
 def dataset_from_text(text: str) -> Dataset:

@@ -389,8 +389,8 @@ def test_ablate_five_archs_three_seeds(tmp_path, monkeypatch):
     summary = read_summary_csv((tmp_path / "grid" / "summary.csv").read_text())
     assert len(summary) == 5
     assert all(r["n_ok"] == 3 for r in summary)
-    # the grid trains on the store it collected; its file is not read back
-    assert reads == []
+    # the grid's one dataset is read back once, not once per run
+    assert reads == [tmp_path / "grid" / "dataset_medium_navigate.dset"]
 
 
 @pytest.mark.parametrize("key", ["grid.styles", "grid.arch_kinds"])

@@ -86,11 +86,6 @@ def test_empty_dataset_rejected():
         Dataset(np.zeros((0, 2)), np.zeros((0, 2)), [])
     with pytest.raises(ValueError, match="empty trajectory"):
         Dataset(np.zeros((3, 2)), np.zeros((1, 2)), [1, 0])
-    with pytest.raises(ValueError, match="1 trajectories of 1 transitions need "
-                                         "2 states and 1 actions"):
-        Dataset(np.zeros((3, 2)), np.zeros((1, 2)), [1])
-    with pytest.raises(ValueError, match="need 2 states"):
-        Dataset(np.zeros(4), np.zeros((1, 2)), [1])
 
 
 # ---- expert ------------------------------------------------------------------------
@@ -508,7 +503,7 @@ def test_dataset_file_round_trip_bit_exact(tmp_path):
 @pytest.mark.parametrize("name", ["medium", "giant"])
 @pytest.mark.parametrize("style", ["navigate", "stitch"])
 def test_read_dataset_gives_the_written_store_byte_for_byte(tmp_path, name, style):
-    # what lets a grid train on its collected store and never read it back
+    # the grid trains on the read-back copy: it must be the collected store
     spec = maze.builtin_layout(name)
     for seed in range(3):
         ds = (collect_navigate(spec, 2000, 0.5, seed) if style == "navigate"
