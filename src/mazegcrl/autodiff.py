@@ -21,8 +21,10 @@ closures allocate in it, so a float32 tape never promotes to float64.
 ``ARRAYS`` casts nothing; ``mlp_apply`` computes in its parameters' dtype.
 Python scalars stay weak under NumPy's promotion rules, so constants written
 as literals follow the array they meet. Non-finite values are rejected at
-graph boundaries (leaves and requested outputs); ``Tape(validate=True)``
-additionally checks every intermediate, which is what the tests use.
+graph boundaries (constants, leaves and requested outputs);
+``Tape(check_leaves=False)`` leaves the leaf check to a caller that checks
+its parameter buffers itself, and ``Tape(validate=True)`` additionally
+checks every intermediate, which is what the tests use.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ __all__ = [
     "polyak_update",
     "gelu_value",
     "flatten",
+    "require_finite",
 ]
 
 # tanh approximation of GELU: 0.5*x*(1 + tanh(c0*(x + c1*x^3)))
@@ -119,9 +122,11 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 class Tape:
     """Execution-ordered primitive graph with a single backward sweep."""
 
-    def __init__(self, validate: bool = False, dtype=np.float64):
+    def __init__(self, validate: bool = False, dtype=np.float64,
+                 check_leaves: bool = True):
         self.nodes: list[Node] = []
         self.validate = validate
+        self.check_leaves = check_leaves
         self.dtype = np.dtype(dtype)
         self._ran_backward = False
         self._released = False
@@ -154,9 +159,13 @@ class Tape:
             raise GraphError(f"{name}: shapes {a.shape} and {b.shape} do not broadcast") from None
 
     def leaf(self, value, name="leaf") -> Node:
-        """Trainable input; gradient is accumulated here."""
+        """Trainable input; gradient is accumulated here.
+
+        Rejects a non-finite value unless the tape was made with
+        ``check_leaves=False``, for callers that check their parameters first.
+        """
         value = self._cast(value)
-        if not np.all(np.isfinite(value)):
+        if self.check_leaves and not np.all(np.isfinite(value)):
             raise GraphError(f"non-finite leaf '{name}'")
         return self._new_leaf(value, name, True)
 
@@ -297,25 +306,37 @@ class Tape:
 
         return self._register(a.value[:, start:stop].copy(), "slice_cols", (a,), backward)
 
-    def take_rows(self, a: Node, spans: list[tuple[int, int]]) -> Node:
-        """Rows a[lo:hi] of each (lo, hi) span, stacked in order; spans may repeat."""
-        for lo, hi in spans:
-            if a.value.ndim < 1 or not (0 <= lo <= hi <= a.shape[0]):
-                raise GraphError(f"take_rows: bad range [{lo}:{hi}] for shape {a.shape}")
-        if list(spans) == [(0, a.shape[0])]:
-            return a
-        value = (a.value[spans[0][0]:spans[0][1]] if len(spans) == 1 else
-                 np.concatenate([a.value[lo:hi] for lo, hi in spans]))
+    def take_rows(self, a, spans=None) -> Node:
+        """Rows src[lo:hi] of each (src, lo, hi) block in ``a``, stacked in order.
+
+        Blocks may come from several nodes and may repeat.
+        ``take_rows(node, spans)`` takes the (lo, hi) spans of one node.
+        """
+        blocks = a if spans is None else [(a, lo, hi) for lo, hi in spans]
+        sources = list(dict.fromkeys(src for src, _, _ in blocks))
+        self._check_same_tape("take_rows", *sources)
+        for src, lo, hi in blocks:
+            if src.value.ndim < 1 or not (0 <= lo <= hi <= src.shape[0]):
+                raise GraphError(f"take_rows: bad range [{lo}:{hi}] for shape {src.shape}")
+        if len(blocks) == 1:
+            src, lo, hi = blocks[0]
+            if (lo, hi) == (0, src.shape[0]):
+                return src
+            value = src.value[lo:hi]
+        else:
+            value = np.concatenate([src.value[lo:hi] for src, lo, hi in blocks])
 
         def backward(g):
-            full = np.zeros_like(a.value)
+            full = {src: np.zeros_like(src.value) for src in sources if src.needs_grad}
             at = 0
-            for lo, hi in spans:
-                full[lo:hi] += g[at:at + hi - lo]
+            for src, lo, hi in blocks:
+                if src in full:
+                    full[src][lo:hi] += g[at:at + hi - lo]
                 at += hi - lo
-            self._accum(a, full)
+            for src, grad in full.items():
+                self._accum(src, grad)
 
-        return self._register(value, "take_rows", (a,), backward)
+        return self._register(value, "take_rows", sources, backward)
 
     def reshape(self, a: Node, shape: tuple) -> Node:
         if int(np.prod(shape)) != a.value.size:
@@ -597,6 +618,16 @@ def flatten(arrays: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
     return flat, views
 
 
+def require_finite(flat: np.ndarray, parts: dict[str, np.ndarray], what: str):
+    """Raise GraphError "<what> '<name>'" naming the first of ``parts``, the
+    named arrays laid out in turn in ``flat``, that holds a non-finite value."""
+    finite = np.isfinite(flat)
+    if not finite.all():
+        ends = np.cumsum([p.size for p in parts.values()])
+        name = list(parts)[np.searchsorted(ends, finite.argmin(), side="right")]
+        raise GraphError(f"{what} '{name}'")
+
+
 @dataclass
 class AdamState:
     """First/second moments of one parameter group, plus the shared step counter.
@@ -632,11 +663,7 @@ def adam_step(param: np.ndarray, grad: np.ndarray, state: AdamState, lr: float):
     if grad.shape != param.shape or param.shape != state.m.shape:
         raise GraphError(f"adam_step: gradient shape mismatch, {grad.shape} "
                          f"for {param.shape}")
-    finite = np.isfinite(grad)
-    if not finite.all():
-        ends = np.cumsum([m.size for m in state.mean.values()])
-        name = list(state.mean)[np.searchsorted(ends, finite.argmin(), side="right")]
-        raise GraphError(f"adam_step: non-finite gradient for '{name}'")
+    require_finite(grad, state.mean, "adam_step: non-finite gradient for")
     state.count += 1
     t = state.count
     corr1 = 1.0 - ADAM_BETA1 ** t

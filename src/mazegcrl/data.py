@@ -393,12 +393,14 @@ def _dataset_blocks(dataset: Dataset):
     yield f"GCRL-DSET v1 {sd} {ad} {len(dataset.lengths)}\n"
     state_row = " ".join(["%.17g"] * sd) + "\n"
     pair_rows = state_row + " ".join(["%.17g"] * ad) + "\n"
-    for traj in dataset.trajectories:
+    s0 = a0 = 0
+    for n in dataset.lengths.tolist():
         # rows s_0, a_0, s_1, a_1, ..., s_T in file order
-        flat = np.concatenate((np.hstack((traj.states[:-1], traj.actions)).ravel(),
-                               traj.states[-1]))
-        yield (f"T {traj.length}\n"
-               + (pair_rows * traj.length + state_row) % tuple(flat.tolist()))
+        states = dataset.states[s0:s0 + n + 1]
+        pairs = np.hstack((states[:-1], dataset.actions[a0:a0 + n]))
+        flat = np.concatenate((pairs.ravel(), states[-1]))
+        yield f"T {n}\n" + (pair_rows * n + state_row) % tuple(flat.tolist())
+        s0, a0 = s0 + n + 1, a0 + n
 
 
 def dataset_to_text(dataset: Dataset) -> str:

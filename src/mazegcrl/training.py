@@ -11,11 +11,16 @@ conditioned on that representation.
 
 One step is one graph. ``_graph`` builds every loss on a single ``Tape``.
 States (obs, next_obs, subgoal) and goals (value_goal, rand_goal,
-policy_goal, subgoal) are stacked so that each network runs at most once
-on the tape, over the rows some loss differentiates through, and at most
-once in plain NumPy, over the rows only the TD target and the AWR
-advantages read; those reuse the tape's values where they exist. Every
-(state, goal) pair is then scored in latent space from row slices. The
+policy_goal, subgoal) are stacked so that each network runs once on the
+tape, over the rows the TD loss and the policies differentiate through,
+and at most once in plain NumPy, over the rows only values are read from
+(the TD target, the AWR advantages and, with continuity, every row of the
+TD pair and both continuity pairs); those reuse the tape's values where
+they exist. The continuity hinge is zero on most rows, and on every row
+early in training, so only the rows where it is active go on the tape,
+through one more pass per network; a step with no active row records no
+continuity node and the same graph as a step without continuity. Every
+(state, goal) pair is scored in latent space from row blocks. The
 target heads pair with the online bottleneck. ``train_step`` runs one
 backward sweep over value + high-level + low-level loss, so the bottleneck
 receives the value and policy gradients together (the policies read it
@@ -67,6 +72,7 @@ from .autodiff import (
     init_mlp,
     mlp_apply,
     polyak_update,
+    require_finite,
 )
 from .maze import MazeSpec
 from .values import (  # noqa: F401  (value is re-exported as training.value)
@@ -336,6 +342,12 @@ def _gather_plain(blocks) -> np.ndarray:
     return np.concatenate([src[lo:hi] for src, lo, hi in blocks])
 
 
+def _runs(mask: np.ndarray) -> list[tuple[int, int]]:
+    """(start, stop) of each run of true entries in a boolean vector."""
+    edges = np.flatnonzero(np.diff(mask, prepend=False, append=False))
+    return list(zip(edges[::2].tolist(), edges[1::2].tolist()))
+
+
 def _pair_blocks(z, inputs, s_chain, g_chain, pairs):
     """State and goal latent blocks of the (state, goal) name pairs."""
     def latent(chain, name):
@@ -383,29 +395,34 @@ def _graph(state: LearnerState, batch: dict) -> _Graph:
     That is the value loss (TD, plus continuity when its weight is
     positive) unless the objective is behavior cloning, the high policy in
     hierarchical mode, and always the low policy. Each input stack runs
-    through each network at most once on the tape (the rows some loss
-    differentiates through) and at most once in plain NumPy (the rows only
-    the TD target and the AWR advantages read), reusing the tape's values.
-    Pairs are scored in latent space from row slices. The tape computes in
-    ``config.dtype`` and casts its constants (stacked inputs, TD target,
-    regression weights, actions) to it.
+    through each network once on the tape, over the rows the TD loss and
+    the policies differentiate through, and at most once in plain NumPy,
+    reusing the tape's values. The plain pass scores the AWR advantages
+    and, with continuity, the TD pair and both continuity pairs (obs,
+    rand_goal) and (next_obs, rand_goal) on every row, which gives v̄, δ
+    and the rows whose hinge gap² − δ² is positive. Only those rows go on
+    the tape: next_obs and rand_goal through one more pass per network, obs
+    as row blocks of its TD latents, scored in the TD pair's tape call. A
+    step with no active row records no continuity node. The loss is still
+    (1/B)·Σ relu(gap² − δ²) over all B rows, since the other terms are 0.
+    The tape computes in ``config.dtype`` and casts its constants (stacked
+    inputs, TD target, regression weights, actions) to it. Each parameter
+    buffer is checked for non-finite values once, before the tape reads it.
     """
     config = state.config
     hier = config.hierarchical
     bc = config.objective == "bc"
+    continuity = not bc and config.continuity_weight > 0.0
     size = len(batch["obs"])
+    for name, opt in state.opt.items():
+        require_finite(state.buffers[name], opt.mean, "non-finite parameter")
     x_all = np.concatenate([state.normalize(batch[k]) for k in _INPUTS])
-    tape = Tape(dtype=config.dtype)
+    tape = Tape(dtype=config.dtype, check_leaves=False)
     x_node = tape.constant(x_all, "inputs")
     spans = {k: (i * size, (i + 1) * size) for i, k in enumerate(_INPUTS)}
     tape_in = {k: (x_node, *span) for k, span in spans.items()}
     plain_in = {k: (x_all, *span) for k, span in spans.items()}
-
-    def gather(blocks) -> Node:  # tape blocks of one source node
-        return tape.take_rows(blocks[0][0], [(lo, hi) for _, lo, hi in blocks])
-
-    def row_blocks(node, n):
-        return [tape.take_rows(node, [(i * size, (i + 1) * size)]) for i in range(n)]
+    gather = tape.take_rows  # stacks (node, lo, hi) blocks
 
     s_chain, g_chain = state.arch.chains(hier)
     rep = LiftedMlp(tape, state.rep, name="rep") if hier else None
@@ -414,48 +431,79 @@ def _graph(state: LearnerState, batch: dict) -> _Graph:
     params: dict[str, dict[str, Node]] = {}
 
     # rows that some loss differentiates through: one tape pass per network
-    value_pairs = []
+    td_pairs = []
     nets = {"rep": rep}
     if not bc:
-        value_pairs = [("obs", "value_goal")]
-        if config.continuity_weight:
-            value_pairs += [("obs", "rand_goal"), ("next_obs", "rand_goal")]
+        td_pairs = [("obs", "value_goal")]
         lifted = state.arch.lift(tape)
         nets.update(lifted.nets)
         params["value"] = {f"value/{k}": n for k, n in lifted.tree().items()}
         if rep is not None:
             params["value"].update({f"rep/{k}": n for k, n in rep.tree("rep").items()})
-    requests = [(s_chain, [s for s, _ in value_pairs]),
-                (g_chain, [g for _, g in value_pairs])]
+    requests = [(s_chain, [s for s, _ in td_pairs]), (g_chain, [g for _, g in td_pairs])]
     if hier:
         requests.append((("rep",), ["subgoal"]))
     z = _encode(requests, nets, LiftedMlp.__call__, gather, tape_in)
 
-    # rows only read as values: the TD target and the AWR advantages
+    # rows only read as values: the TD target, the AWR advantages and, with
+    # continuity, the TD pair and both continuity pairs on every row
     def target(chain):
         return tuple(n if n == "rep" else f"target.{n}" for n in chain)
 
-    adv_pairs = []
+    plain_pairs = []
     if hier:
-        adv_pairs += [("subgoal", "policy_goal"), ("obs", "policy_goal")]
+        plain_pairs += [("subgoal", "policy_goal"), ("obs", "policy_goal")]
     if not bc:
         goal = "subgoal" if hier else "policy_goal"
-        adv_pairs += [("next_obs", goal), ("obs", goal)]
-    requests = [(s_chain, [s for s, _ in adv_pairs]),
-                (g_chain, [g for _, g in adv_pairs])]
+        plain_pairs += [("next_obs", goal), ("obs", goal)]
+    n_adv = len(plain_pairs) // 2
+    if continuity:
+        plain_pairs += [*td_pairs, ("obs", "rand_goal"), ("next_obs", "rand_goal")]
+    requests = [(s_chain, [s for s, _ in plain_pairs]),
+                (g_chain, [g for _, g in plain_pairs])]
     if not bc:
         requests += [(target(s_chain), ["next_obs"]), (target(g_chain), ["value_goal"])]
     plain_nets = dict(state.arch.nets, rep=state.rep)
     plain_nets.update({f"target.{k}": v for k, v in state.target_arch.nets.items()})
     zp = _encode(requests, plain_nets, mlp_apply, _gather_plain, plain_in,
                  done={k: (y.value, lo, hi) for k, (y, lo, hi) in z.items()})
+    if plain_pairs:
+        zs, zg = _pair_blocks(zp, plain_in, s_chain, g_chain, plain_pairs)
+        scores = score(state.arch, _gather_plain(zs), _gather_plain(zg))
+        plain_v = [scores[i * size:(i + 1) * size] for i in range(len(plain_pairs))]
+    adv = [plain_v[2 * i] - plain_v[2 * i + 1] for i in range(n_adv)]
 
     if not bc:
-        zs, zg = _pair_blocks(z, tape_in, s_chain, g_chain, value_pairs)
-        v, *rand = row_blocks(_score(tape, lifted, gather(zs), gather(zg)),
-                              len(value_pairs))
-        v_mean = float(v.value.mean())
-        delta = continuity_threshold(config.discount, v_mean)
+        zs, zg = _pair_blocks(z, tape_in, s_chain, g_chain, td_pairs)
+        n_active = 0
+        if continuity:
+            v_plain, v_obs, v_next = plain_v[2 * n_adv:]
+            v_mean = float(v_plain.mean())
+            delta = continuity_threshold(config.discount, v_mean)
+            gap = v_obs - v_next
+            active = gap * gap - np.asarray(delta * delta, gap.dtype) > 0.0
+            rows = np.flatnonzero(active)
+            n_active = len(rows)
+        if n_active:
+            # next_obs and rand_goal of the active rows through one more
+            # pass per network; obs from the rows of its TD-pair latents
+            x_act = tape.constant(np.concatenate([x_all[spans["next_obs"][0] + rows],
+                                                  x_all[spans["rand_goal"][0] + rows]]),
+                                  "active_inputs")
+            act_in = {"next_obs": (x_act, 0, n_active),
+                      "rand_goal": (x_act, n_active, 2 * n_active)}
+            za = _encode([(s_chain, ["next_obs"]), (g_chain, ["rand_goal"])], nets,
+                         LiftedMlp.__call__, gather, act_in)
+            (s_next,), (g_rand,) = _pair_blocks(za, act_in, s_chain, g_chain,
+                                                [("next_obs", "rand_goal")])
+            src, lo, _ = zs[0]
+            zs += [(src, lo + a, lo + b) for a, b in _runs(active)] + [s_next]
+            zg += [g_rand, g_rand]
+        v_all = _score(tape, lifted, gather(zs), gather(zg))
+        v = gather([(v_all, 0, size)])
+        if not continuity:
+            v_mean = float(v.value.mean())
+            delta = continuity_threshold(config.discount, v_mean)
         info.update(v_mean=v_mean, delta=delta, continuity_loss=0.0)
         zs, zg = _pair_blocks(zp, plain_in, target(s_chain), target(g_chain),
                               [("next_obs", "value_goal")])
@@ -466,20 +514,16 @@ def _graph(state: LearnerState, batch: dict) -> _Graph:
         out["value"] = tape.reduce_mean(
             tape.mul(tape.constant(weights), tape.square(err)))
         info["td_loss"] = float(out["value"].value)
-        if rand:
-            gap = tape.sub(*rand)
+        if n_active:
+            mid = size + n_active
+            gap = tape.sub(gather([(v_all, size, mid)]),
+                           gather([(v_all, mid, mid + n_active)]))
             hinge = tape.relu(tape.sub(tape.square(gap), tape.constant(delta * delta)))
-            cont = tape.reduce_mean(hinge)
+            cont = tape.mul(tape.reduce_sum(hinge), tape.constant(1.0 / size))
             info["continuity_loss"] = float(cont.value)
             out["value"] = tape.add(out["value"], tape.mul(
                 tape.constant(config.continuity_weight), cont))
 
-    adv = []
-    if adv_pairs:
-        zs, zg = _pair_blocks(zp, plain_in, s_chain, g_chain, adv_pairs)
-        both = score(state.arch, _gather_plain(zs), _gather_plain(zg))
-        adv = [both[i * size:(i + 1) * size] - both[(i + 1) * size:(i + 2) * size]
-               for i in range(0, len(adv_pairs), 2)]
     obs = gather([tape_in["obs"]])
     if hier:
         rep_sub = gather([z[("rep", "subgoal")]])

@@ -563,3 +563,37 @@ def test_finite_diff_on_quadratic():
 def test_finite_diff_rejects_bad_step():
     with pytest.raises(ValueError):
         finite_diff_grad(lambda v: 0.0, np.array([1.0]), step=0.0)
+
+
+def test_take_rows_stacks_blocks_of_several_nodes():
+    rng = np.random.default_rng(5)
+    a0, b0 = rng.normal(size=(4, 3)), rng.normal(size=(2, 3))
+    weights = rng.normal(size=(6, 3))
+
+    def loss(a_val, b_val):
+        tape = Tape()
+        a, b, c = tape.leaf(a_val), tape.leaf(b_val), tape.constant(np.ones((1, 3)))
+        rows = tape.take_rows([(a, 1, 3), (b, 0, 2), (c, 0, 1), (a, 2, 3)])
+        return tape, (a, b), tape.reduce_sum(tape.mul(rows, tape.constant(weights)))
+
+    tape, (a, b), out = loss(a0, b0)
+    assert np.array_equal(out.value, np.sum(np.concatenate(
+        [a0[1:3], b0, np.ones((1, 3)), a0[2:3]]) * weights))
+    tape.backward(out)
+    assert rel_err(tape.grad(a), finite_diff_grad(
+        lambda v: float(loss(v, b0)[2].value), a0)) < 1e-8
+    assert rel_err(tape.grad(b), finite_diff_grad(
+        lambda v: float(loss(a0, v)[2].value), b0)) < 1e-8
+    one = Tape()
+    node = one.leaf(a0)
+    assert one.take_rows([(node, 0, 4)]) is node
+    with pytest.raises(GraphError, match="different tape"):
+        one.take_rows([(node, 0, 1), (Tape().leaf(b0), 0, 1)])
+    with pytest.raises(GraphError, match="bad range"):
+        one.take_rows([(node, 0, 1), (node, 3, 5)])
+
+
+def test_leaf_check_can_be_left_to_the_caller():
+    assert np.isnan(Tape(check_leaves=False).leaf([np.nan]).value).all()
+    with pytest.raises(GraphError, match="non-finite constant"):
+        Tape(check_leaves=False).constant([np.nan])

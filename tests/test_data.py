@@ -578,3 +578,12 @@ def test_dataset_content_after_the_declared_trajectories_rejected():
         data.dataset_from_text(text)
     two = data.dataset_from_text(text.replace(" 1\n", " 2\n", 1))
     assert two.n_transitions == 2
+
+
+def test_write_dataset_peak_memory_is_one_block(tmp_path):
+    # the block of one short trajectory; building every trajectory's view
+    # first took about 0.86 MB here
+    ds = collect_stitch(maze.builtin_layout("medium"), 25_000, 8, 0.5, 1)
+    _, peak = _traced(data.write_dataset, ds, tmp_path / "stitch.dset")
+    assert peak <= 0.1e6
+    assert (tmp_path / "stitch.dset").read_text() == oracle_io.dataset_to_text(ds)
