@@ -21,10 +21,9 @@ closures allocate in it, so a float32 tape never promotes to float64.
 ``ARRAYS`` casts nothing; ``mlp_apply`` computes in its parameters' dtype.
 Python scalars stay weak under NumPy's promotion rules, so constants written
 as literals follow the array they meet. Non-finite values are rejected at
-graph boundaries (constants, leaves and requested outputs);
-``Tape(check_leaves=False)`` leaves the leaf check to a caller that checks
-its parameter buffers itself, and ``Tape(validate=True)`` additionally
-checks every intermediate, which is what the tests use.
+constants and at the output a backward sweep starts from. Leaves are not
+checked: they are views of parameter buffers, and the training step checks
+each buffer once (``require_finite``) before its tape reads them.
 """
 
 from __future__ import annotations
@@ -122,11 +121,8 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 class Tape:
     """Execution-ordered primitive graph with a single backward sweep."""
 
-    def __init__(self, validate: bool = False, dtype=np.float64,
-                 check_leaves: bool = True):
+    def __init__(self, dtype=np.float64):
         self.nodes: list[Node] = []
-        self.validate = validate
-        self.check_leaves = check_leaves
         self.dtype = np.dtype(dtype)
         self._ran_backward = False
         self._released = False
@@ -138,8 +134,6 @@ class Tape:
 
     def _register(self, value, name, inputs, backward):
         value = self._cast(value)
-        if self.validate and not np.all(np.isfinite(value)):
-            raise GraphError(f"non-finite output at node '{name}#{len(self.nodes)}'")
         needs = any(inp.needs_grad for inp in inputs)
         node = Node(self, value, f"{name}#{len(self.nodes)}", needs,
                     backward if needs else None)
@@ -159,15 +153,8 @@ class Tape:
             raise GraphError(f"{name}: shapes {a.shape} and {b.shape} do not broadcast") from None
 
     def leaf(self, value, name="leaf") -> Node:
-        """Trainable input; gradient is accumulated here.
-
-        Rejects a non-finite value unless the tape was made with
-        ``check_leaves=False``, for callers that check their parameters first.
-        """
-        value = self._cast(value)
-        if self.check_leaves and not np.all(np.isfinite(value)):
-            raise GraphError(f"non-finite leaf '{name}'")
-        return self._new_leaf(value, name, True)
+        """Trainable input; gradient is accumulated here. Its value is not checked."""
+        return self._new_leaf(self._cast(value), name, True)
 
     def constant(self, value, name="const") -> Node:
         """Input that never receives gradient."""
@@ -253,8 +240,6 @@ class Tape:
             raise GraphError(f"dense: incompatible shapes {x.shape} @ {w.shape} + {b.shape}")
         pre = x.value @ w.value
         pre += b.value
-        if act and self.validate and not np.all(np.isfinite(pre)):
-            raise GraphError(f"non-finite pre-activation at node 'dense#{len(self.nodes)}'")
         out, t = _gelu(pre) if act else (pre, None)
 
         def backward(g):
@@ -306,13 +291,11 @@ class Tape:
 
         return self._register(a.value[:, start:stop].copy(), "slice_cols", (a,), backward)
 
-    def take_rows(self, a, spans=None) -> Node:
-        """Rows src[lo:hi] of each (src, lo, hi) block in ``a``, stacked in order.
+    def take_rows(self, blocks) -> Node:
+        """Rows src[lo:hi] of each (src, lo, hi) block, stacked in order.
 
         Blocks may come from several nodes and may repeat.
-        ``take_rows(node, spans)`` takes the (lo, hi) spans of one node.
         """
-        blocks = a if spans is None else [(a, lo, hi) for lo, hi in spans]
         sources = list(dict.fromkeys(src for src, _, _ in blocks))
         self._check_same_tape("take_rows", *sources)
         for src, lo, hi in blocks:

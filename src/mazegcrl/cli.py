@@ -257,8 +257,8 @@ def _dataset_manifest(config: RunConfig, spec, dataset) -> dict:
             datamod.task_covered(dataset, spec, task) for task in spec.tasks],
     }
     if config.style == "stitch":
-        info["max_bfs_span"] = max(datamod.trajectory_span(spec, t)
-                                   for t in dataset.trajectories)
+        info["max_bfs_span"] = max(datamod.trajectory_span(spec, states)
+                                   for states, _ in datamod.walk(dataset))
         info["segment_len"] = config.segment_len
     return info
 
@@ -312,7 +312,7 @@ def cmd_train(config: RunConfig, dataset: datamod.Dataset) -> dict:
     grid passes the copy it read back from its own dataset file.
     """
     spec = maze.builtin_layout(config.layout)
-    if dataset.state_dim != 2 or dataset.action_dim != 2:
+    if dataset.state_dim != maze.POINT_DIM or dataset.action_dim != maze.POINT_DIM:
         raise GraphError(f"dataset dims ({dataset.state_dim}, "
                          f"{dataset.action_dim}) do not match the layout")
     out = Path(config.out_dir)

@@ -12,8 +12,9 @@ goal candidates (stitch); two ``random()`` a step, angle then radius, only
 when the noise scale is positive; on navigate a ``random_free_cell`` goal
 after each arrival. The rollouts append straight into the flat store that
 ``Dataset`` takes (``states``, ``actions`` and per-trajectory ``lengths``),
-as ``read_dataset`` parses each file block into it; a ``Trajectory`` is a
-view of that store, built when ``Dataset.trajectories`` is read.
+as ``read_dataset`` parses each file block into it. ``walk`` yields each
+trajectory's states and actions as views of that store, by ``lengths``; the
+file writer and the coverage diagnostics read trajectories through it.
 
 Goal sampling mixes four conditionals per transition (s_t in a trajectory
 s_0..s_T): the current state itself, a uniform future in-trajectory state
@@ -38,8 +39,8 @@ from . import maze
 from .maze import MazeSpec
 
 __all__ = [
-    "Trajectory",
     "Dataset",
+    "walk",
     "GoalSampleRatios",
     "GOAL_SOURCES",
     "VALUE_GOAL_RATIOS_DEFAULT",
@@ -80,26 +81,6 @@ class GoalSampleRatios(NamedTuple):
 
 
 @dataclass
-class Trajectory:
-    """States s_0..s_T and the T actions between them."""
-
-    states: np.ndarray   # (T+1, state_dim)
-    actions: np.ndarray  # (T, action_dim)
-
-    def __post_init__(self):
-        self.states = np.asarray(self.states, dtype=np.float64)
-        self.actions = np.asarray(self.actions, dtype=np.float64)
-        if self.states.ndim != 2 or self.actions.ndim != 2:
-            raise ValueError("trajectory arrays must be matrices")
-        if len(self.states) != len(self.actions) + 1:
-            raise ValueError("need exactly one more state than actions")
-
-    @property
-    def length(self) -> int:
-        return len(self.actions)
-
-
-@dataclass
 class Dataset:
     """Every trajectory's states and actions in one flat store, each state once.
 
@@ -107,7 +88,9 @@ class Dataset:
     a_0..a_{T-1} and ``lengths`` its T; the caller keeps those shapes
     consistent. Transition i is (states[index[i]], actions[i],
     states[index[i] + 1]); end[i] is the position of its trajectory's s_T.
-    ``trajectories`` builds new views of the store on every read.
+    ``walk`` yields each trajectory's rows. ``trajectories`` wraps each in a
+    one-trajectory ``Dataset`` on every read, at about ten times the cost:
+    it is kept for the benchmark harness, and no library code reads it.
     """
 
     states: np.ndarray   # (sum(lengths) + len(lengths), state_dim)
@@ -129,11 +112,8 @@ class Dataset:
         self.end = np.repeat(ends, self.lengths)
 
     @property
-    def trajectories(self) -> list[Trajectory]:
-        ends = (np.cumsum(self.lengths + 1) - 1).tolist()
-        # trajectory k's actions sit k places before its states
-        return [Trajectory(self.states[e - n:e + 1], self.actions[e - n - k:e - k])
-                for k, (n, e) in enumerate(zip(self.lengths.tolist(), ends))]
+    def trajectories(self) -> list[Dataset]:
+        return [Dataset(s, a, [len(a)]) for s, a in walk(self)]
 
     @property
     def n_transitions(self) -> int:
@@ -146,6 +126,14 @@ class Dataset:
     @property
     def action_dim(self) -> int:
         return self.actions.shape[1]
+
+
+def walk(dataset: Dataset):
+    """Each trajectory's (s_0..s_T, a_0..a_{T-1}), in order, as views of the store."""
+    s0 = a0 = 0
+    for n in dataset.lengths.tolist():
+        yield dataset.states[s0:s0 + n + 1], dataset.actions[a0:a0 + n]
+        s0, a0 = s0 + n + 1, a0 + n
 
 
 # ---- collection ----------------------------------------------------------------
@@ -366,9 +354,9 @@ def cell_coverage(dataset: Dataset, spec: MazeSpec) -> float:
     return len(_visited_cells(spec, dataset.states)) / len(spec.free_cells())
 
 
-def trajectory_span(spec: MazeSpec, traj: Trajectory) -> int:
-    """Largest BFS distance between any two cells visited by one trajectory."""
-    cells = sorted(_visited_cells(spec, traj.states))
+def trajectory_span(spec: MazeSpec, states: np.ndarray) -> int:
+    """Largest BFS distance between any two cells visited by one trajectory's states."""
+    cells = sorted(_visited_cells(spec, states))
     span = 0
     for i, a in enumerate(cells):
         dist = maze.distance_field(spec, a)
@@ -380,8 +368,7 @@ def trajectory_span(spec: MazeSpec, traj: Trajectory) -> int:
 def task_covered(dataset: Dataset, spec: MazeSpec, task: maze.Task) -> bool:
     """True if one single trajectory visits both the start and goal cells."""
     cells = {maze.cell_of(spec, task.start), maze.cell_of(spec, task.goal)}
-    return any(cells <= _visited_cells(spec, traj.states)
-               for traj in dataset.trajectories)
+    return any(cells <= _visited_cells(spec, states) for states, _ in walk(dataset))
 
 
 # ---- file format -------------------------------------------------------------------
@@ -393,14 +380,11 @@ def _dataset_blocks(dataset: Dataset):
     yield f"GCRL-DSET v1 {sd} {ad} {len(dataset.lengths)}\n"
     state_row = " ".join(["%.17g"] * sd) + "\n"
     pair_rows = state_row + " ".join(["%.17g"] * ad) + "\n"
-    s0 = a0 = 0
-    for n in dataset.lengths.tolist():
+    for states, actions in walk(dataset):
         # rows s_0, a_0, s_1, a_1, ..., s_T in file order
-        states = dataset.states[s0:s0 + n + 1]
-        pairs = np.hstack((states[:-1], dataset.actions[a0:a0 + n]))
-        flat = np.concatenate((pairs.ravel(), states[-1]))
+        n = len(actions)
+        flat = np.concatenate((np.hstack((states[:-1], actions)).ravel(), states[-1]))
         yield f"T {n}\n" + (pair_rows * n + state_row) % tuple(flat.tolist())
-        s0, a0 = s0 + n + 1, a0 + n
 
 
 def dataset_to_text(dataset: Dataset) -> str:

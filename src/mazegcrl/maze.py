@@ -45,6 +45,7 @@ __all__ = [
 
 State = tuple[float, float]   # (x, y) in length units
 Action = tuple[float, float]  # displacement direction, each axis in [-1, 1]
+POINT_DIM = 2  # the size of a State and of an Action
 
 GOAL_RADIUS_CELLS = 0.5
 STEP_LENGTH_CELLS = 0.4

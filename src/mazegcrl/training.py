@@ -74,7 +74,7 @@ from .autodiff import (
     polyak_update,
     require_finite,
 )
-from .maze import MazeSpec
+from .maze import POINT_DIM, MazeSpec
 from .values import (  # noqa: F401  (value is re-exported as training.value)
     ValueArchitecture,
     _score,
@@ -232,23 +232,22 @@ class LearnerState:
         return out
 
 
-def init_learner(config: TrainConfig, spec: MazeSpec,
-                 state_dim: int = 2, action_dim: int = 2) -> LearnerState:
+def init_learner(config: TrainConfig, spec: MazeSpec) -> LearnerState:
     config.validate()
     rng = np.random.default_rng(config.seed)
     hier, dtype = config.hierarchical, np.dtype(config.dtype)
-    rep = (make_subgoal_rep(rng, state_dim, config.rep_hidden, config.rep_dim, dtype)
+    rep = (make_subgoal_rep(rng, POINT_DIM, config.rep_hidden, config.rep_dim, dtype)
            if hier else None)
     arch = make_value_arch(
-        rng, config.arch_kind, state_dim, config.value_hidden,
+        rng, config.arch_kind, POINT_DIM, config.value_hidden,
         goal_input_dim=config.rep_dim if hier else None,
         latent_dim=config.latent_dim, iqe_components=config.iqe_components,
         iqe_intervals=config.iqe_intervals, mrn_sym_dim=config.mrn_sym_dim,
         mrn_asym_dim=config.mrn_asym_dim, dtype=dtype)
-    high = (make_policy(rng, 2 * state_dim, config.policy_hidden, config.rep_dim,
+    high = (make_policy(rng, 2 * POINT_DIM, config.policy_hidden, config.rep_dim,
                         dtype) if hier else None)
-    low_cond = config.rep_dim if hier else state_dim
-    low = make_policy(rng, state_dim + low_cond, config.policy_hidden, action_dim,
+    low_cond = config.rep_dim if hier else POINT_DIM
+    low = make_policy(rng, POINT_DIM + low_cond, config.policy_hidden, POINT_DIM,
                       dtype)
 
     if config.normalize_inputs:
@@ -257,8 +256,8 @@ def init_learner(config: TrainConfig, spec: MazeSpec,
                           dtype=dtype)
         scale = center.copy()
     else:
-        center = np.zeros(state_dim, dtype=dtype)
-        scale = np.ones(state_dim, dtype=dtype)
+        center = np.zeros(POINT_DIM, dtype=dtype)
+        scale = np.ones(POINT_DIM, dtype=dtype)
 
     target = copy.deepcopy(arch)
     state = LearnerState(config=config, arch=arch, target_arch=target,
@@ -417,7 +416,7 @@ def _graph(state: LearnerState, batch: dict) -> _Graph:
     for name, opt in state.opt.items():
         require_finite(state.buffers[name], opt.mean, "non-finite parameter")
     x_all = np.concatenate([state.normalize(batch[k]) for k in _INPUTS])
-    tape = Tape(dtype=config.dtype, check_leaves=False)
+    tape = Tape(dtype=config.dtype)
     x_node = tape.constant(x_all, "inputs")
     spans = {k: (i * size, (i + 1) * size) for i, k in enumerate(_INPUTS)}
     tape_in = {k: (x_node, *span) for k, span in spans.items()}

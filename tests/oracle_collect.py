@@ -4,7 +4,8 @@ Copies of ``data.expert_action``, ``data.collect_navigate``,
 ``data.collect_stitch`` and the NumPy-indexed BFS ``maze.distance_field``,
 verbatim except that the BFS keeps its own cache (so comparing the two never
 reads one array twice) and the stitch collector measures spans with it.
-``dataset_of`` is the old ``Dataset(trajectories)`` constructor.
+``dataset_of`` joins one-trajectory datasets, as the old
+``Dataset(trajectories)`` constructor did.
 Every expert step here goes through ``maze.cell_of``, ``maze.next_cell``,
 ``maze.step`` and a ``math.hypot`` goal-radius test one call at a time. The
 library's datasets must equal these byte for byte, and its distance fields
@@ -18,17 +19,17 @@ from collections import deque
 import numpy as np
 
 from mazegcrl import maze
-from mazegcrl.data import Dataset, Trajectory
+from mazegcrl.data import Dataset
 from mazegcrl.maze import MazeSpec
 
 
-def dataset_of(trajectories: list[Trajectory]) -> Dataset:
-    """The dataset whose store holds these trajectories, in order (copied)."""
+def dataset_of(trajectories: list[Dataset]) -> Dataset:
+    """The dataset whose store holds these datasets' stores, in order (copied)."""
     if not trajectories:
         raise ValueError("dataset must contain at least one trajectory")
     return Dataset(np.concatenate([t.states for t in trajectories]),
                    np.concatenate([t.actions for t in trajectories]),
-                   [t.length for t in trajectories])
+                   np.concatenate([t.lengths for t in trajectories]))
 
 
 _FIELDS = weakref.WeakKeyDictionary()  # spec -> {source cell: distance array}
@@ -103,7 +104,8 @@ def collect_navigate(spec: MazeSpec, n_transitions: int, noise_scale: float,
             if (math.hypot(s[0] - goal[0], s[1] - goal[1])
                     <= spec.goal_radius):
                 goal = maze.cell_center(spec, maze.random_free_cell(spec, rng))
-        trajectories.append(Trajectory(np.array(states), np.array(actions)))
+        trajectories.append(Dataset(np.array(states), np.array(actions),
+                                    [len(actions)]))
         total += len(actions)
     return dataset_of(trajectories)
 
@@ -158,6 +160,7 @@ def collect_stitch(spec: MazeSpec, n_transitions: int, segment_len: int,
                 break
         if not actions:
             continue
-        trajectories.append(Trajectory(np.array(states), np.array(actions)))
+        trajectories.append(Dataset(np.array(states), np.array(actions),
+                                    [len(actions)]))
         total += len(actions)
     return dataset_of(trajectories)

@@ -14,7 +14,7 @@ from itertools import chain
 
 import numpy as np
 
-from mazegcrl.data import Dataset, Trajectory
+from mazegcrl.data import Dataset
 from tests.oracle_collect import dataset_of
 
 
@@ -24,13 +24,15 @@ def _fmt_row(row: np.ndarray) -> str:
 
 def dataset_to_text(dataset: Dataset) -> str:
     lines = [f"GCRL-DSET v1 {dataset.state_dim} {dataset.action_dim} "
-             f"{len(dataset.trajectories)}"]
-    for traj in dataset.trajectories:
-        lines.append(f"T {traj.length}")
-        for t in range(traj.length):
-            lines.append(_fmt_row(traj.states[t]))
-            lines.append(_fmt_row(traj.actions[t]))
-        lines.append(_fmt_row(traj.states[-1]))
+             f"{len(dataset.lengths)}"]
+    s0 = a0 = 0
+    for n in dataset.lengths.tolist():
+        lines.append(f"T {n}")
+        for t in range(n):
+            lines.append(_fmt_row(dataset.states[s0 + t]))
+            lines.append(_fmt_row(dataset.actions[a0 + t]))
+        lines.append(_fmt_row(dataset.states[s0 + n]))
+        s0, a0 = s0 + n + 1, a0 + n
     return "\n".join(lines) + "\n"
 
 
@@ -80,7 +82,7 @@ def dataset_from_text(text: str) -> Dataset:
         n_pairs = length * (state_dim + action_dim)
         pairs = flat[:n_pairs].reshape(length, state_dim + action_dim)
         states = np.vstack((pairs[:, :state_dim], flat[n_pairs:]))
-        trajectories.append(Trajectory(states, pairs[:, state_dim:]))
+        trajectories.append(Dataset(states, pairs[:, state_dim:], [length]))
         pos = end
     if pos < len(lines):
         raise ValueError(f"line {pos + 1} follows the last of the {n_traj} "

@@ -2,9 +2,9 @@
 
 ``sample_goals`` and ``sample_batch`` are verbatim copies of the functions
 that read a (trajectory, step) pair per transition and per-trajectory offset
-and length arrays. ``legacy`` derives those arrays from a dataset's
-trajectories, so the library's batches can be compared with these draw for
-draw and byte for byte.
+and length arrays. ``legacy`` derives those arrays from a dataset's store
+and trajectory lengths alone, so the library's batches can be compared with
+these draw for draw and byte for byte.
 """
 
 from types import SimpleNamespace
@@ -15,16 +15,15 @@ from mazegcrl.data import GoalSampleRatios
 
 
 def legacy(dataset) -> SimpleNamespace:
-    """The old index of a dataset: built from its trajectories alone."""
-    trajectories = dataset.trajectories
-    lens = np.array([t.length for t in trajectories], dtype=np.int64)
+    """The old index of a dataset: built from its store and lengths alone."""
+    lens = np.array(dataset.lengths, dtype=np.int64)
     return SimpleNamespace(
         n_transitions=int(lens.sum()),
         _traj_len=lens,
         _state_offset=np.concatenate([[0], np.cumsum(lens + 1)[:-1]]),
         _action_offset=np.concatenate([[0], np.cumsum(lens)[:-1]]),
-        _all_states=np.concatenate([t.states for t in trajectories]),
-        _all_actions=np.concatenate([t.actions for t in trajectories]),
+        _all_states=dataset.states,
+        _all_actions=dataset.actions,
         trans_traj=np.repeat(np.arange(len(lens)), lens),
         trans_step=np.concatenate([np.arange(n) for n in lens]),
     )

@@ -29,7 +29,7 @@ from mazegcrl.cli import (
     read_summary_csv,
 )
 from mazegcrl.values import read_tensors, write_tensors
-from tests import oracle_csv
+from tests import oracle_collect, oracle_csv
 
 TINY = [
     "data.transitions=600",
@@ -180,6 +180,48 @@ def test_gen_data_stitch_manifest_records_span(tmp_path):
     manifest = json.loads((tmp_path / "stitch.dset.manifest.json").read_text())
     assert manifest["max_bfs_span"] <= 4
     assert manifest["segment_len"] == 4
+
+
+def _brute_force_coverage(spec, dataset):
+    """Span and task coverage of each trajectory, split from states by lengths."""
+    bounds = np.cumsum(dataset.lengths + 1)[:-1]
+    cell_sets = []
+    for states in np.split(dataset.states, bounds):
+        cell_sets.append({(int(np.floor(y / spec.cell_size)),
+                           int(np.floor(x / spec.cell_size))) for x, y in states})
+    span = max(max((int(oracle_collect.distance_field(spec, a)[b])
+                    for a in cells for b in cells), default=0)
+               for cells in cell_sets)
+    covered = [any({maze.cell_of(spec, t.start), maze.cell_of(spec, t.goal)} <= cells
+                   for cells in cell_sets) for t in spec.tasks]
+    return span, covered
+
+
+@pytest.mark.parametrize("extra", [
+    ("env.layout=giant", "data.style=stitch", "data.transitions=3000",
+     "data.segment_len=8"),
+    ("env.layout=medium", "data.style=navigate", "data.transitions=1500")])
+def test_gen_data_manifest_walk_equals_brute_force(tmp_path, extra):
+    cfg = tiny_config(*extra)
+    path = tmp_path / "walk.dset"
+    cmd_gen_data(cfg, path)
+    manifest = json.loads((tmp_path / "walk.dset.manifest.json").read_text())
+    spec = maze.builtin_layout(cfg.layout)
+    ds = data.read_dataset(path)
+    span, covered = _brute_force_coverage(spec, ds)
+    assert manifest["tasks_covered_by_single_trajectory"] == covered
+    if cfg.style == "stitch":
+        assert manifest["max_bfs_span"] == span
+    else:
+        assert "max_bfs_span" not in manifest and any(covered)
+    # the benchmark's trajectory views: slices of the one store, in order
+    views = ds.trajectories
+    assert [len(v.actions) for v in views] == ds.lengths.tolist()
+    for v in views:
+        assert np.shares_memory(v.states, ds.states)
+        assert np.shares_memory(v.actions, ds.actions)
+    assert np.array_equal(np.concatenate([v.states for v in views]), ds.states)
+    assert np.array_equal(np.concatenate([v.actions for v in views]), ds.actions)
 
 
 @pytest.mark.parametrize("verb", ["gen-data", "train"])

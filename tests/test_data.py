@@ -14,7 +14,6 @@ from mazegcrl import data, maze
 from mazegcrl.data import (
     Dataset,
     GoalSampleRatios,
-    Trajectory,
     collect_navigate,
     collect_stitch,
     sample_batch,
@@ -24,20 +23,15 @@ from tests import oracle_collect, oracle_io, oracle_sample
 from tests.oracle_collect import dataset_of, expert_action
 
 
-def synthetic_trajectory(length: int) -> Trajectory:
+def synthetic_trajectory(length: int) -> Dataset:
     # state x-coordinate encodes the step index, so goals identify themselves
     states = np.stack([np.arange(length + 1, dtype=np.float64),
                        np.zeros(length + 1)], axis=1)
     actions = np.zeros((length, 2))
-    return Trajectory(states, actions)
+    return Dataset(states, actions, [length])
 
 
 # ---- trajectory / dataset basics -------------------------------------------------
-
-
-def test_trajectory_length_consistency_enforced():
-    with pytest.raises(ValueError):
-        Trajectory(np.zeros((3, 2)), np.zeros((3, 2)))
 
 
 def test_dataset_flat_index_covers_all_transitions():
@@ -54,31 +48,30 @@ def test_dataset_flat_index_covers_all_transitions():
 def test_dataset_stores_each_state_once():
     caller = [synthetic_trajectory(n) for n in (1, 4, 1, 2)]
     for traj in caller:
-        traj.actions[:] = np.arange(traj.length)[:, None] + 0.5
+        traj.actions[:] = np.arange(traj.n_transitions)[:, None] + 0.5
     before = [(t.states, t.actions, t.states.copy(), t.actions.copy())
               for t in caller]
     ds = dataset_of(list(caller))
-    for traj, (states, actions, s_copy, a_copy), view in zip(
-            caller, before, ds.trajectories):
+    walked = list(data.walk(ds))
+    assert len(walked) == len(caller)
+    for traj, (states, actions, s_copy, a_copy), (view_s, view_a) in zip(
+            caller, before, walked):
         assert traj.states is states and traj.actions is actions
         assert np.array_equal(states, s_copy) and np.array_equal(actions, a_copy)
-        assert view is not traj
-        assert np.shares_memory(view.states, ds.states)
-        assert np.shares_memory(view.actions, ds.actions)
-        assert not np.shares_memory(view.states, states)
-        assert np.array_equal(view.states, states)
-        assert np.array_equal(view.actions, actions)
+        assert np.shares_memory(view_s, ds.states)
+        assert np.shares_memory(view_a, ds.actions)
+        assert not np.shares_memory(view_s, states)
+        assert np.array_equal(view_s, states)
+        assert np.array_equal(view_a, actions)
     assert ds.lengths.tolist() == [1, 4, 1, 2]
-    # every read builds new views of the one store
-    assert ds.trajectories[1] is not ds.trajectories[1]
     spec = maze.builtin_layout("medium")
     for got in (collect_stitch(spec, 500, 4, 0.5, seed=0),
                 data.dataset_from_text(data.dataset_to_text(
                     collect_navigate(spec, 500, 0.5, seed=0)))):
-        assert sum(len(t.states) for t in got.trajectories) == len(got.states)
-        for view in got.trajectories:
-            assert np.shares_memory(view.states, got.states)
-            assert np.shares_memory(view.actions, got.actions)
+        assert sum(len(s) for s, _ in data.walk(got)) == len(got.states)
+        for view_s, view_a in data.walk(got):
+            assert np.shares_memory(view_s, got.states)
+            assert np.shares_memory(view_a, got.actions)
 
 
 def test_empty_dataset_rejected():
@@ -145,10 +138,10 @@ def test_navigate_deterministic_given_seed():
     spec = maze.builtin_layout("medium")
     a = collect_navigate(spec, 2000, 0.5, seed=11)
     b = collect_navigate(spec, 2000, 0.5, seed=11)
-    assert len(a.trajectories) == len(b.trajectories)
-    for ta, tb in zip(a.trajectories, b.trajectories):
-        assert np.array_equal(ta.states, tb.states)
-        assert np.array_equal(ta.actions, tb.actions)
+    assert a.lengths.tolist() == b.lengths.tolist()
+    for (sa, aa), (sb, ab) in zip(data.walk(a), data.walk(b)):
+        assert np.array_equal(sa, sb)
+        assert np.array_equal(aa, ab)
 
 
 def test_navigate_transition_count_within_one_trajectory():
@@ -165,13 +158,13 @@ def test_navigate_covers_free_cells():
 
 def validate_dataset(dataset: Dataset, spec) -> None:
     """Exhaustive dynamics-consistency check of every stored transition."""
-    for k, traj in enumerate(dataset.trajectories):
-        for t in range(traj.length):
-            s = tuple(traj.states[t])
+    for k, (states, actions) in enumerate(data.walk(dataset)):
+        for t in range(len(actions)):
+            s = tuple(states[t])
             if not maze.is_valid_state(spec, s):
                 raise ValueError(f"trajectory {k}: state {t} inside a wall")
-            nxt = maze.step(spec, s, tuple(traj.actions[t]))
-            if nxt != tuple(traj.states[t + 1]):
+            nxt = maze.step(spec, s, tuple(actions[t]))
+            if nxt != tuple(states[t + 1]):
                 raise ValueError(f"trajectory {k}: transition {t} inconsistent "
                                  f"with the maze dynamics")
 
@@ -186,16 +179,16 @@ def test_stitch_span_bounded_by_construction():
     spec = maze.builtin_layout("medium")
     ds = collect_stitch(spec, 3000, 4, 0.5, seed=2)
     validate_dataset(ds, spec)
-    for traj in ds.trajectories:
-        assert data.trajectory_span(spec, traj) <= 4
+    for states, _ in data.walk(ds):
+        assert data.trajectory_span(spec, states) <= 4
 
 
 def test_stitch_deterministic_given_seed():
     spec = maze.builtin_layout("medium")
     a = collect_stitch(spec, 2000, 4, 0.5, seed=9)
     b = collect_stitch(spec, 2000, 4, 0.5, seed=9)
-    for ta, tb in zip(a.trajectories, b.trajectories):
-        assert np.array_equal(ta.states, tb.states)
+    for (sa, _), (sb, _) in zip(data.walk(a), data.walk(b)):
+        assert np.array_equal(sa, sb)
 
 
 def test_giant_stitch_forces_stitching():
@@ -272,7 +265,7 @@ def test_nan_action_components_clamp_to_minus_one(monkeypatch):
     spec = maze.builtin_layout("medium")
     assert_same_bytes(spec, 300, math.inf, 0)
     assert_same_bytes(spec, 200, math.inf, 0, 3)
-    actions = collect_navigate(spec, 300, math.inf, 0).trajectories[0].actions
+    _, actions = next(data.walk(collect_navigate(spec, 300, math.inf, 0)))
     assert (actions == -1.0).all(axis=1).any()
 
 
@@ -435,8 +428,8 @@ RATIO_SETS = (data.VALUE_GOAL_RATIOS_DEFAULT, data.VALUE_GOAL_RATIOS_STITCH,
 
 def short_trajectory_dataset() -> Dataset:
     rng = np.random.default_rng(3)
-    return dataset_of([Trajectory(rng.random((n + 1, 2)), rng.random((n, 2)))
-                    for n in (1, 1, 3, 1, 7, 2, 1, 12, 1)])
+    return dataset_of([Dataset(rng.random((n + 1, 2)), rng.random((n, 2)), [n])
+                       for n in (1, 1, 3, 1, 7, 2, 1, 12, 1)])
 
 
 @pytest.fixture(scope="module")
@@ -491,10 +484,10 @@ def test_dataset_file_round_trip_bit_exact(tmp_path):
     path = tmp_path / "navigate.dset"
     data.write_dataset(ds, path)
     back = data.read_dataset(path)
-    assert len(back.trajectories) == len(ds.trajectories)
-    for ta, tb in zip(ds.trajectories, back.trajectories):
-        assert np.array_equal(ta.states, tb.states)
-        assert np.array_equal(ta.actions, tb.actions)
+    assert back.lengths.tolist() == ds.lengths.tolist()
+    for (sa, aa), (sb, ab) in zip(data.walk(ds), data.walk(back)):
+        assert np.array_equal(sa, sb)
+        assert np.array_equal(aa, ab)
     # the file holds the reference text, and writing again reproduces it
     assert path.read_text() == oracle_io.dataset_to_text(ds)
     assert data.dataset_to_text(back) == data.dataset_to_text(ds)

@@ -10,7 +10,6 @@ from hypothesis.extra import numpy as hnp
 from scipy import stats
 
 from mazegcrl import data, evaluation as E, maze
-from mazegcrl.data import Trajectory
 from mazegcrl.maze import Task, builtin_layout
 from mazegcrl.training import TrainConfig, init_learner
 from tests import oracle_eval
@@ -31,10 +30,9 @@ def zero_policy_learner(spec, bias=(0.0, 0.0), hierarchical=False):
     return state
 
 
-def path_trajectory(values_by_index):
+def path_states(values_by_index):
     n = len(values_by_index)
-    states = np.stack([np.arange(n, dtype=np.float64), np.zeros(n)], axis=1)
-    return Trajectory(states, np.zeros((n - 1, 2)))
+    return np.stack([np.arange(n, dtype=np.float64), np.zeros(n)], axis=1)
 
 
 # ---- act -----------------------------------------------------------------------
@@ -253,21 +251,21 @@ def test_expert_rollout_matches_reference_when_trials_finish_apart():
 
 
 def test_kendall_strictly_increasing_value_scores_one():
-    traj = path_trajectory(range(8))
+    path = path_states(range(8))
     fn = lambda states, g: -(7.0 - states[:, 0])
-    assert E.kendall_consistency(fn, traj.states, (7.0, 0.0)) == 1.0
+    assert E.kendall_consistency(fn, path, (7.0, 0.0)) == 1.0
 
 
 def test_kendall_strictly_decreasing_value_scores_zero():
-    traj = path_trajectory(range(8))
+    path = path_states(range(8))
     fn = lambda states, g: 3.0 * (7.0 - states[:, 0])
-    assert E.kendall_consistency(fn, traj.states, (7.0, 0.0)) == 0.0
+    assert E.kendall_consistency(fn, path, (7.0, 0.0)) == 0.0
 
 
 def test_kendall_empty_path_is_vacuously_one():
-    traj = path_trajectory(range(1))
+    path = path_states(range(1))
     fn = lambda states, g: np.zeros(len(states))
-    assert E.kendall_consistency(fn, traj.states, (0.0, 0.0)) == 1.0
+    assert E.kendall_consistency(fn, path, (0.0, 0.0)) == 1.0
 
 
 def test_kendall_matches_pair_counting_oracle():
@@ -275,7 +273,7 @@ def test_kendall_matches_pair_counting_oracle():
     for _ in range(100):
         horizon = int(rng.integers(1, 11))
         vals = rng.normal(size=horizon + 1)
-        traj = path_trajectory(range(horizon + 1))
+        path = path_states(range(horizon + 1))
         fn = lambda states, g, vals=vals: vals[states[:, 0].astype(int)]
         count = 0
         for i in range(horizon + 1):
@@ -283,7 +281,7 @@ def test_kendall_matches_pair_counting_oracle():
                 if vals[j] > vals[i]:
                     count += 1
         expected = count / (horizon * (horizon + 1) / 2)
-        assert E.kendall_consistency(fn, traj.states, (0, 0)) == pytest.approx(
+        assert E.kendall_consistency(fn, path, (0, 0)) == pytest.approx(
             expected, abs=1e-15)
 
 
@@ -293,12 +291,12 @@ def test_kendall_matches_pair_counting_oracle():
 def test_kendall_invariant_under_increasing_transforms(seed, scale, shift):
     rng = np.random.default_rng(seed)
     vals = rng.normal(size=7)
-    traj = path_trajectory(range(7))
+    path = path_states(range(7))
     base = E.kendall_consistency(
-        lambda s, g: vals[s[:, 0].astype(int)], traj.states, (0, 0))
+        lambda s, g: vals[s[:, 0].astype(int)], path, (0, 0))
     warped = E.kendall_consistency(
         lambda s, g: np.exp(scale * vals[s[:, 0].astype(int)]) + shift,
-        traj.states, (0, 0))
+        path, (0, 0))
     assert warped == base
 
 
@@ -306,20 +304,20 @@ def test_kendall_complement_bound():
     rng = np.random.default_rng(6)
     for _ in range(50):
         vals = rng.normal(size=6)
-        traj = path_trajectory(range(6))
+        path = path_states(range(6))
         fn = lambda s, g, v=vals: v[s[:, 0].astype(int)]
         neg = lambda s, g, v=vals: -v[s[:, 0].astype(int)]
-        total = (E.kendall_consistency(fn, traj.states, (0, 0))
-                 + E.kendall_consistency(neg, traj.states, (0, 0)))
+        total = (E.kendall_consistency(fn, path, (0, 0))
+                 + E.kendall_consistency(neg, path, (0, 0)))
         assert total <= 1.0 + 1e-15
         assert total == pytest.approx(1.0)  # no ties in continuous draws
 
     tied = np.array([1.0, 1.0, 2.0])
-    traj = path_trajectory(range(3))
+    path = path_states(range(3))
     fn = lambda s, g: tied[s[:, 0].astype(int)]
     neg = lambda s, g: -tied[s[:, 0].astype(int)]
-    assert (E.kendall_consistency(fn, traj.states, (0, 0))
-            + E.kendall_consistency(neg, traj.states, (0, 0))) < 1.0
+    assert (E.kendall_consistency(fn, path, (0, 0))
+            + E.kendall_consistency(neg, path, (0, 0))) < 1.0
 
 
 # ---- landscapes ---------------------------------------------------------------------

@@ -38,8 +38,8 @@ def datasets(draw):
     action_dim = draw(st.integers(1, 3))
     trajectories = []
     for length in draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)):
-        trajectories.append(data.Trajectory(draw(_matrix(length + 1, state_dim)),
-                                            draw(_matrix(length, action_dim))))
+        trajectories.append(data.Dataset(draw(_matrix(length + 1, state_dim)),
+                                         draw(_matrix(length, action_dim)), [length]))
     return dataset_of(trajectories)
 
 
@@ -58,9 +58,9 @@ def tensor_trees(draw):
 
 
 EDGE_DATASET = dataset_of([
-    data.Trajectory(np.array([SPECIAL[:2], SPECIAL[2:4]]), np.array([SPECIAL[4:6]])),
-    data.Trajectory(np.array(SEVENTEEN_DIGITS[:6]).reshape(3, 2),
-                    np.array([[1e308, -0.0], [0.1, 7.0]])),
+    data.Dataset(np.array([SPECIAL[:2], SPECIAL[2:4]]), np.array([SPECIAL[4:6]]), [1]),
+    data.Dataset(np.array(SEVENTEEN_DIGITS[:6]).reshape(3, 2),
+                 np.array([[1e308, -0.0], [0.1, 7.0]]), [2]),
 ])
 
 EDGE_TREE = {"scalar": np.array(0.1), "vec": np.array(SPECIAL),
