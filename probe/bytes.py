@@ -5,14 +5,16 @@ Run from the root of a checkout::
     python3 probe/bytes.py > bytes.txt
 
 In one temporary directory it runs, through ``cli.main``: ``gen-data`` for
-both styles (2k transitions on medium); ``train`` LAN hier wc=1 on navigate
-and IQE flat on stitch, each in float32 and float64, with eval, checkpoint
-and metrics cadences; ``eval`` and ``landscape`` on each final checkpoint;
-and a 2x2 ``ablate`` grid (MLP, LAN x navigate, stitch). It prints
-``sha256  relative-path`` for every file written and for each command's
-stdout (``<label>.stdout``), with the temporary directory's path and the
-train manifests' timestamps removed. ``diff`` of two checkouts' output is
-the check that a change kept every output byte.
+both styles (2k transitions on medium) and for giant/stitch (3k transitions,
+whose manifest has a long span and tasks no one trajectory covers); ``train``
+LAN hier wc=1 on navigate and IQE flat on stitch, each in float32 and
+float64, with eval, checkpoint and metrics cadences; ``eval`` and
+``landscape`` on each final checkpoint; and a 2x2 ``ablate`` grid (MLP, LAN
+x navigate, stitch). It prints ``sha256  relative-path`` for every file
+written and for each command's stdout (``<label>.stdout``), with the
+temporary directory's path and the train manifests' timestamps removed.
+``diff`` of two checkouts' output is the check that a change kept every
+output byte.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ TRAINS = {
 ABLATE = DATA + ["train.steps=20", "run.eval_trials=2",
                  "grid.arch_kinds=MLP,LAN", "grid.styles=navigate,stitch",
                  "grid.seeds=0"]
+GIANT_STITCH = ["data.transitions=3000", "env.layout=giant", "data.style=stitch"]
 TIMESTAMP = re.compile(r'^ *"(started|finished)": .*\n', re.M)
 
 
@@ -56,6 +59,9 @@ def commands(tmp: Path) -> list[tuple[str, list[str]]]:
              ["gen-data", "--out", str(tmp / "data" / f"{style}.dset"),
               *_sets(DATA + [f"data.style={style}"])])
             for style in ("navigate", "stitch")]
+    cmds.append(("gen-data-giant-stitch",
+                 ["gen-data", "--out", str(tmp / "data" / "giant-stitch.dset"),
+                  *_sets(GIANT_STITCH)]))
     for name, (style, lines) in TRAINS.items():
         for dtype in ("float32", "float64"):
             run = f"{name}-{dtype}"

@@ -247,18 +247,18 @@ def _generate_dataset(config: RunConfig, spec) -> datamod.Dataset:
 
 
 def _dataset_manifest(config: RunConfig, spec, dataset) -> dict:
+    cells, tasks, span = datamod.coverage(dataset, spec,
+                                          span=config.style == "stitch")
     info = {
         "layout": config.layout,
         "style": config.style,
         "transitions": dataset.n_transitions,
         "n_trajectories": len(dataset.lengths),
-        "cell_coverage": datamod.cell_coverage(dataset, spec),
-        "tasks_covered_by_single_trajectory": [
-            datamod.task_covered(dataset, spec, task) for task in spec.tasks],
+        "cell_coverage": cells,
+        "tasks_covered_by_single_trajectory": tasks,
     }
     if config.style == "stitch":
-        info["max_bfs_span"] = max(datamod.trajectory_span(spec, states)
-                                   for states, _ in datamod.walk(dataset))
+        info["max_bfs_span"] = span
         info["segment_len"] = config.segment_len
     return info
 

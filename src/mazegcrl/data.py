@@ -13,8 +13,8 @@ when the noise scale is positive; on navigate a ``random_free_cell`` goal
 after each arrival. The rollouts append straight into the flat store that
 ``Dataset`` takes (``states``, ``actions`` and per-trajectory ``lengths``),
 as ``read_dataset`` parses each file block into it. ``walk`` yields each
-trajectory's states and actions as views of that store, by ``lengths``; the
-file writer and the coverage diagnostics read trajectories through it.
+trajectory's states and actions as views of that store, by ``lengths``, for
+the file writer; ``coverage`` reads the whole store as one visit matrix.
 
 Goal sampling mixes four conditionals per transition (s_t in a trajectory
 s_0..s_T): the current state itself, a uniform future in-trajectory state
@@ -36,7 +36,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import maze
-from .maze import MazeSpec
+from .maze import MazeError, MazeSpec
 
 __all__ = [
     "Dataset",
@@ -50,9 +50,7 @@ __all__ = [
     "collect_stitch",
     "sample_goals",
     "sample_batch",
-    "cell_coverage",
-    "trajectory_span",
-    "task_covered",
+    "coverage",
     "write_dataset",
     "read_dataset",
     "dataset_to_text",
@@ -343,32 +341,30 @@ def sample_batch(dataset: Dataset, batch_size: int,
 # ---- dataset diagnostics ------------------------------------------------------------
 
 
-def _visited_cells(spec: MazeSpec, states: np.ndarray) -> set:
-    cols = np.floor(states[:, 0] / spec.cell_size).astype(int)
-    rows = np.floor(states[:, 1] / spec.cell_size).astype(int)
-    return set(zip(rows.tolist(), cols.tolist()))
+def coverage(dataset: Dataset, spec: MazeSpec, span: bool = False):
+    """(cells, tasks, span) read from one (trajectory x free cell) visit matrix.
 
-
-def cell_coverage(dataset: Dataset, spec: MazeSpec) -> float:
-    """Fraction of free cells visited by any state in the dataset."""
-    return len(_visited_cells(spec, dataset.states)) / len(spec.free_cells())
-
-
-def trajectory_span(spec: MazeSpec, states: np.ndarray) -> int:
-    """Largest BFS distance between any two cells visited by one trajectory's states."""
-    cells = sorted(_visited_cells(spec, states))
-    span = 0
-    for i, a in enumerate(cells):
-        dist = maze.distance_field(spec, a)
-        for b in cells[i + 1:]:
-            span = max(span, int(dist[b]))
-    return span
-
-
-def task_covered(dataset: Dataset, spec: MazeSpec, task: maze.Task) -> bool:
-    """True if one single trajectory visits both the start and goal cells."""
-    cells = {maze.cell_of(spec, task.start), maze.cell_of(spec, task.goal)}
-    return any(cells <= _visited_cells(spec, states) for states, _ in walk(dataset))
+    The fraction of free cells any state visits; per spec task, whether one
+    trajectory visits its start and goal cells; if asked for (else None), the
+    largest BFS distance between two cells one trajectory visits.
+    """
+    free = spec.free_cells()
+    ids = maze.cell_ids(spec, *dataset.states.T)
+    if (ids < 0).any():  # as an index, -1 would mark the last free cell
+        row = int(np.argmax(ids < 0))
+        raise MazeError(f"dataset state {row} {tuple(dataset.states[row].tolist())} "
+                        f"lies in no free cell")
+    n_traj = len(dataset.lengths)
+    visits = np.zeros((n_traj, len(free)), dtype=bool)
+    visits[np.repeat(np.arange(n_traj), dataset.lengths + 1), ids] = True
+    ends = maze.cell_ids(spec, *np.reshape(spec.tasks, (-1, 2)).T).reshape(-1, 2)
+    tasks = ((visits[:, ends[:, 0]] & visits[:, ends[:, 1]]).any(axis=0)
+             & (ends >= 0).all(axis=1)).tolist()  # no trajectory visits a wall
+    seen, far = visits.any(axis=0), None
+    if span:  # per visited cell i: its BFS hops to the cells its trajectories visit
+        far = max(int(maze.distance_field(spec, free[i])[~spec.walls][
+            visits[visits[:, i]].any(axis=0)].max()) for i in np.flatnonzero(seen))
+    return int(np.count_nonzero(seen)) / len(free), tasks, far
 
 
 # ---- file format -------------------------------------------------------------------

@@ -108,13 +108,12 @@ def learner_value_fn(state: LearnerState):
 
 def _jittered_starts(spec: MazeSpec, start, n: int,
                      rng: np.random.Generator) -> np.ndarray:
+    """n jittered copies of start; one outside the start's free cell is the start."""
     jitter = rng.uniform(-START_JITTER_CELLS, START_JITTER_CELLS, size=(n, 2))
-    starts = np.asarray(start, dtype=np.float64) + jitter * spec.cell_size
-    home = maze.cell_of(spec, start)
-    for i in range(n):
-        s = (float(starts[i, 0]), float(starts[i, 1]))
-        if maze.cell_of(spec, s) != home or not maze.is_valid_state(spec, s):
-            starts[i] = start
+    start = np.asarray(start, dtype=np.float64)
+    starts = start + jitter * spec.cell_size
+    home = maze.cell_ids(spec, *start)  # -1: a start in a wall is never jittered
+    starts[(maze.cell_ids(spec, *starts.T) != home) | (home < 0)] = start
     return starts
 
 
@@ -183,14 +182,12 @@ def kendall_consistency(value_fn, states: np.ndarray, goal) -> float:
 
 
 def _free_sample_points(spec: MazeSpec, resolution: int):
+    """Each free cell's resolution^2 sub-cell centres, cell by cell, row-major."""
     sub = (np.arange(resolution) + 0.5) / resolution
-    xs, ys = [], []
-    for r, c in spec.free_cells():
-        for i in range(resolution):
-            for j in range(resolution):
-                xs.append((c + sub[j]) * spec.cell_size)
-                ys.append((r + sub[i]) * spec.cell_size)
-    return np.array(xs), np.array(ys)
+    i, j = np.divmod(np.arange(resolution * resolution), resolution)  # sub-row, -col
+    rows, cols = np.nonzero(~spec.walls)  # free_cells() order
+    return (((cols[:, None] + sub[j]) * spec.cell_size).ravel(),
+            ((rows[:, None] + sub[i]) * spec.cell_size).ravel())
 
 
 def value_landscape(value_fn, spec: MazeSpec, goal,
@@ -207,15 +204,11 @@ def value_landscape(value_fn, spec: MazeSpec, goal,
 
 def temporal_alignment(value_fn, spec: MazeSpec, goal) -> float:
     """Spearman correlation of V(cell center, g) with -BFS(cell, goal cell)."""
-    cells = spec.free_cells()
-    if len(cells) < 2:
+    if len(spec.free_cells()) < 2:
         raise ValueError("temporal_alignment needs at least two free cells")
-    centers = np.array([maze.cell_center(spec, c) for c in cells])
-    vals = value_fn(centers, goal)
-    goal_cell = maze.cell_of(spec, goal)
-    field = maze.distance_field(spec, goal_cell)
-    oracle = -np.array([field[c] for c in cells], dtype=np.float64)
-    return _spearman(vals, oracle)
+    vals = value_fn(np.column_stack(_free_sample_points(spec, 1)), goal)  # centres
+    field = maze.distance_field(spec, maze.cell_of(spec, goal))
+    return _spearman(vals, -field[~spec.walls].astype(np.float64))
 
 
 def _spearman(a, b) -> float:

@@ -4,6 +4,8 @@ Geometry: the world is a grid of unit-square cells; a continuous position
 (x, y) lies in cell (row, col) = (floor(y / cell), floor(x / cell)). The
 border of every layout is wall, free cells form a single connected
 component, and the builtin layouts ship five canonical start/goal tasks.
+A free cell's id is its index in ``free_cells()`` (row-major order): the id
+every vectorized position lookup, ``cell_ids``, returns (-1 off free cells).
 
 Dynamics are a clipped point mass: each axis of the scaled displacement is
 applied in turn and reverted if it would enter a wall cell, so corner
@@ -37,6 +39,7 @@ __all__ = [
     "shortest_cell_path",
     "optimal_trajectory",
     "cell_of",
+    "cell_ids",
     "cell_center",
     "is_valid_state",
     "random_free_cell",
@@ -78,6 +81,7 @@ class MazeSpec:
     _dist_cache: dict = field(default_factory=dict, repr=False)
     _free: tuple = field(init=False, repr=False)
     _free_set: frozenset = field(init=False, repr=False)
+    _ids: np.ndarray = field(init=False, repr=False)  # (H, W) cell id, -1 on walls
 
     def __post_init__(self):
         walls = np.asarray(self.walls, dtype=bool)
@@ -93,6 +97,9 @@ class MazeSpec:
         object.__setattr__(self, "_free",
                            tuple(map(tuple, np.argwhere(~walls).tolist())))
         object.__setattr__(self, "_free_set", frozenset(self._free))
+        ids = np.full(walls.shape, -1, dtype=np.intp)
+        ids[~walls] = np.arange(len(self._free))  # row-major, as argwhere
+        object.__setattr__(self, "_ids", ids)
         if not self._free:
             raise MazeError(f"layout '{self.name}': no free cells")
         if (distance_field(self, self._free[0]) >= 0).sum() != len(self._free):
@@ -148,16 +155,12 @@ def step(spec: MazeSpec, s: State, a: Action) -> State:
     return (nx, ny)
 
 
-def _walls_at(spec: MazeSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Row-wise ``_is_wall_at``; cells outside the grid are walls."""
-    cs = spec.cell_size
-    r = np.floor(y / cs)
-    c = np.floor(x / cs)
-    h, w = spec.walls.shape
-    inside = (r >= 0) & (r < h) & (c >= 0) & (c < w)
-    hit = np.ones(inside.shape, dtype=bool)
-    hit[inside] = spec.walls[r[inside].astype(np.intp), c[inside].astype(np.intp)]
-    return hit
+def cell_ids(spec: MazeSpec, x, y) -> np.ndarray:
+    """Each point's free-cell id; -1 in a wall cell or outside the grid."""
+    h, w = spec.shape  # fmax/fmin clamp outside points, NaN too, onto the wall border
+    r = np.fmin(np.fmax(np.floor(np.divide(y, spec.cell_size)), 0), h - 1)
+    c = np.fmin(np.fmax(np.floor(np.divide(x, spec.cell_size)), 0), w - 1)
+    return spec._ids[r.astype(np.intp), c.astype(np.intp)]
 
 
 def step_batch(spec: MazeSpec, positions: np.ndarray,
@@ -174,9 +177,9 @@ def step_batch(spec: MazeSpec, positions: np.ndarray,
     a = np.fmin(1.0, np.fmax(-1.0, np.asarray(actions, dtype=np.float64)))
     x, y = pos[:, 0], pos[:, 1]
     nx = x + spec.step_length * a[:, 0]
-    nx = np.where(_walls_at(spec, nx, y), x, nx)
+    nx = np.where(cell_ids(spec, nx, y) < 0, x, nx)
     ny = y + spec.step_length * a[:, 1]
-    ny = np.where(_walls_at(spec, nx, ny), y, ny)
+    ny = np.where(cell_ids(spec, nx, ny) < 0, y, ny)
     return np.stack([nx, ny], axis=1)
 
 

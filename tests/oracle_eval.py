@@ -2,7 +2,9 @@
 
 A test-only reference: each task rolls its trials out on its own, and each
 trial steps through the scalar ``maze.step``. The current ``evaluate`` must
-reproduce its report exactly.
+reproduce its report exactly. Its start jitter, temporal alignment and
+landscape sample points are the library's per-trial and per-cell loops from
+before the vectorized free-cell ids, verbatim.
 """
 
 from __future__ import annotations
@@ -11,15 +13,51 @@ import numpy as np
 
 from mazegcrl import maze
 from mazegcrl.evaluation import (
+    START_JITTER_CELLS,
     EvalReport,
-    _jittered_starts,
+    _spearman,
     act_batch,
     kendall_consistency,
     learner_value_fn,
-    temporal_alignment,
 )
 from mazegcrl.maze import MazeSpec, Task
 from mazegcrl.training import LearnerState
+
+
+def _jittered_starts(spec: MazeSpec, start, n: int,
+                     rng: np.random.Generator) -> np.ndarray:
+    jitter = rng.uniform(-START_JITTER_CELLS, START_JITTER_CELLS, size=(n, 2))
+    starts = np.asarray(start, dtype=np.float64) + jitter * spec.cell_size
+    home = maze.cell_of(spec, start)
+    for i in range(n):
+        s = (float(starts[i, 0]), float(starts[i, 1]))
+        if maze.cell_of(spec, s) != home or not maze.is_valid_state(spec, s):
+            starts[i] = start
+    return starts
+
+
+def _free_sample_points(spec: MazeSpec, resolution: int):
+    sub = (np.arange(resolution) + 0.5) / resolution
+    xs, ys = [], []
+    for r, c in spec.free_cells():
+        for i in range(resolution):
+            for j in range(resolution):
+                xs.append((c + sub[j]) * spec.cell_size)
+                ys.append((r + sub[i]) * spec.cell_size)
+    return np.array(xs), np.array(ys)
+
+
+def temporal_alignment(value_fn, spec: MazeSpec, goal) -> float:
+    """Spearman correlation of V(cell center, g) with -BFS(cell, goal cell)."""
+    cells = spec.free_cells()
+    if len(cells) < 2:
+        raise ValueError("temporal_alignment needs at least two free cells")
+    centers = np.array([maze.cell_center(spec, c) for c in cells])
+    vals = value_fn(centers, goal)
+    goal_cell = maze.cell_of(spec, goal)
+    field = maze.distance_field(spec, goal_cell)
+    oracle = -np.array([field[c] for c in cells], dtype=np.float64)
+    return _spearman(vals, oracle)
 
 
 def rollout_success(actor, spec: MazeSpec, starts: np.ndarray,

@@ -183,7 +183,8 @@ def test_gen_data_stitch_manifest_records_span(tmp_path):
 
 
 def _brute_force_coverage(spec, dataset):
-    """Span and task coverage of each trajectory, split from states by lengths."""
+    """Cell coverage, span and task coverage, from each trajectory's cell set
+    (its states split from the store by lengths)."""
     bounds = np.cumsum(dataset.lengths + 1)[:-1]
     cell_sets = []
     for states in np.split(dataset.states, bounds):
@@ -194,7 +195,9 @@ def _brute_force_coverage(spec, dataset):
                for cells in cell_sets)
     covered = [any({maze.cell_of(spec, t.start), maze.cell_of(spec, t.goal)} <= cells
                    for cells in cell_sets) for t in spec.tasks]
-    return span, covered
+    cells = set().union(*cell_sets)
+    assert cells <= set(spec.free_cells())
+    return len(cells) / len(spec.free_cells()), span, covered
 
 
 @pytest.mark.parametrize("extra", [
@@ -208,7 +211,8 @@ def test_gen_data_manifest_walk_equals_brute_force(tmp_path, extra):
     manifest = json.loads((tmp_path / "walk.dset.manifest.json").read_text())
     spec = maze.builtin_layout(cfg.layout)
     ds = data.read_dataset(path)
-    span, covered = _brute_force_coverage(spec, ds)
+    cells, span, covered = _brute_force_coverage(spec, ds)
+    assert manifest["cell_coverage"] == cells
     assert manifest["tasks_covered_by_single_trajectory"] == covered
     if cfg.style == "stitch":
         assert manifest["max_bfs_span"] == span

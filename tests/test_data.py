@@ -153,7 +153,7 @@ def test_navigate_transition_count_within_one_trajectory():
 def test_navigate_covers_free_cells():
     spec = maze.builtin_layout("medium")
     ds = collect_navigate(spec, 100_000, 0.5, seed=5)
-    assert data.cell_coverage(ds, spec) >= 0.95
+    assert data.coverage(ds, spec)[0] >= 0.95
 
 
 def validate_dataset(dataset: Dataset, spec) -> None:
@@ -179,8 +179,7 @@ def test_stitch_span_bounded_by_construction():
     spec = maze.builtin_layout("medium")
     ds = collect_stitch(spec, 3000, 4, 0.5, seed=2)
     validate_dataset(ds, spec)
-    for states, _ in data.walk(ds):
-        assert data.trajectory_span(spec, states) <= 4
+    assert data.coverage(ds, spec, span=True)[2] <= 4
 
 
 def test_stitch_deterministic_given_seed():
@@ -194,8 +193,33 @@ def test_stitch_deterministic_given_seed():
 def test_giant_stitch_forces_stitching():
     spec = maze.builtin_layout("giant")
     ds = collect_stitch(spec, 30_000, 8, 0.5, seed=1)
-    longest = spec.tasks[4]
-    assert not data.task_covered(ds, spec, longest)
+    _, tasks, _ = data.coverage(ds, spec)
+    assert tasks[4] is False  # the longest task
+
+
+def test_coverage_rejects_a_state_in_no_free_cell():
+    spec = maze.builtin_layout("medium")
+    ds = collect_stitch(spec, 300, 4, 0.5, seed=2)
+    # a corner wall, an inner wall, a point left of the grid
+    for row, bad in ((17, (0.5, 0.5)), (len(ds.states) - 1, (4.5, 2.5)),
+                     (0, (-3.0, 1.5))):
+        states = ds.states.copy()
+        states[row] = bad
+        with pytest.raises(maze.MazeError, match=f"^dataset state {row} "):
+            data.coverage(Dataset(states, ds.actions, ds.lengths), spec,
+                          span=True)
+
+
+def test_coverage_never_covers_a_task_end_in_a_wall():
+    medium = maze.builtin_layout("medium")
+    first, last = (maze.cell_center(medium, c)
+                   for c in (medium.free_cells()[0], medium.free_cells()[-1]))
+    # the wall cell's id -1 must not read the last free cell's visits
+    spec = maze.MazeSpec("medium", medium.walls, 1.0, 60, 0.5,
+                         (maze.Task(first, last), maze.Task(first, (0.5, 0.5)),
+                          maze.Task((0.5, 0.5), last)))
+    ds = collect_navigate(spec, 5000, 0.5, seed=1)
+    assert data.coverage(ds, spec)[1] == [True, False, False]
 
 
 def test_stitch_segment_len_validated():

@@ -111,6 +111,28 @@ def test_expert_actor_succeeds_on_all_canonical_tasks():
         assert done.all()
 
 
+@pytest.mark.parametrize("name", maze.LAYOUT_NAMES)
+def test_jittered_starts_equal_the_per_trial_loop_at_cell_edges(name):
+    spec = builtin_layout(name)
+    free = spec.free_cells()
+    rng = np.random.default_rng(5)
+    starts = []
+    for r, c in (free[k] for k in rng.integers(len(free), size=20).tolist()):
+        # near a corner: about half the jittered trials leave the start's cell
+        starts.append(((c + rng.uniform(0.0, 0.2)) * spec.cell_size,
+                       (r + rng.uniform(0.8, 1.0)) * spec.cell_size))
+    # inside a wall cell next to free cells: no trial is jittered
+    inner_walls = np.argwhere(spec.walls[1:-1, 1:-1]) + 1
+    starts += [maze.cell_center(spec, tuple(rc)) for rc in inner_walls[:3]]
+    for start in starts:
+        seed = int(rng.integers(2**32))
+        got = E._jittered_starts(spec, start, 30, np.random.default_rng(seed))
+        want = oracle_eval._jittered_starts(spec, start, 30,
+                                            np.random.default_rng(seed))
+        assert got.tobytes() == want.tobytes(), start
+        assert (got == start).all(axis=1).any()
+
+
 def test_evaluate_deterministic_given_rng_seed():
     spec = builtin_layout("medium")
     cfg = TrainConfig(arch_kind="LAN", hierarchical=True, seed=3)
@@ -330,16 +352,21 @@ def test_constant_value_gives_constant_landscape():
     assert (grid.values == -2.5).all()
 
 
-def test_landscape_point_count_and_walls_absent():
-    spec = builtin_layout("medium")
+@pytest.mark.parametrize("res", [1, 2, 3])
+@pytest.mark.parametrize("name", maze.LAYOUT_NAMES)
+def test_landscape_point_count_and_walls_absent(name, res):
+    spec = builtin_layout(name)
     fn = lambda states, g: np.zeros(len(states))
-    for res in (1, 3):
-        grid = E.value_landscape(fn, spec, spec.tasks[0].goal, resolution=res)
-        n_free = len(spec.free_cells())
-        assert len(grid.values) == n_free * res * res
-        rows = np.floor(grid.ys / spec.cell_size).astype(int)
-        cols = np.floor(grid.xs / spec.cell_size).astype(int)
-        assert not spec.walls[rows, cols].any()
+    grid = E.value_landscape(fn, spec, spec.tasks[0].goal, resolution=res)
+    n_free = len(spec.free_cells())
+    assert len(grid.values) == n_free * res * res
+    rows = np.floor(grid.ys / spec.cell_size).astype(int)
+    cols = np.floor(grid.xs / spec.cell_size).astype(int)
+    assert not spec.walls[rows, cols].any()
+    # the same points, in the same order and bits, as the per-cell loop
+    want_xs, want_ys = oracle_eval._free_sample_points(spec, res)
+    assert grid.xs.tobytes() == want_xs.tobytes()
+    assert grid.ys.tobytes() == want_ys.tobytes()
 
 
 def test_landscape_resolution_validated():

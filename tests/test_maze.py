@@ -172,6 +172,33 @@ def test_step_batch_clamps_nan_action_to_minus_one():
                             [5.5 + spec.step_length, 1.5]]
 
 
+@pytest.mark.parametrize("spec", [builtin_layout(n) for n in maze.LAYOUT_NAMES]
+                         + [corridor_spec(6, cell_size=2.5)],
+                         ids=[*maze.LAYOUT_NAMES, "corridor"])
+def test_cell_ids_index_free_cells(spec):
+    h, w = spec.shape
+    free = list(spec.free_cells())
+    rng = np.random.default_rng(6)
+    cs = spec.cell_size
+    # random points, every cell's corners and edge midpoints, two cells past
+    # every side of the grid (negative coordinates too), and the grid's bounds
+    edges = np.arange(-2, max(h, w) + 3) * cs
+    pts = np.concatenate([
+        rng.uniform(-2 * cs, (max(h, w) + 2) * cs, size=(2000, 2)),
+        np.stack(np.meshgrid(edges, edges), axis=-1).reshape(-1, 2),
+        np.stack(np.meshgrid(edges + 0.5 * cs, edges), axis=-1).reshape(-1, 2),
+        np.stack(np.meshgrid(edges, edges + 0.5 * cs), axis=-1).reshape(-1, 2),
+        [[-0.0, -0.0], [-1e-300, 1.5], [w * cs, 1.5], [1.5, h * cs],
+         [np.nextafter(w * cs, 0), 1.5], [1e300, -1e300], [np.nan, 1.5]],
+    ])
+    got = maze.cell_ids(spec, pts[:, 0], pts[:, 1])
+    assert got.shape == (len(pts),)
+    for (x, y), i in zip(pts.tolist(), got.tolist()):
+        cell = maze.cell_of(spec, (x, y)) if x == x else None
+        assert i == (free.index(cell) if cell in free else -1), (x, y)
+    assert (got >= 0).any() and (got < 0).any()
+
+
 # ---- BFS oracle ----------------------------------------------------------------
 
 

@@ -71,6 +71,7 @@ def test_byte_probe_prints_the_same_hashes_on_every_run(capsys, monkeypatch):
     runs = [f"{name}-{dtype}" for name in bytes_probe.TRAINS
             for dtype in ("float32", "float64")]
     for path in (["data/navigate.dset", "data/stitch.dset.manifest.json",
+                  "data/giant-stitch.dset.manifest.json",
                   "ablate/runs.csv", "ablate/summary.csv"]
                  + [f"train/{run}/{name}" for run in runs
                     for name in ("metrics.csv", "report.csv", "manifest.json",
