@@ -6,13 +6,15 @@ Run from the root of a checkout::
 
 In one temporary directory it runs, through ``cli.main``: ``gen-data`` for
 both styles (2k transitions on medium) and for giant/stitch (3k transitions,
-whose manifest has a long span and tasks no one trajectory covers); ``train``
-LAN hier wc=1 on navigate and IQE flat on stitch, each in float32 and
-float64, with eval, checkpoint and metrics cadences; ``eval`` and
-``landscape`` on each final checkpoint; and a 2x2 ``ablate`` grid (MLP, LAN
-x navigate, stitch). It prints ``sha256  relative-path`` for every file
-written and for each command's stdout (``<label>.stdout``), with the
-temporary directory's path and the train manifests' timestamps removed.
+whose manifest has a long span and tasks no one trajectory covers); at full
+size and data seed 1, ``gen-data`` of each benchmark workload's dataset
+(100k medium/navigate, 100k medium/stitch, 50k giant/stitch) and of 100k
+large/navigate; ``train`` LAN hier wc=1 on navigate and IQE flat on stitch,
+each in float32 and float64, with eval, checkpoint and metrics cadences;
+``eval`` and ``landscape`` on each final checkpoint; and a 2x2 ``ablate``
+grid (MLP, LAN x navigate, stitch). It prints ``sha256  relative-path`` for
+every file written and for each command's stdout (``<label>.stdout``), with
+the temporary directory's path and the train manifests' timestamps removed.
 ``diff`` of two checkouts' output is the check that a change kept every
 output byte.
 """
@@ -46,6 +48,13 @@ ABLATE = DATA + ["train.steps=20", "run.eval_trials=2",
                  "grid.arch_kinds=MLP,LAN", "grid.styles=navigate,stitch",
                  "grid.seeds=0"]
 GIANT_STITCH = ["data.transitions=3000", "env.layout=giant", "data.style=stitch"]
+FULL_SIZE = {  # label -> the sets of a full-size dataset, data seed 1
+    "medium-navigate-100k": ["env.layout=medium", "data.style=navigate"],
+    "medium-stitch-100k": ["env.layout=medium", "data.style=stitch"],
+    "giant-stitch-50k": ["env.layout=giant", "data.style=stitch",
+                         "data.transitions=50000"],
+    "large-navigate-100k": ["env.layout=large", "data.style=navigate"],
+}
 TIMESTAMP = re.compile(r'^ *"(started|finished)": .*\n', re.M)
 
 
@@ -62,6 +71,10 @@ def commands(tmp: Path) -> list[tuple[str, list[str]]]:
     cmds.append(("gen-data-giant-stitch",
                  ["gen-data", "--out", str(tmp / "data" / "giant-stitch.dset"),
                   *_sets(GIANT_STITCH)]))
+    cmds += [(f"gen-data-{label}",
+              ["gen-data", "--out", str(tmp / "data" / f"{label}.dset"),
+               *_sets(lines + ["data.seed=1"])])
+             for label, lines in FULL_SIZE.items()]
     for name, (style, lines) in TRAINS.items():
         for dtype in ("float32", "float64"):
             run = f"{name}-{dtype}"

@@ -9,7 +9,9 @@ medium/navigate; iqe-flat-stitch: 100k medium/stitch; ablate-giant: 50k
 giant/stitch; data seed 1) it prints, for ``collect_*``, ``write_dataset``
 and ``read_dataset``, the tracemalloc peak inside the call and what the call
 leaves allocated, beside the dataset's store (``states``, ``actions``,
-``index``, ``end``) and its file size, in MB of 10^6 bytes. Then it runs
+``index``, ``end``) and its file size, in MB of 10^6 bytes; for ``collect_*``
+also its wall time in seconds, the minimum of 3 untraced runs, each on a
+fresh spec. Then it runs
 one ablate-giant grid job (giant/stitch, MLP and LAN flat, seeds 1 and 2,
 100 steps a run, 20 eval trials) through ``cli.main`` in a fresh interpreter
 and prints that interpreter's ``ru_maxrss`` in MB of 2^20 bytes, as the
@@ -26,6 +28,7 @@ import resource
 import subprocess
 import sys
 import tempfile
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -63,6 +66,21 @@ def traced(fn, *args):
     return result, peak / MB, current / MB
 
 
+def wall_s(fn, layout: str, *args, runs: int = 3) -> float:
+    """The least wall time of ``runs`` untraced fn(spec, *args) calls.
+
+    Each call gets a fresh spec of the layout, as a ``gen-data`` process
+    has; ``maze``'s hop table, built once per process, is not timed.
+    """
+    times = []
+    for _ in range(runs):
+        spec = maze.builtin_layout(layout)
+        start = time.perf_counter()
+        fn(spec, *args)
+        times.append(time.perf_counter() - start)
+    return min(times)
+
+
 def store_mb(dataset) -> float:
     return sum(a.nbytes for a in (dataset.states, dataset.actions,
                                   dataset.index, dataset.end)) / MB
@@ -75,26 +93,27 @@ def dataset_rows(scale: float, tmp: Path) -> list[str]:
             [f"env.layout={layout}", f"data.style={style}",
              f"data.transitions={scaled(transitions, scale)}",
              f"data.seed={SEED}"]).finalize()
-        spec = maze.builtin_layout(layout)
         if style == "navigate":
-            dataset, peak, kept = traced(
-                data.collect_navigate, spec, config.transitions, config.noise,
-                config.data_seed)
+            collect, args = data.collect_navigate, (config.transitions, config.noise,
+                                                    config.data_seed)
         else:
-            dataset, peak, kept = traced(
-                data.collect_stitch, spec, config.transitions,
-                config.segment_len, config.noise, config.data_seed)
-        calls = [(f"collect_{style}", peak, kept)]
+            collect, args = data.collect_stitch, (config.transitions,
+                                                  config.segment_len, config.noise,
+                                                  config.data_seed)
+        dataset, peak, kept = traced(collect, maze.builtin_layout(layout), *args)
+        wall = wall_s(collect, layout, *args)
+        calls = [(f"collect_{style}", peak, kept, f"{wall:.3f}")]
         path = tmp / f"{name}.dset"
         _, peak, kept = traced(data.write_dataset, dataset, path)
-        calls.append(("write_dataset", peak, kept))
+        calls.append(("write_dataset", peak, kept, "-"))
         del dataset
         dataset, peak, kept = traced(data.read_dataset, path)
-        calls.append(("read_dataset", peak, kept))
+        calls.append(("read_dataset", peak, kept, "-"))
         size = os.path.getsize(path) / MB
         store = store_mb(dataset)
         rows += [f"{name:<16} {call:<17} {peak:8.2f} {kept:11.2f} "
-                 f"{store:8.2f} {size:7.2f}" for call, peak, kept in calls]
+                 f"{store:8.2f} {size:7.2f} {wall:>6}"
+                 for call, peak, kept, wall in calls]
     return rows
 
 
@@ -126,7 +145,7 @@ def main(argv=None) -> int:
              "--grid-job", str(tmp / "grid")],
             check=True, stdout=subprocess.PIPE, text=True)
         print(f"{'workload':<16} {'call':<17} {'peak_mb':>8} {'retained_mb':>11} "
-              f"{'store_mb':>8} {'file_mb':>7}")
+              f"{'store_mb':>8} {'file_mb':>7} {'wall_s':>6}")
         print("\n".join(dataset_rows(args.scale, tmp)))
     print(f"ablate-giant grid job: ru_maxrss {float(job.stdout):.1f} MB")
     return 0

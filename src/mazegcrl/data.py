@@ -10,11 +10,17 @@ whose order fixes the dataset bytes: a ``random_free_cell`` start; a
 ``random_free_cell`` goal (navigate) or one ``integers`` over the start's
 goal candidates (stitch); two ``random()`` a step, angle then radius, only
 when the noise scale is positive; on navigate a ``random_free_cell`` goal
-after each arrival. The rollouts append straight into the flat store that
-``Dataset`` takes (``states``, ``actions`` and per-trajectory ``lengths``),
-as ``read_dataset`` parses each file block into it. ``walk`` yields each
-trajectory's states and actions as views of that store, by ``lengths``, for
-the file writer; ``coverage`` reads the whole store as one visit matrix.
+after each arrival. The doubles are drawn ahead, ``rng.random(2k)`` for the
+next k <= ``NOISE_BLOCK`` steps of the rollout; before each integer draw the
+generator's state from before the block is restored and the doubles used
+are redrawn, so the stream, and every byte, is that of one ``random()`` a
+double. The expert, the stitch goal candidates and the stitch span bound
+read rows of ``maze.hop_table``. The rollouts append straight into the flat
+store that ``Dataset`` takes (``states``, ``actions`` and per-trajectory
+``lengths``), as ``read_dataset`` parses each file block into it. ``walk``
+yields each trajectory's states and actions as views of that store, by
+``lengths``, for the file writer; ``coverage`` reads the whole store as one
+visit matrix.
 
 Goal sampling mixes four conditionals per transition (s_t in a trajectory
 s_0..s_T): the current state itself, a uniform future in-trajectory state
@@ -26,6 +32,7 @@ and an in-trajectory goal lies ``goal - index[i]`` steps ahead of s_t.
 
 from __future__ import annotations
 
+import functools
 import io
 import math
 from array import array
@@ -156,6 +163,9 @@ def collect_stitch(spec: MazeSpec, n_transitions: int, segment_len: int,
     return _collect(spec, n_transitions, noise_scale, seed, segment_len)
 
 
+NOISE_BLOCK = 32  # the most steps whose noise one rng.random call draws
+
+
 def _collect(spec: MazeSpec, n_transitions: int, noise_scale: float, seed: int,
              segment_len: int) -> Dataset:
     """Noisy-expert rollouts from cell centres: navigate when segment_len is 0.
@@ -163,47 +173,63 @@ def _collect(spec: MazeSpec, n_transitions: int, noise_scale: float, seed: int,
     Each step aims a unit vector at the next shortest-path cell's centre (the
     goal's in the goal cell), adds disk noise, clamps each axis to [-1, 1]. A
     stitch step that would stretch the span ends the segment after its draws.
+    Cells are flat ids r * W + c: a step moves under one cell per axis and the
+    border is wall, so an id never leaves the grid.
     """
     if n_transitions <= 0:
         raise ValueError("n_transitions must be positive")
     rng = np.random.default_rng(seed)
-    free, cs, step_len = spec._free_set, spec.cell_size, spec.step_length
-    arrive, draw = spec.goal_radius, rng.random
-    floor, hypot = math.floor, math.hypot
-    hops: dict = {}        # goal cell -> {cell: next shortest-path cell centre}
-    candidates: dict = {}  # stitch start cell -> goal cells within segment_len
-    free_cells = spec.free_cells()
-    free_rows, free_cols = np.array(free_cells).T
+    w = spec.shape[1]
+    cs, step_len, arrive = spec.cell_size, spec.step_length, spec.goal_radius
+    floor, hypot, cos, sin, sqrt = (math.floor, math.hypot, math.cos, math.sin,
+                                    math.sqrt)
+    two_pi = 2.0 * math.pi
+    wall = spec.walls.ravel().tolist()
+    rows, cols = np.divmod(np.arange(len(wall)), w)
+    centre = list(zip(((cols + 0.5) * cs).tolist(), ((rows + 0.5) * cs).tolist()))
+    free = np.flatnonzero(~spec.walls.ravel())  # free id -> flat id
+    free_ids = free.tolist()  # maze.random_free_cell draws an index into these
+    hops = dict(zip(free_ids, maze.hop_table(spec).reshape(len(free), -1)))
+    # per goal, each cell's maze.next_cell; per stitch start, its goal cells;
+    # per cell, a bit mask of the cells within segment_len hops of it
+    next_hop = functools.cache(lambda goal: _next_hops(hops[goal], w))
+    near = functools.cache(lambda cell: free[
+        (hops[cell][free] >= 1) & (hops[cell][free] <= segment_len)].data)
+    ball = functools.cache(lambda cell: int.from_bytes(np.packbits(
+        (hops[cell] >= 0) & (hops[cell] <= segment_len), bitorder="little"),
+        "little"))
+    # per goal, 1 on each cell whose closed square comes within the goal radius
+    # (plus rounding slack): the only cells where the arrival test can pass
+    arrival = functools.cache(lambda goal: (cs * np.hypot(
+        np.maximum(abs(cols - goal % w) - 0.5, 0.0),
+        np.maximum(abs(rows - goal // w) - 0.5, 0.0))
+        <= arrive + 1e-9 * (arrive + cs)).tobytes())
+    block, k, saved = (), 0, None  # noise doubles drawn ahead, used, state before
     states, actions, lengths = array("d"), array("d"), []
     push_state, push_action = states.extend, actions.extend
     total = 0
     while total < n_transitions:
-        cell = r, c = maze.random_free_cell(spec, rng)
+        block, k = _rewind(rng, saved, block, k)
+        cell = free_ids[int(rng.integers(len(free_ids)))]
+        r, c = divmod(cell, w)
         if segment_len:
-            fields = {cell: maze.distance_field(spec, cell)}  # visited cells
-            near = candidates.get(cell)
-            if near is None:
-                d = fields[cell][free_rows, free_cols]
-                near = candidates[cell] = [free_cells[i] for i in np.flatnonzero(
-                    (d >= 1) & (d <= segment_len)).tolist()]
-            goal_cell = near[int(rng.integers(len(near)))]
-            span, n_steps = 0, 4 * segment_len
+            goals = near(cell)
+            goal = goals[int(rng.integers(len(goals)))]
+            visited, n_steps = 1 << cell, 4 * segment_len
         else:
-            goal_cell = maze.random_free_cell(spec, rng)
-            fields, n_steps = None, spec.max_episode_steps
-        x, y = maze.cell_center(spec, cell)
-        gx, gy = maze.cell_center(spec, goal_cell)
-        to_goal = hops.setdefault(goal_cell, {})
+            goal = free_ids[int(rng.integers(len(free_ids)))]
+            n_steps = spec.max_episode_steps
+        x, y = centre[cell]
+        gx, gy = centre[goal]
+        to_goal, at_goal = next_hop(goal), arrival(goal)
+        tx, ty = centre[to_goal[cell]]
+        close = at_goal[cell]
+        rw = r * w
         mark = len(actions)
         push_state((x, y))
-        for _ in range(n_steps):
-            cur = (r, c)
-            target = to_goal.get(cur)
-            if target is None:
-                target = to_goal[cur] = maze.cell_center(
-                    spec, maze.next_cell(spec, cur, goal_cell))
-            dx = target[0] - x
-            dy = target[1] - y
+        for t in range(n_steps):
+            dx = tx - x
+            dy = ty - y
             norm = hypot(dx, dy)
             if norm > 1e-12:
                 dx /= norm
@@ -211,10 +237,15 @@ def _collect(spec: MazeSpec, n_transitions: int, noise_scale: float, seed: int,
             else:
                 dx = dy = 0.0
             if noise_scale > 0.0:
-                angle = draw() * 2.0 * math.pi
-                radius = noise_scale * math.sqrt(draw())
-                dx += radius * math.cos(angle)
-                dy += radius * math.sin(angle)
+                if k == len(block):  # draw the noise of the steps ahead
+                    saved = rng.bit_generator.state
+                    block = rng.random(2 * min(n_steps - t, NOISE_BLOCK)).tolist()
+                    k = 0
+                angle = block[k] * two_pi  # exactly (u * 2.0) * pi: 2.0 scales exactly
+                radius = noise_scale * sqrt(block[k + 1])
+                k += 2
+                dx += radius * cos(angle)
+                dy += radius * sin(angle)
             # min(1, max(-1, d)), NaN to -1 included
             m = dx if dx > -1.0 else -1.0
             ax = m if m < 1.0 else 1.0
@@ -222,33 +253,63 @@ def _collect(spec: MazeSpec, n_transitions: int, noise_scale: float, seed: int,
             ay = m if m < 1.0 else 1.0
             nx = x + step_len * ax  # x first, then y from the post-x position
             col = floor(nx / cs)
-            if (r, col) in free:
+            if col == c or not wall[rw + col]:
                 x, c = nx, col
             ny = y + step_len * ay
             row = floor(ny / cs)
-            if (row, c) in free:
-                y, r = ny, row
-            if fields is not None and (r, c) not in fields:  # a new cell
-                new = (r, c)
-                span = max(span, max(f[new] for f in fields.values()))
-                if span > segment_len:
-                    break
-                fields[new] = maze.distance_field(spec, new)
+            if row == r or not wall[row * w + c]:
+                y, r, rw = ny, row, row * w
+            if rw + c != cell:  # a new cell: a new target, maybe a wider span
+                cell = rw + c
+                if segment_len and not visited >> cell & 1:
+                    if visited & ~ball(cell):  # a visited cell too far from it
+                        break
+                    visited |= 1 << cell
+                tx, ty = centre[to_goal[cell]]
+                close = at_goal[cell]
             push_state((x, y))
             push_action((ax, ay))
-            if hypot(x - gx, y - gy) <= arrive:
-                if fields is not None:
+            if close and hypot(x - gx, y - gy) <= arrive:
+                if segment_len:
                     break
-                goal_cell = maze.random_free_cell(spec, rng)
-                gx, gy = maze.cell_center(spec, goal_cell)
-                to_goal = hops.setdefault(goal_cell, {})
+                block, k = _rewind(rng, saved, block, k)
+                goal = free_ids[int(rng.integers(len(free_ids)))]
+                gx, gy = centre[goal]
+                to_goal, at_goal = next_hop(goal), arrival(goal)
+                tx, ty = centre[to_goal[cell]]
+                close = at_goal[cell]
         n = (len(actions) - mark) // 2
-        if n or fields is None:  # an empty navigate rollout is an error
+        if n or not segment_len:  # an empty navigate rollout is an error
             lengths.append(n)
             total += n
         else:  # a stitch segment that ended before its first step
             del states[-2:]
     return _stored(states, actions, lengths, 2, 2)
+
+
+def _rewind(rng: np.random.Generator, saved, block, used: int):
+    """Put the stream just after the ``used`` doubles of a block; an empty block.
+
+    A part-used block is undone by restoring ``saved``, the state before it
+    was drawn, and redrawing ``used`` doubles; not by ``advance``, which drops
+    the buffered uint32 half-word the next ``integers`` draw reads.
+    """
+    if used < len(block):
+        rng.bit_generator.state = saved
+        rng.random(used)
+    return (), 0
+
+
+def _next_hops(dist: np.ndarray, w: int) -> memoryview:
+    """Per flat cell, ``maze.next_cell`` toward the source of a flat distance
+    field; the source keeps its own id and walls keep garbage."""
+    cells = np.flatnonzero(dist >= 0)
+    hop = np.arange(len(dist), dtype=np.min_scalar_type(len(dist)))
+    for off in (1, -1, w, -w):  # assigned last, up/down/left/right's first wins
+        n = cells + off
+        closer = (dist[n] == dist[cells] - 1) & (dist[n] >= 0)
+        hop[cells[closer]] = n[closer]
+    return hop.data  # indexed from Python without a list of int objects
 
 
 def _stored(states: array, actions: array, lengths: list, state_dim: int,
@@ -361,9 +422,9 @@ def coverage(dataset: Dataset, spec: MazeSpec, span: bool = False):
     tasks = ((visits[:, ends[:, 0]] & visits[:, ends[:, 1]]).any(axis=0)
              & (ends >= 0).all(axis=1)).tolist()  # no trajectory visits a wall
     seen, far = visits.any(axis=0), None
-    if span:  # per visited cell i: its BFS hops to the cells its trajectories visit
-        far = max(int(maze.distance_field(spec, free[i])[~spec.walls][
-            visits[visits[:, i]].any(axis=0)].max()) for i in np.flatnonzero(seen))
+    if span:  # one gather over the cell pairs some trajectory visits together
+        v = visits.astype(np.float32)  # a pair's co-visit count: positive iff any
+        far = int(maze.hop_table(spec)[:, ~spec.walls][v.T @ v > 0].max())
     return int(np.count_nonzero(seen)) / len(free), tasks, far
 
 

@@ -7,6 +7,14 @@ component, and the builtin layouts ship five canonical start/goal tasks.
 A free cell's id is its index in ``free_cells()`` (row-major order): the id
 every vectorized position lookup, ``cell_ids``, returns (-1 off free cells).
 
+Every BFS distance comes from one read-only all-pairs hop table per wall
+grid, ``hop_table``: row i holds the 4-connected hop counts from free cell
+i to every grid cell (-1 on walls). A multi-source frontier BFS builds it
+once per wall grid and process (an LRU cache of 16 grids), and every spec on
+that grid shares it; ``distance_field`` returns one row of it, and
+``bfs_distance``, ``next_cell``, the dataset collector and the diagnostics
+read those rows.
+
 Dynamics are a clipped point mass: each axis of the scaled displacement is
 applied in turn and reverted if it would enter a wall cell, so corner
 tunneling is impossible and Euclidean-close states on opposite sides of a
@@ -15,8 +23,8 @@ wall stay dynamically far apart.
 
 from __future__ import annotations
 
+import functools
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -35,6 +43,7 @@ __all__ = [
     "step_batch",
     "bfs_distance",
     "distance_field",
+    "hop_table",
     "next_cell",
     "shortest_cell_path",
     "optimal_trajectory",
@@ -78,10 +87,10 @@ class MazeSpec:
     max_episode_steps: int
     goal_radius: float         # length units
     tasks: tuple[Task, ...]
-    _dist_cache: dict = field(default_factory=dict, repr=False)
     _free: tuple = field(init=False, repr=False)
     _free_set: frozenset = field(init=False, repr=False)
     _ids: np.ndarray = field(init=False, repr=False)  # (H, W) cell id, -1 on walls
+    _hops: np.ndarray = field(init=False, repr=False)  # hop_table(self)
 
     def __post_init__(self):
         walls = np.asarray(self.walls, dtype=bool)
@@ -102,7 +111,8 @@ class MazeSpec:
         object.__setattr__(self, "_ids", ids)
         if not self._free:
             raise MazeError(f"layout '{self.name}': no free cells")
-        if (distance_field(self, self._free[0]) >= 0).sum() != len(self._free):
+        object.__setattr__(self, "_hops", _hop_table(walls.shape, walls.tobytes()))
+        if (self._hops[0] >= 0).sum() != len(self._free):
             raise MazeError(f"layout '{self.name}': free cells are not connected")
 
     @property
@@ -188,26 +198,46 @@ def _check_free_cell(spec: MazeSpec, cell: tuple[int, int], what: str) -> None:
         raise MazeError(f"{what}: cell {cell} is not a free cell")
 
 
+@functools.lru_cache(maxsize=16)
+def _hop_table(shape: tuple[int, int], wall_bytes: bytes) -> np.ndarray:
+    """(free cells, H, W) BFS hops, from every free cell at once, read-only.
+
+    Cached by wall grid, so every spec on one grid shares one table. Each
+    round moves every source's frontier one hop by shifting the flat grid by
+    +-1 and +-W; the border is wall, so no free cell's shift wraps.
+    """
+    h, w = shape
+    free = ~np.frombuffer(wall_bytes, dtype=bool)
+    sources = np.flatnonzero(free)
+    hops = np.full((len(sources), h * w), -1, dtype=np.int64)
+    frontier = np.zeros(hops.shape, dtype=bool)
+    frontier[np.arange(len(sources)), sources] = True
+    unseen = free & ~frontier
+    hops[frontier] = 0
+    reach, d = np.empty_like(frontier), 0
+    while frontier.any():
+        d += 1
+        reach[:, :w] = False
+        reach[:, w:] = frontier[:, :-w]
+        reach[:, :-w] |= frontier[:, w:]
+        reach[:, 1:] |= frontier[:, :-1]
+        reach[:, :-1] |= frontier[:, 1:]
+        np.logical_and(reach, unseen, out=frontier)
+        unseen &= ~frontier
+        hops[frontier] = d
+    hops.flags.writeable = False
+    return hops.reshape(len(sources), h, w)
+
+
+def hop_table(spec: MazeSpec) -> np.ndarray:
+    """(free cells, H, W) read-only BFS hops: row i from free cell i, -1 on walls."""
+    return spec._hops
+
+
 def distance_field(spec: MazeSpec, source: tuple[int, int]) -> np.ndarray:
-    """4-connected BFS hop counts from one cell; -1 marks unreachable."""
-    cached = spec._dist_cache.get(source)
-    if cached is not None:
-        return cached
+    """4-connected BFS hop counts from one cell; -1 marks unreachable. Read-only."""
     _check_free_cell(spec, source, "distance_field")
-    free, hops = spec._free_set, {source: 0}
-    queue = deque([source])
-    while queue:
-        cell = queue.popleft()
-        d = hops[cell] + 1
-        r, c = cell
-        for n in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)):
-            if n in free and n not in hops:
-                hops[n] = d
-                queue.append(n)
-    dist = np.full(spec.walls.shape, -1, dtype=np.int64)
-    dist[tuple(zip(*hops))] = list(hops.values())
-    spec._dist_cache[source] = dist
-    return dist
+    return spec._hops[spec._ids[source]]
 
 
 def bfs_distance(spec: MazeSpec, s: State, g: State) -> int:

@@ -439,6 +439,16 @@ def test_ablate_five_archs_three_seeds(tmp_path, monkeypatch):
     assert reads == [tmp_path / "grid" / "dataset_medium_navigate.dset"]
 
 
+def test_one_ablate_job_on_giant_builds_the_giant_table_once(tmp_path):
+    maze._hop_table.cache_clear()
+    cfg = tiny_config("env.layout=giant", "grid.arch_kinds=MLP,LAN",
+                      "grid.hierarchical=false", "grid.continuity_weights=0",
+                      "grid.styles=stitch", "grid.seeds=1,2", "train.steps=4",
+                      "data.transitions=200", "run.eval_trials=1")
+    assert len(cmd_ablate(cfg, tmp_path / "grid")) == 2
+    assert maze._hop_table.cache_info().misses == 1
+
+
 @pytest.mark.parametrize("key", ["grid.styles", "grid.arch_kinds"])
 def test_ablate_empty_grid_exits_2_naming_the_key(tmp_path, key):
     # the tuples of names are the ones a --set line can empty

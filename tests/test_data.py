@@ -269,28 +269,130 @@ def test_collection_bytes_equal_the_oracle_at_other_cell_sizes():
             assert_same_bytes(spec, 200, noise, 4, length)
 
 
+_DEFAULT_RNG = np.random.default_rng  # before any test patches it
+
+
+class ZeroingRng:
+    """A generator whose every fifth double of the stream is exactly 0.0.
+
+    Positions count doubles, however they are drawn: ``random()`` one at a
+    time or ``random(size)`` in a block. ``bit_generator.state`` saves and
+    restores the position with the real generator's state, as the collector's
+    block rewind does; a zeroed position draws nothing from the real stream.
+    """
+
+    def __init__(self, seed):
+        self.rng, self.calls = _DEFAULT_RNG(seed), 0
+        self.bit_generator = self
+
+    @property
+    def state(self):
+        return self.rng.bit_generator.state, self.calls
+
+    @state.setter
+    def state(self, saved):
+        self.rng.bit_generator.state, self.calls = saved
+
+    def integers(self, *args):
+        return self.rng.integers(*args)
+
+    def random(self, size=None):
+        n = 1 if size is None else size
+        zero = (self.calls + 1 + np.arange(n)) % 5 == 0
+        out = np.zeros(n)
+        out[~zero] = self.rng.random(int(np.count_nonzero(~zero)))
+        self.calls += n
+        return float(out[0]) if size is None else out
+
+
 def test_nan_action_components_clamp_to_minus_one(monkeypatch):
-    # every fifth random() is exactly 0.0, so at infinite noise a radius or a
+    # every fifth double is exactly 0.0, so at infinite noise a radius or a
     # sine term is 0 * inf: NaN, which min(1, max(-1, nan)) turns into -1
-    default_rng = np.random.default_rng
-
-    class ZeroingRng:
-        def __init__(self, seed):
-            self.rng, self.calls = default_rng(seed), 0
-
-        def integers(self, *args):
-            return self.rng.integers(*args)
-
-        def random(self):
-            self.calls += 1
-            return 0.0 if self.calls % 5 == 0 else self.rng.random()
-
     monkeypatch.setattr(np.random, "default_rng", ZeroingRng)
     spec = maze.builtin_layout("medium")
     assert_same_bytes(spec, 300, math.inf, 0)
     assert_same_bytes(spec, 200, math.inf, 0, 3)
     _, actions = next(data.walk(collect_navigate(spec, 300, math.inf, 0)))
     assert (actions == -1.0).all(axis=1).any()
+
+
+class RecordingRng:
+    """A real generator that logs each draw and each state save and restore."""
+
+    def __init__(self, seed):
+        self.rng, self.log = _DEFAULT_RNG(seed), []
+        self.bit_generator = self
+
+    @property
+    def state(self):
+        self.log.append("save")
+        return self.rng.bit_generator.state
+
+    @state.setter
+    def state(self, saved):
+        self.log.append("restore")
+        self.rng.bit_generator.state = saved
+
+    def integers(self, *args):
+        self.log.append("integers")
+        return self.rng.integers(*args)
+
+    def random(self, size=None):
+        self.log.append(("random", size))
+        return self.rng.random(size)
+
+
+def _recorded(monkeypatch, collect, *args):
+    rngs = []
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda seed: rngs.append(RecordingRng(seed)) or rngs[-1])
+    dataset = collect(*args)
+    monkeypatch.setattr(np.random, "default_rng", _DEFAULT_RNG)
+    return dataset, rngs[0].log
+
+
+@pytest.mark.parametrize("block", [1, 2, 5])
+def test_block_draws_equal_the_oracle_at_block_boundaries(monkeypatch, block):
+    # with NOISE_BLOCK steps a block, rollouts end exactly on a block's last
+    # double, need one step past a block, and stop inside one
+    monkeypatch.setattr(data, "NOISE_BLOCK", block)
+    spec = maze.builtin_layout("medium")
+    for noise in (0.3, math.inf):
+        assert_same_bytes(spec, 300, noise, 2)
+        assert_same_bytes(spec, 200, noise, 2, 3)
+    _, log = _recorded(monkeypatch, collect_navigate, spec, 300, 0.3, 2)
+    full = ["save", ("random", 2 * block)]  # a whole block, not a rewind's redraw
+    after = [log[i + 2] for i in range(len(log) - 2) if log[i:i + 2] == full]
+    assert "integers" in after  # a block used to its last double, no rewind
+    assert "save" in after      # a rollout one step longer than a block
+    # a rollout that stops inside a block; a one-step block never leaves one
+    assert ("restore" in after) == (block > 1)
+
+
+def test_single_transition_and_noiseless_collection_equal_the_oracle(monkeypatch):
+    spec = maze.builtin_layout("medium")
+    for seed, noise in itertools.product(range(3), NOISES):
+        assert_same_bytes(spec, 1, noise, seed)
+        assert_same_bytes(spec, 1, noise, seed, 2)
+    for collect, *args in ((collect_navigate, spec, 300, 0.0, 5),
+                           (collect_stitch, spec, 300, 4, 0.0, 5)):
+        _, log = _recorded(monkeypatch, collect, *args)
+        assert set(log) == {"integers"}  # no double drawn, no state saved
+
+
+def test_stitch_segment_ending_before_its_first_step_equals_the_oracle(monkeypatch):
+    # 1.5-cell steps jump the wall between two corridors joined at one end, so
+    # a first step can land 20 hops from its start; the three-cell border
+    # keeps every landing cell inside the grid
+    monkeypatch.setattr(maze, "STEP_LENGTH_CELLS", 1.5)
+    walls = maze.text_to_grid("\n".join(
+        ["#" * 16] * 3 + ["###..........###", "###.############",
+                          "###..........###"] + ["#" * 16] * 3))
+    spec = maze.MazeSpec("jump", walls, 1.0, 20, 0.5, ())
+    for noise in (1.3, math.inf):
+        assert_same_bytes(spec, 200, noise, 0, 3)
+    ds, log = _recorded(monkeypatch, collect_stitch, spec, 200, 3, math.inf, 0)
+    assert log.count("integers") > 2 * len(ds.lengths)  # a segment was dropped
 
 
 # ---- goal sampling ----------------------------------------------------------------------
@@ -549,7 +651,7 @@ def _traced(fn, *args):
 
 
 def test_collect_peak_memory_at_most_twice_its_store():
-    # at 100k the distance fields and expert hops the rollouts cache are
+    # at 100k the next-hop, goal and span tables the rollouts cache are
     # small beside the store; tracing makes this collection take ~15 s
     ds, peak = _traced(collect_stitch, maze.builtin_layout("medium"), 100_000,
                        8, 0.5, 1)

@@ -267,13 +267,35 @@ def test_bfs_symmetry_and_triangle():
 
 
 @pytest.mark.parametrize("spec", [builtin_layout(n) for n in maze.LAYOUT_NAMES]
-                         + [corridor_spec(6)], ids=[*maze.LAYOUT_NAMES, "corridor"])
+                         + [corridor_spec(6), MazeSpec("medium3", builtin_layout(
+                             "medium").walls, 3.0, 60, 1.5, ())],
+                         ids=[*maze.LAYOUT_NAMES, "corridor", "medium3"])
 def test_distance_field_equals_the_numpy_indexed_bfs(spec):
-    for source in spec.free_cells():
+    table = maze.hop_table(spec)
+    assert table.shape == (len(spec.free_cells()), *spec.shape)
+    for row, source in zip(table, spec.free_cells()):
         got = maze.distance_field(spec, source)
         want = oracle_collect.distance_field(spec, source)
         assert got is not want and got.dtype == want.dtype
         assert got.shape == want.shape and (got == want).all(), source
+        assert np.shares_memory(got, table) and (row == want).all()  # a table row
+
+
+def test_hop_table_rows_are_read_only():
+    spec = builtin_layout("medium")
+    row = maze.distance_field(spec, spec.free_cells()[3])
+    with pytest.raises(ValueError, match="read-only"):
+        row[spec.free_cells()[0]] = 7
+    with pytest.raises(ValueError, match="read-only"):
+        maze.hop_table(spec)[0, 1, 1] = 7
+    assert (row == oracle_collect.distance_field(spec, spec.free_cells()[3])).all()
+
+
+def test_specs_on_one_wall_grid_share_one_hop_table():
+    medium = builtin_layout("medium")
+    big = MazeSpec("medium3", medium.walls.copy(), 3.0, 60, 1.5, ())
+    assert maze.hop_table(big) is maze.hop_table(medium)
+    assert maze.hop_table(builtin_layout("medium")) is maze.hop_table(medium)
 
 
 @pytest.mark.parametrize("name", maze.LAYOUT_NAMES)

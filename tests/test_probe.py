@@ -86,12 +86,13 @@ def test_memory_probe_prints_every_call_and_the_grid_rss(capsys):
     assert mem.main(["--scale", "0.01"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].split() == ["workload", "call", "peak_mb", "retained_mb",
-                                "store_mb", "file_mb"]
+                                "store_mb", "file_mb", "wall_s"]
     rows = [line.split() for line in lines[1:-1]]
     assert [row[:2] for row in rows] == [
         [name, call] for name, (_, style, _) in mem.DATASETS.items()
         for call in (f"collect_{style}", "write_dataset", "read_dataset")]
-    for name, call, peak, kept, store, size in rows:
+    for name, call, peak, kept, store, size, wall in rows:
         assert 0.0 <= float(kept) <= float(peak), (name, call)
         assert 0.0 < float(store) < float(size)
+        assert float(wall) > 0.0 if call.startswith("collect_") else wall == "-"
     assert re.fullmatch(r"ablate-giant grid job: ru_maxrss \d+\.\d MB", lines[-1])
