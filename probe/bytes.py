@@ -11,10 +11,13 @@ size and data seed 1, ``gen-data`` of each benchmark workload's dataset
 (100k medium/navigate, 100k medium/stitch, 50k giant/stitch) and of 100k
 large/navigate; ``train`` LAN hier wc=1 on navigate and IQE flat on stitch,
 each in float32 and float64, with eval, checkpoint and metrics cadences;
-``eval`` and ``landscape`` on each final checkpoint; and a 2x2 ``ablate``
-grid (MLP, LAN x navigate, stitch). It prints ``sha256  relative-path`` for
-every file written and for each command's stdout (``<label>.stdout``), with
-the temporary directory's path and the train manifests' timestamps removed.
+``eval`` and ``landscape`` on each final checkpoint; a short LAN ``train``
+on the giant/stitch data with an eval cadence, and ``eval`` of its final
+checkpoint, whose Kendall columns read the giant tasks' reference paths; and
+a 2x2 ``ablate`` grid (MLP, LAN x navigate, stitch). It prints
+``sha256  relative-path`` for every file written and for each command's
+stdout (``<label>.stdout``), with the temporary directory's path and the
+train manifests' timestamps removed.
 ``diff`` of two checkouts' output is the check that a change kept every
 output byte.
 """
@@ -48,6 +51,10 @@ ABLATE = DATA + ["train.steps=20", "run.eval_trials=2",
                  "grid.arch_kinds=MLP,LAN", "grid.styles=navigate,stitch",
                  "grid.seeds=0"]
 GIANT_STITCH = ["data.transitions=3000", "env.layout=giant", "data.style=stitch"]
+GIANT_STEPS = 10
+GIANT_RUN = GIANT_STITCH + ["arch.kind=LAN", f"train.steps={GIANT_STEPS}",
+                            "train.batch_size=64", "run.eval_every=5",
+                            "run.eval_trials=2"]
 FULL_SIZE = {  # label -> the sets of a full-size dataset, data seed 1
     "medium-navigate-100k": ["env.layout=medium", "data.style=navigate"],
     "medium-stitch-100k": ["env.layout=medium", "data.style=stitch"],
@@ -92,6 +99,16 @@ def commands(tmp: Path) -> list[tuple[str, list[str]]]:
                                       str(tmp / "landscape" / f"{run}.csv"),
                                       *sets]),
             ]
+    giant = tmp / "train" / "giant-stitch"
+    cmds += [
+        ("train-giant-stitch", ["train", "--data",
+                                str(tmp / "data" / "giant-stitch.dset"),
+                                "--out", str(giant), *_sets(GIANT_RUN)]),
+        ("eval-giant-stitch", ["eval", "--ckpt",
+                               str(giant / f"ckpt_{GIANT_STEPS:08d}.txt"), "--out",
+                               str(tmp / "eval" / "giant-stitch.csv"),
+                               *_sets(GIANT_RUN)]),
+    ]
     cmds.append(("ablate", ["ablate", "--out", str(tmp / "ablate"),
                             *_sets(ABLATE)]))
     return cmds

@@ -102,6 +102,10 @@ class RunConfig:
             except ValueError as err:
                 raise ConfigError(f"grid cell {_cell_name(kind, hier, wc)}: "
                                   f"{err}") from None
+        for key in ("data.seed", "train.seed", "grid.seeds"):
+            seed = np.min(getattr(*_field(self, key)), initial=0)
+            if seed < 0:  # NumPy seeds no generator from one
+                raise ConfigError(f"{key} must be nonnegative, got {seed}")
         if self.transitions <= 0 or self.segment_len < 2:
             raise ConfigError("data.transitions must be positive, "
                               "data.segment_len at least 2")
@@ -315,6 +319,7 @@ def cmd_train(config: RunConfig, dataset: datamod.Dataset) -> dict:
     if dataset.state_dim != maze.POINT_DIM or dataset.action_dim != maze.POINT_DIM:
         raise GraphError(f"dataset dims ({dataset.state_dim}, "
                          f"{dataset.action_dim}) do not match the layout")
+    datamod.state_cells(dataset, spec)  # a dataset of another layout
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     cfg = config.train

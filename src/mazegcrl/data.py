@@ -14,13 +14,13 @@ after each arrival. The doubles are drawn ahead, ``rng.random(2k)`` for the
 next k <= ``NOISE_BLOCK`` steps of the rollout; before each integer draw the
 generator's state from before the block is restored and the doubles used
 are redrawn, so the stream, and every byte, is that of one ``random()`` a
-double. The expert, the stitch goal candidates and the stitch span bound
-read rows of ``maze.hop_table``. The rollouts append straight into the flat
-store that ``Dataset`` takes (``states``, ``actions`` and per-trajectory
-``lengths``), as ``read_dataset`` parses each file block into it. ``walk``
-yields each trajectory's states and actions as views of that store, by
-``lengths``, for the file writer; ``coverage`` reads the whole store as one
-visit matrix.
+double. The expert walks rows of ``maze.next_hop_table``; the stitch goal
+candidates and span bound read rows of ``maze.hop_table``. The rollouts
+append straight into the flat store that ``Dataset`` takes (``states``,
+``actions`` and per-trajectory ``lengths``), as ``read_dataset`` parses each
+file block into it. ``walk`` yields each trajectory's states and actions as
+views of that store, by ``lengths``, for the file writer; ``coverage`` reads
+the whole store as one visit matrix.
 
 Goal sampling mixes four conditionals per transition (s_t in a trajectory
 s_0..s_T): the current state itself, a uniform future in-trajectory state
@@ -57,6 +57,7 @@ __all__ = [
     "collect_stitch",
     "sample_goals",
     "sample_batch",
+    "state_cells",
     "coverage",
     "write_dataset",
     "read_dataset",
@@ -190,9 +191,9 @@ def _collect(spec: MazeSpec, n_transitions: int, noise_scale: float, seed: int,
     free = np.flatnonzero(~spec.walls.ravel())  # free id -> flat id
     free_ids = free.tolist()  # maze.random_free_cell draws an index into these
     hops = dict(zip(free_ids, maze.hop_table(spec).reshape(len(free), -1)))
-    # per goal, each cell's maze.next_cell; per stitch start, its goal cells;
-    # per cell, a bit mask of the cells within segment_len hops of it
-    next_hop = functools.cache(lambda goal: _next_hops(hops[goal], w))
+    # per goal, each cell's next cell toward it; per stitch start, its goal
+    # cells; per cell, a bit mask of the cells within segment_len hops of it
+    next_hop = dict(zip(free_ids, map(memoryview, maze.next_hop_table(spec))))
     near = functools.cache(lambda cell: free[
         (hops[cell][free] >= 1) & (hops[cell][free] <= segment_len)].data)
     ball = functools.cache(lambda cell: int.from_bytes(np.packbits(
@@ -221,7 +222,7 @@ def _collect(spec: MazeSpec, n_transitions: int, noise_scale: float, seed: int,
             n_steps = spec.max_episode_steps
         x, y = centre[cell]
         gx, gy = centre[goal]
-        to_goal, at_goal = next_hop(goal), arrival(goal)
+        to_goal, at_goal = next_hop[goal], arrival(goal)
         tx, ty = centre[to_goal[cell]]
         close = at_goal[cell]
         rw = r * w
@@ -275,7 +276,7 @@ def _collect(spec: MazeSpec, n_transitions: int, noise_scale: float, seed: int,
                 block, k = _rewind(rng, saved, block, k)
                 goal = free_ids[int(rng.integers(len(free_ids)))]
                 gx, gy = centre[goal]
-                to_goal, at_goal = next_hop(goal), arrival(goal)
+                to_goal, at_goal = next_hop[goal], arrival(goal)
                 tx, ty = centre[to_goal[cell]]
                 close = at_goal[cell]
         n = (len(actions) - mark) // 2
@@ -298,18 +299,6 @@ def _rewind(rng: np.random.Generator, saved, block, used: int):
         rng.bit_generator.state = saved
         rng.random(used)
     return (), 0
-
-
-def _next_hops(dist: np.ndarray, w: int) -> memoryview:
-    """Per flat cell, ``maze.next_cell`` toward the source of a flat distance
-    field; the source keeps its own id and walls keep garbage."""
-    cells = np.flatnonzero(dist >= 0)
-    hop = np.arange(len(dist), dtype=np.min_scalar_type(len(dist)))
-    for off in (1, -1, w, -w):  # assigned last, up/down/left/right's first wins
-        n = cells + off
-        closer = (dist[n] == dist[cells] - 1) & (dist[n] >= 0)
-        hop[cells[closer]] = n[closer]
-    return hop.data  # indexed from Python without a list of int objects
 
 
 def _stored(states: array, actions: array, lengths: list, state_dim: int,
@@ -402,6 +391,16 @@ def sample_batch(dataset: Dataset, batch_size: int,
 # ---- dataset diagnostics ------------------------------------------------------------
 
 
+def state_cells(dataset: Dataset, spec: MazeSpec) -> np.ndarray:
+    """Each state's free-cell id; a MazeError names the first in no free cell."""
+    ids = maze.cell_ids(spec, *dataset.states.T)
+    if (ids < 0).any():
+        row = int(np.argmax(ids < 0))
+        raise MazeError(f"dataset state {row} {tuple(dataset.states[row].tolist())} "
+                        f"lies in no free cell")
+    return ids
+
+
 def coverage(dataset: Dataset, spec: MazeSpec, span: bool = False):
     """(cells, tasks, span) read from one (trajectory x free cell) visit matrix.
 
@@ -410,11 +409,7 @@ def coverage(dataset: Dataset, spec: MazeSpec, span: bool = False):
     largest BFS distance between two cells one trajectory visits.
     """
     free = spec.free_cells()
-    ids = maze.cell_ids(spec, *dataset.states.T)
-    if (ids < 0).any():  # as an index, -1 would mark the last free cell
-        row = int(np.argmax(ids < 0))
-        raise MazeError(f"dataset state {row} {tuple(dataset.states[row].tolist())} "
-                        f"lies in no free cell")
+    ids = state_cells(dataset, spec)  # as an index, -1 would mark the last free cell
     n_traj = len(dataset.lengths)
     visits = np.zeros((n_traj, len(free)), dtype=bool)
     visits[np.repeat(np.arange(n_traj), dataset.lengths + 1), ids] = True

@@ -12,8 +12,10 @@ grid, ``hop_table``: row i holds the 4-connected hop counts from free cell
 i to every grid cell (-1 on walls). A multi-source frontier BFS builds it
 once per wall grid and process (an LRU cache of 16 grids), and every spec on
 that grid shares it; ``distance_field`` returns one row of it, and
-``bfs_distance``, ``next_cell``, the dataset collector and the diagnostics
-read those rows.
+``bfs_distance``, the dataset collector and the diagnostics read those rows.
+The collector and ``shortest_cell_path`` walk rows of ``next_hop_table``,
+built with it; its up/down/left/right tie-break among equally close
+neighbours fixes every dataset byte.
 
 Dynamics are a clipped point mass: each axis of the scaled displacement is
 applied in turn and reverted if it would enter a wall cell, so corner
@@ -44,7 +46,7 @@ __all__ = [
     "bfs_distance",
     "distance_field",
     "hop_table",
-    "next_cell",
+    "next_hop_table",
     "shortest_cell_path",
     "optimal_trajectory",
     "cell_of",
@@ -111,7 +113,7 @@ class MazeSpec:
         object.__setattr__(self, "_ids", ids)
         if not self._free:
             raise MazeError(f"layout '{self.name}': no free cells")
-        object.__setattr__(self, "_hops", _hop_table(walls.shape, walls.tobytes()))
+        object.__setattr__(self, "_hops", _hop_tables(walls.shape, walls.tobytes())[0])
         if (self._hops[0] >= 0).sum() != len(self._free):
             raise MazeError(f"layout '{self.name}': free cells are not connected")
 
@@ -199,12 +201,13 @@ def _check_free_cell(spec: MazeSpec, cell: tuple[int, int], what: str) -> None:
 
 
 @functools.lru_cache(maxsize=16)
-def _hop_table(shape: tuple[int, int], wall_bytes: bytes) -> np.ndarray:
-    """(free cells, H, W) BFS hops, from every free cell at once, read-only.
+def _hop_tables(shape: tuple[int, int], wall_bytes: bytes) -> tuple:
+    """``hop_table`` and ``next_hop_table`` of one wall grid, read-only.
 
-    Cached by wall grid, so every spec on one grid shares one table. Each
-    round moves every source's frontier one hop by shifting the flat grid by
-    +-1 and +-W; the border is wall, so no free cell's shift wraps.
+    Cached by wall grid, so every spec on one grid shares both tables. Each
+    BFS round moves every source's frontier one hop by shifting the flat grid
+    by +-1 and +-W; the border is wall, so no free cell's shift wraps. Then
+    one pass over the hops gives every free cell its next hop.
     """
     h, w = shape
     free = ~np.frombuffer(wall_bytes, dtype=bool)
@@ -225,13 +228,29 @@ def _hop_table(shape: tuple[int, int], wall_bytes: bytes) -> np.ndarray:
         np.logical_and(reach, unseen, out=frontier)
         unseen &= ~frontier
         hops[frontier] = d
-    hops.flags.writeable = False
-    return hops.reshape(len(sources), h, w)
+    cells = sources.astype(np.min_scalar_type(-h * w))
+    dist = hops.astype(cells.dtype)  # hops < H * W; the narrow copy keeps RSS low
+    to = np.tile(cells, (len(cells), 1))  # the source maps to itself
+    closer = dist[:, cells] - 1  # -1 only at the source, where walls would match
+    for off in (1, -1, w, -w):  # assigned last, up/down/left/right's first wins
+        near = dist[:, cells + off]
+        np.copyto(to, cells + off, where=(near == closer) & (near >= 0))
+    nxt = np.full(hops.shape, -1, dtype=cells.dtype)
+    nxt[:, cells] = to
+    hops.flags.writeable = nxt.flags.writeable = False
+    return hops.reshape(len(cells), h, w), nxt
 
 
 def hop_table(spec: MazeSpec) -> np.ndarray:
     """(free cells, H, W) read-only BFS hops: row i from free cell i, -1 on walls."""
     return spec._hops
+
+
+def next_hop_table(spec: MazeSpec) -> np.ndarray:
+    """(free cells, H * W) read-only: row i maps each flat cell r * W + c to the
+    first of its up/down/left/right neighbours one hop closer to free cell i;
+    free cell i maps to itself and walls to -1."""
+    return _hop_tables(spec.shape, spec.walls.tobytes())[1]
 
 
 def distance_field(spec: MazeSpec, source: tuple[int, int]) -> np.ndarray:
@@ -245,36 +264,20 @@ def bfs_distance(spec: MazeSpec, s: State, g: State) -> int:
     cs, cg = cell_of(spec, s), cell_of(spec, g)
     _check_free_cell(spec, cs, "bfs_distance")
     _check_free_cell(spec, cg, "bfs_distance")
-    d = int(distance_field(spec, cs)[cg])
-    if d < 0:
-        raise Unreachable(f"no path between cells {cs} and {cg}")
-    return d
-
-
-def next_cell(spec: MazeSpec, cell: tuple[int, int],
-              goal_cell: tuple[int, int]) -> tuple[int, int]:
-    """The cell after ``cell`` on a shortest path to ``goal_cell``.
-
-    That is the first free 4-neighbour, in up/down/left/right order, one BFS
-    hop closer to the goal; ``cell`` itself when it is the goal cell.
-    """
-    dist = distance_field(spec, goal_cell)
-    if dist[cell] < 0:
-        raise Unreachable(f"no path between cells {cell} and {goal_cell}")
-    d = dist[cell]
-    for dr, dc in ((-1, 0), (1, 0), (0, -1), (0, 1)):
-        n = (cell[0] + dr, cell[1] + dc)
-        if not spec.walls[n] and dist[n] == d - 1:
-            return n
-    return cell
+    return int(spec._hops[spec._ids[cs]][cg])  # free cells are connected
 
 
 def shortest_cell_path(spec: MazeSpec, s: State, g: State) -> list[tuple[int, int]]:
     """One BFS-optimal cell path from s's cell to g's cell (deterministic)."""
-    path, goal = [cell_of(spec, s)], cell_of(spec, g)
-    while (cell := next_cell(spec, path[-1], goal)) != path[-1]:
+    start, goal = cell_of(spec, s), cell_of(spec, g)
+    _check_free_cell(spec, goal, "shortest_cell_path")
+    if start not in spec._free_set:
+        raise Unreachable(f"no path between cells {start} and {goal}")
+    w, to = spec.shape[1], next_hop_table(spec)[spec._ids[goal]].tolist()
+    path = [start[0] * w + start[1]]
+    while (cell := to[path[-1]]) != path[-1]:
         path.append(cell)
-    return path
+    return [divmod(cell, w) for cell in path]
 
 
 def optimal_trajectory(spec: MazeSpec, task: Task) -> np.ndarray:

@@ -6,10 +6,11 @@ verbatim except that the BFS keeps its own cache (so comparing the two never
 reads one array twice) and the stitch collector measures spans with it.
 ``dataset_of`` joins one-trajectory datasets, as the old
 ``Dataset(trajectories)`` constructor did.
-Every expert step here goes through ``maze.cell_of``, ``maze.next_cell``,
-``maze.step`` and a ``math.hypot`` goal-radius test one call at a time. The
-library's datasets must equal these byte for byte, and its distance fields
-these arrays.
+Every expert step here goes through ``maze.cell_of``, this module's own
+``next_cell`` (a scan of the four neighbours in its own BFS field, kept apart
+from the library's ``maze.next_hop_table``), ``maze.step`` and a
+``math.hypot`` goal-radius test one call at a time. The library's datasets
+must equal these byte for byte, and its distance fields these arrays.
 """
 
 import math
@@ -58,6 +59,24 @@ def distance_field(spec: MazeSpec, source: tuple[int, int]) -> np.ndarray:
     return dist
 
 
+def next_cell(spec: MazeSpec, cell: tuple[int, int],
+              goal_cell: tuple[int, int]) -> tuple[int, int]:
+    """The cell after ``cell`` on a shortest path to ``goal_cell``.
+
+    That is the first free 4-neighbour, in up/down/left/right order, one BFS
+    hop closer to the goal; ``cell`` itself when it is the goal cell.
+    """
+    dist = distance_field(spec, goal_cell)
+    if dist[cell] < 0:
+        raise maze.Unreachable(f"no path between cells {cell} and {goal_cell}")
+    d = dist[cell]
+    for dr, dc in ((-1, 0), (1, 0), (0, -1), (0, 1)):
+        n = (cell[0] + dr, cell[1] + dc)
+        if not spec.walls[n] and dist[n] == d - 1:
+            return n
+    return cell
+
+
 def expert_action(spec: MazeSpec, s, g, noise_scale: float,
                   rng: np.random.Generator):
     """Unit step toward the next shortest-path cell center, plus disk noise."""
@@ -66,7 +85,7 @@ def expert_action(spec: MazeSpec, s, g, noise_scale: float,
     if cur == goal_cell:
         target = g
     else:
-        target = maze.cell_center(spec, maze.next_cell(spec, cur, goal_cell))
+        target = maze.cell_center(spec, next_cell(spec, cur, goal_cell))
     dx = target[0] - s[0]
     dy = target[1] - s[1]
     norm = math.hypot(dx, dy)

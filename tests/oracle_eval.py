@@ -4,7 +4,9 @@ A test-only reference: each task rolls its trials out on its own, and each
 trial steps through the scalar ``maze.step``. The current ``evaluate`` must
 reproduce its report exactly. Its start jitter, temporal alignment and
 landscape sample points are the library's per-trial and per-cell loops from
-before the vectorized free-cell ids, verbatim.
+before the vectorized free-cell ids, verbatim, and its reference paths walk
+``oracle_collect.next_cell`` one hop at a time, as the library did before
+``maze.next_hop_table``.
 """
 
 from __future__ import annotations
@@ -22,6 +24,16 @@ from mazegcrl.evaluation import (
 )
 from mazegcrl.maze import MazeSpec, Task
 from mazegcrl.training import LearnerState
+from tests.oracle_collect import next_cell
+
+
+def optimal_trajectory(spec: MazeSpec, task: Task) -> np.ndarray:
+    """Cell centres of the shortest cell path, then the goal state itself."""
+    path, goal = [maze.cell_of(spec, task.start)], maze.cell_of(spec, task.goal)
+    while (cell := next_cell(spec, path[-1], goal)) != path[-1]:
+        path.append(cell)
+    states = [maze.cell_center(spec, c) for c in path[:-1]] + [task.goal]
+    return np.asarray(states, dtype=np.float64)
 
 
 def _jittered_starts(spec: MazeSpec, start, n: int,
@@ -93,7 +105,7 @@ def evaluate(state: LearnerState, spec: MazeSpec, tasks: tuple[Task, ...],
         done = rollout_success(actor, spec, starts, task.goal,
                                spec.max_episode_steps)
         success.append(float(done.mean()))
-        reference = maze.optimal_trajectory(spec, task)
+        reference = optimal_trajectory(spec, task)
         kendall.append(kendall_consistency(value_fn, reference, task.goal))
         alignment.append(temporal_alignment(value_fn, spec, task.goal))
     return EvalReport(checkpoint_step=state.step, task_success=success,

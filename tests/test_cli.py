@@ -323,6 +323,18 @@ def test_train_abort_keeps_a_loadable_checkpoint_and_parseable_logs(
     assert "final_eval" not in manifest
 
 
+def test_train_rejects_a_dataset_of_another_layout_before_writing(tmp_path):
+    cmd_gen_data(tiny_config("env.layout=giant", "data.style=stitch",
+                             "data.transitions=300"), tmp_path / "giant.dset")
+    r = run_cli("train", "--data", str(tmp_path / "giant.dset"), "--out",
+                str(tmp_path / "run"), "--set", "env.layout=medium",
+                "--set", "train.steps=3")
+    assert r.returncode == 2
+    assert r.stderr.splitlines()[0].startswith("env: dataset state "), r.stderr
+    assert r.stderr.splitlines()[0].endswith(" lies in no free cell"), r.stderr
+    assert not (tmp_path / "run").exists()
+
+
 def test_train_rejects_mismatched_dataset(tmp_path):
     bad = data.Dataset(np.zeros((3, 4)), np.zeros((2, 2)), [2])
     path = tmp_path / "bad.dset"
@@ -440,13 +452,13 @@ def test_ablate_five_archs_three_seeds(tmp_path, monkeypatch):
 
 
 def test_one_ablate_job_on_giant_builds_the_giant_table_once(tmp_path):
-    maze._hop_table.cache_clear()
+    maze._hop_tables.cache_clear()
     cfg = tiny_config("env.layout=giant", "grid.arch_kinds=MLP,LAN",
                       "grid.hierarchical=false", "grid.continuity_weights=0",
                       "grid.styles=stitch", "grid.seeds=1,2", "train.steps=4",
                       "data.transitions=200", "run.eval_trials=1")
     assert len(cmd_ablate(cfg, tmp_path / "grid")) == 2
-    assert maze._hop_table.cache_info().misses == 1
+    assert maze._hop_tables.cache_info().misses == 1
 
 
 @pytest.mark.parametrize("key", ["grid.styles", "grid.arch_kinds"])
@@ -594,6 +606,25 @@ def test_ablate_bad_grid_cell_exits_2_before_writing(tmp_path, sets):
     assert r.returncode == 2
     assert r.stderr.splitlines()[0].startswith("config: grid cell "), r.stderr
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("verb, key", [("gen-data", "data.seed"),
+                                      ("train", "train.seed"),
+                                      ("ablate", "grid.seeds")])
+def test_negative_seed_exits_2_naming_the_key(tmp_path, verb, key):
+    # gen-data and train once failed in NumPy naming no key, train after making
+    # its run directory; ablate wrote its dataset and exited 0 with a failed row
+    args = []
+    if verb == "train":
+        cmd_gen_data(tiny_config(), tmp_path / "x.dset")
+        args = ["--data", str(tmp_path / "x.dset")]
+    sets = TINY + ["grid.arch_kinds=MLP", f"{key}=-1"]
+    r = run_cli(verb, *args, "--out", str(tmp_path / "out"),
+                *[arg for s in sets for arg in ("--set", s)])
+    assert r.returncode == 2
+    assert r.stderr.splitlines()[0] == f"config: {key} must be nonnegative, got -1", \
+        r.stderr
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("goal", ["inf,1", "nan,1"])

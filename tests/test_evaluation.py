@@ -174,6 +174,18 @@ def test_actor_called_once_per_step_across_all_tasks(monkeypatch):
     assert set(calls) == {len(spec.tasks) * 4}
 
 
+def test_evaluate_reads_one_bfs_field_per_task(monkeypatch):
+    # the reference paths walk next_hop_table rows; only alignment reads a field
+    spec = builtin_layout("giant")
+    state = zero_policy_learner(spec)
+    calls = []
+    field = maze.distance_field
+    monkeypatch.setattr(maze, "distance_field",
+                        lambda *args: calls.append(args) or field(*args))
+    E.evaluate(state, spec, spec.tasks, 1, np.random.default_rng(0))
+    assert len(spec.tasks) == 5 and len(calls) <= 5
+
+
 # ---- batched rollouts against the per-task reference ------------------------------
 
 

@@ -288,7 +288,12 @@ def test_hop_table_rows_are_read_only():
         row[spec.free_cells()[0]] = 7
     with pytest.raises(ValueError, match="read-only"):
         maze.hop_table(spec)[0, 1, 1] = 7
+    with pytest.raises(ValueError, match="read-only"):
+        maze.next_hop_table(spec)[0, 11] = 7
+    with pytest.raises(TypeError, match="read-only"):  # as the collector reads it
+        memoryview(maze.next_hop_table(spec)[3])[11] = 7
     assert (row == oracle_collect.distance_field(spec, spec.free_cells()[3])).all()
+    assert maze.next_hop_table(spec)[0, 11] == 11  # free cell 0 is (1, 1)
 
 
 def test_specs_on_one_wall_grid_share_one_hop_table():
@@ -296,16 +301,23 @@ def test_specs_on_one_wall_grid_share_one_hop_table():
     big = MazeSpec("medium3", medium.walls.copy(), 3.0, 60, 1.5, ())
     assert maze.hop_table(big) is maze.hop_table(medium)
     assert maze.hop_table(builtin_layout("medium")) is maze.hop_table(medium)
+    assert maze.next_hop_table(big) is maze.next_hop_table(medium)
+    assert maze.next_hop_table(builtin_layout("medium")) is maze.next_hop_table(medium)
+    assert maze.next_hop_table(builtin_layout("large")) is not maze.next_hop_table(medium)
 
 
 @pytest.mark.parametrize("name", maze.LAYOUT_NAMES)
-def test_next_cell_and_shortest_path_all_pairs(name):
+def test_next_hop_table_and_shortest_path_all_pairs(name):
     spec = builtin_layout(name)
     free = spec.free_cells()
-    for goal in free:
-        dist = maze.distance_field(spec, goal)
+    w = spec.shape[1]
+    table = maze.next_hop_table(spec)
+    assert table.shape == (len(free), spec.walls.size)
+    assert (table[:, spec.walls.ravel()] == -1).all()  # walls hold -1
+    for row, goal in zip(table, free):
+        dist = oracle_collect.distance_field(spec, goal)
         for cell in free:
-            hop = maze.next_cell(spec, cell, goal)
+            hop = divmod(int(row[cell[0] * w + cell[1]]), w)
             if cell == goal:
                 assert hop == cell
                 continue
@@ -324,10 +336,11 @@ def test_next_cell_and_shortest_path_all_pairs(name):
             assert path[0] == b and path[-1] == a
     wall = (0, 0)
     with pytest.raises(maze.Unreachable):
-        maze.next_cell(spec, wall, free[0])
-    with pytest.raises(maze.Unreachable):
         maze.shortest_cell_path(spec, maze.cell_center(spec, wall),
                                 maze.cell_center(spec, free[0]))
+    with pytest.raises(maze.MazeError, match="not a free cell"):
+        maze.shortest_cell_path(spec, maze.cell_center(spec, free[0]),
+                                maze.cell_center(spec, wall))
 
 
 # ---- optimal trajectories --------------------------------------------------------

@@ -72,7 +72,8 @@ def test_byte_probe_prints_the_same_hashes_on_every_run(capsys, monkeypatch):
             for dtype in ("float32", "float64")]
     for path in (["data/navigate.dset", "data/stitch.dset.manifest.json",
                   "data/giant-stitch.dset.manifest.json",
-                  "ablate/runs.csv", "ablate/summary.csv"]
+                  "ablate/runs.csv", "ablate/summary.csv",
+                  "train/giant-stitch/report.csv", "eval/giant-stitch.csv"]
                  + [f"train/{run}/{name}" for run in runs
                     for name in ("metrics.csv", "report.csv", "manifest.json",
                                  f"ckpt_{bytes_probe.STEPS:08d}.txt")]
