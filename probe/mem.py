@@ -9,14 +9,15 @@ medium/navigate; iqe-flat-stitch: 100k medium/stitch; ablate-giant: 50k
 giant/stitch; data seed 1) it prints, for ``collect_*``, ``write_dataset``
 and ``read_dataset``, the tracemalloc peak inside the call and what the call
 leaves allocated, beside the dataset's store (``states``, ``actions``,
-``index``, ``end``) and its file size, in MB of 10^6 bytes; for ``collect_*``
-also its wall time in seconds, the minimum of 3 untraced runs, each on a
-fresh spec. Then it runs
-one ablate-giant grid job (giant/stitch, MLP and LAN flat, seeds 1 and 2,
-100 steps a run, 20 eval trials) through ``cli.main`` in a fresh interpreter
-and prints that interpreter's ``ru_maxrss`` in MB of 2^20 bytes, as the
-benchmark's ``peak_rss_mb``. ``--scale`` multiplies every
-transition, step and trial count, for a quick run.
+``index``, ``end``) and its file size, in MB of 10^6 bytes, and the store's
+bytes per transition; for ``collect_*`` also its wall time in seconds, the
+minimum of 3 untraced runs, each on a fresh spec. For each builtin layout it
+prints the dtype and bytes of ``maze.hop_table`` and ``maze.next_hop_table``.
+Then it runs one ablate-giant grid job (giant/stitch, MLP and LAN flat, seeds
+1 and 2, 100 steps a run, 20 eval trials) through ``cli.main`` in a fresh
+interpreter and prints that interpreter's ``ru_maxrss`` in MB of 2^20 bytes,
+as the benchmark's ``peak_rss_mb``. ``--scale`` multiplies every transition,
+step and trial count, for a quick run.
 """
 
 from __future__ import annotations
@@ -81,9 +82,9 @@ def wall_s(fn, layout: str, *args, runs: int = 3) -> float:
     return min(times)
 
 
-def store_mb(dataset) -> float:
+def store_bytes(dataset) -> int:
     return sum(a.nbytes for a in (dataset.states, dataset.actions,
-                                  dataset.index, dataset.end)) / MB
+                                  dataset.index, dataset.end))
 
 
 def dataset_rows(scale: float, tmp: Path) -> list[str]:
@@ -110,10 +111,22 @@ def dataset_rows(scale: float, tmp: Path) -> list[str]:
         dataset, peak, kept = traced(data.read_dataset, path)
         calls.append(("read_dataset", peak, kept, "-"))
         size = os.path.getsize(path) / MB
-        store = store_mb(dataset)
+        store = store_bytes(dataset)
+        per = store / dataset.n_transitions
         rows += [f"{name:<16} {call:<17} {peak:8.2f} {kept:11.2f} "
-                 f"{store:8.2f} {size:7.2f} {wall:>6}"
+                 f"{store / MB:8.2f} {per:9.2f} {size:7.2f} {wall:>6}"
                  for call, peak, kept, wall in calls]
+    return rows
+
+
+def table_rows() -> list[str]:
+    """Each builtin layout's BFS tables: their dtype and bytes."""
+    rows = []
+    for name in maze.LAYOUT_NAMES:
+        spec = maze.builtin_layout(name)
+        hops, nxt = maze.hop_table(spec), maze.next_hop_table(spec)
+        rows.append(f"bfs tables {name}: {hops.dtype} hop_table {hops.nbytes} B, "
+                    f"{nxt.dtype} next_hop_table {nxt.nbytes} B")
     return rows
 
 
@@ -145,8 +158,8 @@ def main(argv=None) -> int:
              "--grid-job", str(tmp / "grid")],
             check=True, stdout=subprocess.PIPE, text=True)
         print(f"{'workload':<16} {'call':<17} {'peak_mb':>8} {'retained_mb':>11} "
-              f"{'store_mb':>8} {'file_mb':>7} {'wall_s':>6}")
-        print("\n".join(dataset_rows(args.scale, tmp)))
+              f"{'store_mb':>8} {'store_b/t':>9} {'file_mb':>7} {'wall_s':>6}")
+        print("\n".join(dataset_rows(args.scale, tmp) + table_rows()))
     print(f"ablate-giant grid job: ru_maxrss {float(job.stdout):.1f} MB")
     return 0
 

@@ -102,8 +102,8 @@ class Dataset:
     states: np.ndarray   # (sum(lengths) + len(lengths), state_dim)
     actions: np.ndarray  # (sum(lengths), action_dim)
     lengths: np.ndarray  # trajectory -> its number of transitions, each >= 1
-    index: np.ndarray = field(init=False)  # transition -> position of s_t
-    end: np.ndarray = field(init=False)    # transition -> position of s_T
+    index: np.ndarray = field(init=False)  # int32, transition -> position of s_t
+    end: np.ndarray = field(init=False)    # int32, transition -> position of s_T
 
     def __post_init__(self):
         self.states = np.asarray(self.states, dtype=np.float64)
@@ -113,8 +113,8 @@ class Dataset:
             raise ValueError("dataset must contain at least one trajectory")
         if (self.lengths < 1).any():
             raise ValueError("empty trajectory in dataset")
-        ends = np.cumsum(self.lengths + 1) - 1
-        self.index = np.delete(np.arange(len(self.states)), ends)
+        ends = np.cumsum(self.lengths + 1, dtype=np.int32) - 1
+        self.index = np.delete(np.arange(len(self.states), dtype=np.int32), ends)
         self.end = np.repeat(ends, self.lengths)
 
     @property
@@ -366,7 +366,8 @@ def sample_batch(dataset: Dataset, batch_size: int,
     value_goal, value_src = sample_goals(dataset, idx, value_ratios,
                                          discount, rng)
     policy_goal, _ = sample_goals(dataset, idx, policy_ratios, discount, rng)
-    subgoal = dataset.states[np.minimum(index + subgoal_steps,
+    # widened first: an int32 position plus a large setting would wrap or raise
+    subgoal = dataset.states[np.minimum(index.astype(np.int64) + subgoal_steps,
                                         dataset.end[idx] - 1)]
     j = rng.integers(dataset.n_transitions, size=batch_size)
     rand_goal = dataset.states[dataset.index[j]]

@@ -15,7 +15,8 @@ that grid shares it; ``distance_field`` returns one row of it, and
 ``bfs_distance``, the dataset collector and the diagnostics read those rows.
 The collector and ``shortest_cell_path`` walk rows of ``next_hop_table``,
 built with it; its up/down/left/right tie-break among equally close
-neighbours fixes every dataset byte.
+neighbours fixes every dataset byte. Both tables take the narrowest signed
+dtype holding H * W, int16 at least, as NumPy wraps int8 sums silently.
 
 Dynamics are a clipped point mass: each axis of the scaled displacement is
 applied in turn and reverted if it would enter a wall cell, so corner
@@ -211,10 +212,11 @@ def _hop_tables(shape: tuple[int, int], wall_bytes: bytes) -> tuple:
     """
     h, w = shape
     free = ~np.frombuffer(wall_bytes, dtype=bool)
-    sources = np.flatnonzero(free)
-    hops = np.full((len(sources), h * w), -1, dtype=np.int64)
+    cells = np.flatnonzero(free).astype(
+        np.promote_types(np.int16, np.min_scalar_type(-h * w)))
+    hops = np.full((len(cells), h * w), -1, dtype=cells.dtype)
     frontier = np.zeros(hops.shape, dtype=bool)
-    frontier[np.arange(len(sources)), sources] = True
+    frontier[np.arange(len(cells)), cells] = True
     unseen = free & ~frontier
     hops[frontier] = 0
     reach, d = np.empty_like(frontier), 0
@@ -228,12 +230,10 @@ def _hop_tables(shape: tuple[int, int], wall_bytes: bytes) -> tuple:
         np.logical_and(reach, unseen, out=frontier)
         unseen &= ~frontier
         hops[frontier] = d
-    cells = sources.astype(np.min_scalar_type(-h * w))
-    dist = hops.astype(cells.dtype)  # hops < H * W; the narrow copy keeps RSS low
     to = np.tile(cells, (len(cells), 1))  # the source maps to itself
-    closer = dist[:, cells] - 1  # -1 only at the source, where walls would match
+    closer = hops[:, cells] - 1  # -1 only at the source, where walls would match
     for off in (1, -1, w, -w):  # assigned last, up/down/left/right's first wins
-        near = dist[:, cells + off]
+        near = hops[:, cells + off]
         np.copyto(to, cells + off, where=(near == closer) & (near >= 0))
     nxt = np.full(hops.shape, -1, dtype=cells.dtype)
     nxt[:, cells] = to

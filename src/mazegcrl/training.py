@@ -164,8 +164,23 @@ class TrainConfig:
             raise ValueError("behavior cloning is a flat-policy objective")
         if self.dtype not in ("float32", "float64"):
             raise ValueError(f"dtype must be float32 or float64, got '{self.dtype}'")
-        datamod.GoalSampleRatios(*self.value_goal_ratios).validate()
-        datamod.GoalSampleRatios(*self.policy_goal_ratios).validate()
+        for key in ("value_hidden", "policy_hidden", "rep_hidden"):
+            if min(getattr(self, key), default=1) < 1:
+                raise ValueError(f"{key} widths must be at least 1, "
+                                 f"got {getattr(self, key)}")
+        for key in ("rep_dim", "latent_dim", "iqe_components", "iqe_intervals",
+                    "mrn_asym_dim", "mrn_sym_dim"):
+            low = 0 if key == "mrn_sym_dim" else 1  # an MRN may be purely asymmetric
+            if getattr(self, key) < low:
+                raise ValueError(f"{key} must be at least {low}, "
+                                 f"got {getattr(self, key)}")
+        for key in ("value_goal_ratios", "policy_goal_ratios"):
+            ratios = getattr(self, key)
+            if len(ratios) != len(datamod.GOAL_SOURCES):
+                raise ValueError(f"{key} takes {len(datamod.GOAL_SOURCES)} values "
+                                 f"({', '.join(datamod.GOAL_SOURCES)}), "
+                                 f"got {len(ratios)}")
+            datamod.GoalSampleRatios(*ratios).validate()
         return self
 
 

@@ -35,6 +35,7 @@ subgradients, or the bare sweep.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -320,25 +321,34 @@ def tensors_to_text(tree: dict[str, np.ndarray]) -> str:
 
 
 def tensors_from_text(text: str) -> dict[str, np.ndarray]:
+    """Parse ``tensors_to_text``; a ValueError names the line and the tensor."""
     # only the final newline goes: a zero-size tensor's rows are empty lines
     lines = text.removesuffix("\n").split("\n")
     out: dict[str, np.ndarray] = {}
-    pos = 0
+    pos = 0  # lines read
     while pos < len(lines):
         head = lines[pos].split()
-        if not head:
-            raise ValueError(f"expected a tensor header at line {pos + 1}")
-        name, dims = head[0], tuple(int(d) for d in head[1:])
         pos += 1
-        n_rows = 1 if len(dims) < 2 else dims[0]
+        if not head:
+            raise ValueError(f"expected a tensor header at line {pos}")
+        name = head[0]
+        if len(head) > 3 or not all(d.isdecimal() for d in head[1:]):
+            raise ValueError(f"tensor '{name}' header at line {pos}: expected at "
+                             f"most two nonnegative integer dims, got "
+                             f"{' '.join(head[1:])!r}")
+        dims = tuple(map(int, head[1:]))
+        n_rows, width = dims if len(dims) == 2 else (1, math.prod(dims))
         if pos + n_rows > len(lines):
             raise ValueError(f"tensor file ends at line {len(lines)}, inside "
                              f"tensor '{name}' (header at line {pos})")
-        values = []
-        for _ in range(n_rows):
-            values.extend(float(x) for x in lines[pos].split())
-            pos += 1
-        out[name] = np.array(values, dtype=np.float64).reshape(dims)
+        rows = [line.split() for line in lines[pos:pos + n_rows]]
+        for k, row in enumerate(rows):
+            if len(row) != width:
+                raise ValueError(f"line {pos + k + 1} has {len(row)} numbers, "
+                                 f"expected {width}, in tensor '{name}'")
+        out[name] = np.array([float(x) for row in rows for x in row],
+                             dtype=np.float64).reshape(dims)
+        pos += n_rows
     return out
 
 

@@ -627,6 +627,39 @@ def test_negative_seed_exits_2_naming_the_key(tmp_path, verb, key):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("values", ["0.5,0.5", "0.2,0.2,0.2,0.2,0.2"])
+@pytest.mark.parametrize("key", ["value_goal_ratios", "policy_goal_ratios"])
+def test_goal_ratios_of_the_wrong_length_exit_2_naming_the_key(
+        tmp_path, capsys, key, values):
+    # a TypeError from the GoalSampleRatios constructor once exited 1
+    assert cli.main(["gen-data", "--out", str(tmp_path / "x.dset"),
+                     "--set", f"train.{key}={values}"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"config: {key} takes 4 values (cur, traj, geom, rand), "
+        f"got {values.count(',') + 1}"]
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("setting, message", [
+    ("arch.value_hidden=0,64", "value_hidden widths must be at least 1, got (0, 64)"),
+    ("arch.policy_hidden=0", "policy_hidden widths must be at least 1, got (0,)"),
+    ("arch.rep_hidden=64,-2", "rep_hidden widths must be at least 1, got (64, -2)"),
+    ("arch.rep_dim=0", "rep_dim must be at least 1, got 0"),
+    ("arch.latent_dim=0", "latent_dim must be at least 1, got 0"),
+    ("arch.iqe_components=0", "iqe_components must be at least 1, got 0"),
+    ("arch.iqe_intervals=0", "iqe_intervals must be at least 1, got 0"),
+    ("arch.mrn_asym_dim=0", "mrn_asym_dim must be at least 1, got 0"),
+    ("arch.mrn_sym_dim=-1", "mrn_sym_dim must be at least 0, got -1"),
+])
+def test_architecture_sizes_below_their_least_are_refused(setting, message):
+    # each once trained: a ZeroDivisionError traceback, a failed first step,
+    # or (latent_dim=0) a value that is 0 everywhere
+    with pytest.raises(ConfigError) as err:
+        load_config([], [setting])
+    assert str(err.value) == message
+    assert load_config([], ["arch.mrn_sym_dim=0"]).train.mrn_sym_dim == 0
+
+
 @pytest.mark.parametrize("goal", ["inf,1", "nan,1"])
 def test_landscape_non_finite_goal_exits_2(tmp_path, goal):
     r = run_cli("landscape", "--ckpt", str(tmp_path / "missing.txt"),

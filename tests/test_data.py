@@ -40,6 +40,7 @@ def test_dataset_flat_index_covers_all_transitions():
     assert ds.states.shape == (10, 2) and ds.actions.shape == (8, 2)
     assert ds.index.tolist() == [0, 1, 2, 4, 5, 6, 7, 8]
     assert ds.end.tolist() == [3] * 3 + [9] * 5
+    assert ds.index.dtype == ds.end.dtype == np.int32
     # x encodes the step: s_t at index, s_{t+1} after it, s_T at end
     assert ds.states[ds.index, 0].tolist() == [0, 1, 2, 0, 1, 2, 3, 4]
     assert ds.states[ds.end, 0].tolist() == [3] * 3 + [5] * 5
@@ -256,6 +257,15 @@ def test_stitch_bytes_equal_the_oracle(name):
     spec = maze.builtin_layout(name)
     for noise, seed, length in itertools.product(NOISES, range(3), (2, 3, 8, 20)):
         assert_same_bytes(spec, 150, noise, seed, length)
+
+
+@pytest.mark.parametrize("name", maze.LAYOUT_NAMES)
+def test_stitch_with_a_span_bound_above_every_hop_count_equals_the_oracle(name):
+    # the bound meets int16 hop counts; 2**15 and up lie outside int16 itself
+    spec = maze.builtin_layout(name)
+    for noise, length in itertools.product((0.0, 0.3), (spec.walls.size, 2**15,
+                                                        2**31, 2**70)):
+        assert_same_bytes(spec, 150, noise, 0, length)
 
 
 def test_collection_bytes_equal_the_oracle_at_other_cell_sizes():
@@ -599,6 +609,24 @@ def test_batches_equal_the_oracle_bitwise(oracle_datasets, name):
         assert_same_arrays(dict(enumerate(got)), dict(enumerate(want)),
                            (name, seed, batch_size, v))
         assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("subgoal_steps", [10**4, 2**31 - 1, 2**31, 2**62])
+def test_batches_with_a_subgoal_horizon_past_the_dataset_equal_the_oracle(
+        oracle_datasets, subgoal_steps):
+    # added to int32 positions, 2**31 - 1 would wrap and 2**31 would raise
+    ds = oracle_datasets["medium/stitch"]
+    assert subgoal_steps > len(ds.states)
+    old = oracle_sample.legacy(ds)
+    args = (data.VALUE_GOAL_RATIOS_STITCH, data.POLICY_GOAL_RATIOS_DEFAULT, 0.95,
+            subgoal_steps, 0.5)
+    rng, ref = np.random.default_rng(5), np.random.default_rng(5)
+    got = sample_batch(ds, 256, *args, rng)
+    want = oracle_sample.sample_batch(old, 256, *args, ref)
+    del want["policy_goal_src"]
+    assert_same_arrays(got, want, subgoal_steps)
+    last = got["next_obs"] == got["subgoal"]  # some rows step onto s_T
+    assert last.all(axis=1).any() and not last.all()
 
 
 # ---- file format -----------------------------------------------------------------------

@@ -276,9 +276,16 @@ def test_distance_field_equals_the_numpy_indexed_bfs(spec):
     for row, source in zip(table, spec.free_cells()):
         got = maze.distance_field(spec, source)
         want = oracle_collect.distance_field(spec, source)
-        assert got is not want and got.dtype == want.dtype
+        assert got is not want and got.dtype == np.int16
         assert got.shape == want.shape and (got == want).all(), source
         assert np.shares_memory(got, table) and (row == want).all()  # a table row
+
+
+@pytest.mark.parametrize("name", maze.LAYOUT_NAMES)
+def test_both_bfs_tables_are_int16(name):
+    # int8 would hold medium's, but NumPy wraps int8 sums silently
+    spec = builtin_layout(name)
+    assert maze.hop_table(spec).dtype == maze.next_hop_table(spec).dtype == np.int16
 
 
 def test_hop_table_rows_are_read_only():

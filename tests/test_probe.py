@@ -87,13 +87,19 @@ def test_memory_probe_prints_every_call_and_the_grid_rss(capsys):
     assert mem.main(["--scale", "0.01"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].split() == ["workload", "call", "peak_mb", "retained_mb",
-                                "store_mb", "file_mb", "wall_s"]
-    rows = [line.split() for line in lines[1:-1]]
+                                "store_mb", "store_b/t", "file_mb", "wall_s"]
+    n_layouts = len(mem.maze.LAYOUT_NAMES)
+    rows = [line.split() for line in lines[1:-1 - n_layouts]]
     assert [row[:2] for row in rows] == [
         [name, call] for name, (_, style, _) in mem.DATASETS.items()
         for call in (f"collect_{style}", "write_dataset", "read_dataset")]
-    for name, call, peak, kept, store, size, wall in rows:
+    for name, call, peak, kept, store, per, size, wall in rows:
         assert 0.0 <= float(kept) <= float(peak), (name, call)
         assert 0.0 < float(store) < float(size)
+        # a state and an action of float64 and two int32 positions, at least
+        assert float(per) >= 40.0, (name, call)
         assert float(wall) > 0.0 if call.startswith("collect_") else wall == "-"
+    for line, name in zip(lines[-1 - n_layouts:-1], mem.maze.LAYOUT_NAMES):
+        assert re.fullmatch(rf"bfs tables {name}: int16 hop_table (\d+) B, "
+                            rf"int16 next_hop_table \1 B", line), line
     assert re.fullmatch(r"ablate-giant grid job: ru_maxrss \d+\.\d MB", lines[-1])

@@ -378,6 +378,23 @@ def test_tensor_round_trip_bit_exact(tmp_path):
     assert path.read_text() == oracle_io.tensors_to_text(tree)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("a 2 3\n1 2 3\n4 5\n", "line 3 has 2 numbers, expected 3, in tensor 'a'"),
+    ("b 4\n1 2 3 4\na 2 x\n1\n",
+     "tensor 'a' header at line 3: expected at most two nonnegative integer "
+     "dims, got '2 x'"),
+    ("a 2 3 4\n" + "1 2 3 4\n" * 6,
+     "tensor 'a' header at line 1: expected at most two nonnegative integer "
+     "dims, got '2 3 4'"),
+], ids=["short-row", "bad-dim", "3-d"])
+def test_tensor_reader_names_the_line_and_the_tensor(text, message):
+    # these once read "cannot reshape array", "invalid literal for int()" and
+    # (3-D) "tensor file ends at line 2"
+    with pytest.raises(ValueError) as err:
+        V.tensors_from_text(text)
+    assert str(err.value) == message
+
+
 @pytest.mark.parametrize("tree", [{"b": np.ones(2), "a": np.zeros((0,))},
                                   {"lone": np.zeros((3, 0))}],
                          ids=["empty-last", "no-cols"])
