@@ -320,6 +320,11 @@ def cmd_train(config: RunConfig, dataset: datamod.Dataset) -> dict:
         raise GraphError(f"dataset dims ({dataset.state_dim}, "
                          f"{dataset.action_dim}) do not match the layout")
     datamod.state_cells(dataset, spec)  # a dataset of another layout
+    finite = np.isfinite(dataset.actions).all(axis=1)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise GraphError(f"dataset transition {i} has a non-finite action "
+                         f"{tuple(dataset.actions[i].tolist())}")
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     cfg = config.train

@@ -6,10 +6,10 @@ every arrival, ``stitch`` produces many short segments whose pairwise
 temporal span is bounded by construction, so long tasks are only solvable by
 composing segments. Both run one rollout loop that inlines ``maze.step``
 and the goal-radius arrival test and makes exactly these ``rng`` draws,
-whose order fixes the dataset bytes: a ``random_free_cell`` start; a
-``random_free_cell`` goal (navigate) or one ``integers`` over the start's
-goal candidates (stitch); two ``random()`` a step, angle then radius, only
-when the noise scale is positive; on navigate a ``random_free_cell`` goal
+whose order fixes the dataset bytes: one ``integers`` over the free-cell ids
+for the start; one over the ids (navigate) or the start's goal candidates
+(stitch) for the goal; two ``random()`` a step, angle then radius, only when
+the noise scale is positive; on navigate one over the ids for a new goal
 after each arrival. The doubles are drawn ahead, ``rng.random(2k)`` for the
 next k <= ``NOISE_BLOCK`` steps of the rollout; before each integer draw the
 generator's state from before the block is restored and the doubles used
@@ -174,8 +174,9 @@ def _collect(spec: MazeSpec, n_transitions: int, noise_scale: float, seed: int,
     Each step aims a unit vector at the next shortest-path cell's centre (the
     goal's in the goal cell), adds disk noise, clamps each axis to [-1, 1]. A
     stitch step that would stretch the span ends the segment after its draws.
-    Cells are flat ids r * W + c: a step moves under one cell per axis and the
-    border is wall, so an id never leaves the grid.
+    A cell's free-cell id indexes the tables, centres and span bit masks; it is
+    looked up once per new cell by the flat index r * W + c, which a step (under
+    one cell per axis, inside a wall border) never moves off the grid.
     """
     if n_transitions <= 0:
         raise ValueError("n_transitions must be positive")
@@ -185,47 +186,38 @@ def _collect(spec: MazeSpec, n_transitions: int, noise_scale: float, seed: int,
     floor, hypot, cos, sin, sqrt = (math.floor, math.hypot, math.cos, math.sin,
                                     math.sqrt)
     two_pi = 2.0 * math.pi
-    wall = spec.walls.ravel().tolist()
-    rows, cols = np.divmod(np.arange(len(wall)), w)
-    centre = list(zip(((cols + 0.5) * cs).tolist(), ((rows + 0.5) * cs).tolist()))
-    free = np.flatnonzero(~spec.walls.ravel())  # free id -> flat id
-    free_ids = free.tolist()  # maze.random_free_cell draws an index into these
-    hops = dict(zip(free_ids, maze.hop_table(spec).reshape(len(free), -1)))
+    ids = spec._ids.ravel().tolist()  # flat index -> free-cell id, -1 on walls
+    free = spec.free_cells()  # id -> (row, col)
+    centre = [maze.cell_center(spec, cell) for cell in free]
+    hops = maze.hop_table(spec)
     # per goal, each cell's next cell toward it; per stitch start, its goal
     # cells; per cell, a bit mask of the cells within segment_len hops of it
-    next_hop = dict(zip(free_ids, map(memoryview, maze.next_hop_table(spec))))
-    near = functools.cache(lambda cell: free[
-        (hops[cell][free] >= 1) & (hops[cell][free] <= segment_len)].data)
+    next_hop = list(map(memoryview, maze.next_hop_table(spec)))
+    near = functools.cache(lambda cell: np.flatnonzero(
+        (hops[cell] >= 1) & (hops[cell] <= segment_len)).data)
     ball = functools.cache(lambda cell: int.from_bytes(np.packbits(
-        (hops[cell] >= 0) & (hops[cell] <= segment_len), bitorder="little"),
-        "little"))
-    # per goal, 1 on each cell whose closed square comes within the goal radius
-    # (plus rounding slack): the only cells where the arrival test can pass
-    arrival = functools.cache(lambda goal: (cs * np.hypot(
-        np.maximum(abs(cols - goal % w) - 0.5, 0.0),
-        np.maximum(abs(rows - goal // w) - 0.5, 0.0))
-        <= arrive + 1e-9 * (arrive + cs)).tobytes())
+        hops[cell] <= segment_len, bitorder="little"), "little"))
     block, k, saved = (), 0, None  # noise doubles drawn ahead, used, state before
     states, actions, lengths = array("d"), array("d"), []
     push_state, push_action = states.extend, actions.extend
     total = 0
     while total < n_transitions:
         block, k = _rewind(rng, saved, block, k)
-        cell = free_ids[int(rng.integers(len(free_ids)))]
-        r, c = divmod(cell, w)
+        cell = int(rng.integers(len(free)))
+        r, c = free[cell]
         if segment_len:
             goals = near(cell)
             goal = goals[int(rng.integers(len(goals)))]
             visited, n_steps = 1 << cell, 4 * segment_len
         else:
-            goal = free_ids[int(rng.integers(len(free_ids)))]
+            goal = int(rng.integers(len(free)))
             n_steps = spec.max_episode_steps
         x, y = centre[cell]
         gx, gy = centre[goal]
-        to_goal, at_goal = next_hop[goal], arrival(goal)
+        to_goal = next_hop[goal]
         tx, ty = centre[to_goal[cell]]
-        close = at_goal[cell]
         rw = r * w
+        at = rw + c
         mark = len(actions)
         push_state((x, y))
         for t in range(n_steps):
@@ -254,31 +246,30 @@ def _collect(spec: MazeSpec, n_transitions: int, noise_scale: float, seed: int,
             ay = m if m < 1.0 else 1.0
             nx = x + step_len * ax  # x first, then y from the post-x position
             col = floor(nx / cs)
-            if col == c or not wall[rw + col]:
+            if col == c or ids[rw + col] >= 0:
                 x, c = nx, col
             ny = y + step_len * ay
             row = floor(ny / cs)
-            if row == r or not wall[row * w + c]:
+            if row == r or ids[row * w + c] >= 0:
                 y, r, rw = ny, row, row * w
-            if rw + c != cell:  # a new cell: a new target, maybe a wider span
-                cell = rw + c
+            if rw + c != at:  # a new cell: a new target, maybe a wider span
+                at = rw + c
+                cell = ids[at]
                 if segment_len and not visited >> cell & 1:
                     if visited & ~ball(cell):  # a visited cell too far from it
                         break
                     visited |= 1 << cell
                 tx, ty = centre[to_goal[cell]]
-                close = at_goal[cell]
             push_state((x, y))
             push_action((ax, ay))
-            if close and hypot(x - gx, y - gy) <= arrive:
+            if hypot(x - gx, y - gy) <= arrive:
                 if segment_len:
                     break
                 block, k = _rewind(rng, saved, block, k)
-                goal = free_ids[int(rng.integers(len(free_ids)))]
+                goal = int(rng.integers(len(free)))
                 gx, gy = centre[goal]
-                to_goal, at_goal = next_hop[goal], arrival(goal)
+                to_goal = next_hop[goal]
                 tx, ty = centre[to_goal[cell]]
-                close = at_goal[cell]
         n = (len(actions) - mark) // 2
         if n or not segment_len:  # an empty navigate rollout is an error
             lengths.append(n)
@@ -420,7 +411,7 @@ def coverage(dataset: Dataset, spec: MazeSpec, span: bool = False):
     seen, far = visits.any(axis=0), None
     if span:  # one gather over the cell pairs some trajectory visits together
         v = visits.astype(np.float32)  # a pair's co-visit count: positive iff any
-        far = int(maze.hop_table(spec)[:, ~spec.walls][v.T @ v > 0].max())
+        far = int(maze.hop_table(spec)[v.T @ v > 0].max())
     return int(np.count_nonzero(seen)) / len(free), tasks, far
 
 
@@ -457,6 +448,15 @@ def _content_lines(lines):
         yield line
 
 
+def _number_error(rows, line: int, where: str = "") -> ValueError:
+    """Name the first of these split lines, numbered from ``line``, not all numbers."""
+    for k, row in enumerate(rows):
+        try:
+            list(map(float, row))
+        except ValueError as err:
+            return ValueError(f"line {line + k}: {err}{where}")
+
+
 def _parse_dataset(lines) -> Dataset:
     """Parse each ``T n`` block of a line stream straight into the store.
 
@@ -466,7 +466,10 @@ def _parse_dataset(lines) -> Dataset:
     head = next(lines, "").split()
     if len(head) != 5 or head[0] != "GCRL-DSET" or head[1] != "v1":
         raise ValueError("bad dataset header")
-    state_dim, action_dim, n_traj = int(head[2]), int(head[3]), int(head[4])
+    try:
+        state_dim, action_dim, n_traj = map(int, head[2:])
+    except ValueError as err:
+        raise ValueError(f"bad dataset header at line 1: {err}") from None
     states, actions, lengths = array("d"), array("d"), []
     pos = 1  # lines read
     for i in range(n_traj):
@@ -490,8 +493,11 @@ def _parse_dataset(lines) -> Dataset:
                      if len(row) != w)
             raise ValueError(f"line {pos + k + 1} has {len(rows[k])} numbers, "
                              f"expected {widths[k]}")
-        states.extend(map(float, chain.from_iterable(rows[0::2])))
-        actions.extend(map(float, chain.from_iterable(rows[1::2])))
+        try:
+            states.extend(map(float, chain.from_iterable(rows[0::2])))
+            actions.extend(map(float, chain.from_iterable(rows[1::2])))
+        except ValueError:
+            raise _number_error(rows, pos + 1) from None
         lengths.append(length)
         pos += 2 * length + 1
     if next(lines, None) is not None:

@@ -208,7 +208,7 @@ def temporal_alignment(value_fn, spec: MazeSpec, goal) -> float:
         raise ValueError("temporal_alignment needs at least two free cells")
     vals = value_fn(np.column_stack(_free_sample_points(spec, 1)), goal)  # centres
     field = maze.distance_field(spec, maze.cell_of(spec, goal))
-    return _spearman(vals, -field[~spec.walls].astype(np.float64))
+    return _spearman(vals, -field.astype(np.float64))
 
 
 def _spearman(a, b) -> float:

@@ -7,16 +7,14 @@ component, and the builtin layouts ship five canonical start/goal tasks.
 A free cell's id is its index in ``free_cells()`` (row-major order): the id
 every vectorized position lookup, ``cell_ids``, returns (-1 off free cells).
 
-Every BFS distance comes from one read-only all-pairs hop table per wall
-grid, ``hop_table``: row i holds the 4-connected hop counts from free cell
-i to every grid cell (-1 on walls). A multi-source frontier BFS builds it
-once per wall grid and process (an LRU cache of 16 grids), and every spec on
-that grid shares it; ``distance_field`` returns one row of it, and
-``bfs_distance``, the dataset collector and the diagnostics read those rows.
-The collector and ``shortest_cell_path`` walk rows of ``next_hop_table``,
-built with it; its up/down/left/right tie-break among equally close
-neighbours fixes every dataset byte. Both tables take the narrowest signed
-dtype holding H * W, int16 at least, as NumPy wraps int8 sums silently.
+Every BFS distance comes from two read-only (N, N) tables over free-cell ids,
+built by one multi-source BFS per wall grid and process (an LRU cache of 16
+grids) and shared by every spec on that grid: ``hop_table[i, j]`` is the
+4-connected hop count between free cells i and j, and ``next_hop_table[g, s]``
+is s's first up/down/left/right neighbour one hop closer to g (g itself at
+s = g), a tie-break that fixes every dataset byte. ``distance_field`` is one
+row of ``hop_table``. Both take the narrowest signed dtype holding N, int16
+at least, as NumPy wraps int8 sums silently.
 
 Dynamics are a clipped point mass: each axis of the scaled displacement is
 applied in turn and reverted if it would enter a wall cell, so corner
@@ -54,7 +52,6 @@ __all__ = [
     "cell_ids",
     "cell_center",
     "is_valid_state",
-    "random_free_cell",
     "text_to_grid",
 ]
 
@@ -92,7 +89,7 @@ class MazeSpec:
     tasks: tuple[Task, ...]
     _free: tuple = field(init=False, repr=False)
     _free_set: frozenset = field(init=False, repr=False)
-    _ids: np.ndarray = field(init=False, repr=False)  # (H, W) cell id, -1 on walls
+    _ids: np.ndarray = field(init=False, repr=False)  # (H, W) free-cell id, -1 on walls
     _hops: np.ndarray = field(init=False, repr=False)  # hop_table(self)
 
     def __post_init__(self):
@@ -109,13 +106,12 @@ class MazeSpec:
         object.__setattr__(self, "_free",
                            tuple(map(tuple, np.argwhere(~walls).tolist())))
         object.__setattr__(self, "_free_set", frozenset(self._free))
-        ids = np.full(walls.shape, -1, dtype=np.intp)
-        ids[~walls] = np.arange(len(self._free))  # row-major, as argwhere
-        object.__setattr__(self, "_ids", ids)
         if not self._free:
             raise MazeError(f"layout '{self.name}': no free cells")
-        object.__setattr__(self, "_hops", _hop_tables(walls.shape, walls.tobytes())[0])
-        if (self._hops[0] >= 0).sum() != len(self._free):
+        hops, _, ids = _hop_tables(walls.shape, walls.tobytes())
+        object.__setattr__(self, "_hops", hops)
+        object.__setattr__(self, "_ids", ids)
+        if (hops[0] < 0).any():
             raise MazeError(f"layout '{self.name}': free cells are not connected")
 
     @property
@@ -141,13 +137,8 @@ def cell_center(spec: MazeSpec, cell: tuple[int, int]) -> State:
     return ((c + 0.5) * spec.cell_size, (r + 0.5) * spec.cell_size)
 
 
-def _is_wall_at(spec: MazeSpec, x: float, y: float) -> bool:
-    cs = spec.cell_size
-    return (math.floor(y / cs), math.floor(x / cs)) not in spec._free_set
-
-
 def is_valid_state(spec: MazeSpec, s: State) -> bool:
-    return not _is_wall_at(spec, s[0], s[1])
+    return cell_of(spec, s) in spec._free_set
 
 
 def step(spec: MazeSpec, s: State, a: Action) -> State:
@@ -160,10 +151,10 @@ def step(spec: MazeSpec, s: State, a: Action) -> State:
     ay = min(1.0, max(-1.0, a[1]))
     x, y = s
     nx = x + spec.step_length * ax
-    if _is_wall_at(spec, nx, y):
+    if not is_valid_state(spec, (nx, y)):
         nx = x
     ny = y + spec.step_length * ay
-    if _is_wall_at(spec, nx, ny):
+    if not is_valid_state(spec, (nx, ny)):
         ny = y
     return (nx, ny)
 
@@ -182,9 +173,7 @@ def step_batch(spec: MazeSpec, positions: np.ndarray,
 
     Every row equals the scalar ``step`` bit for bit. ``np.fmin``/``np.fmax``
     clamp a NaN action component to -1 as Python's ``min``/``max`` do
-    (``np.clip`` would pass it through). Data collection inlines the scalar
-    ``step`` in its rollout loop instead: one transition at a time between
-    the noise and arrival draws whose order fixes dataset bytes.
+    (``np.clip`` would pass it through).
     """
     pos = np.asarray(positions, dtype=np.float64)
     a = np.fmin(1.0, np.fmax(-1.0, np.asarray(actions, dtype=np.float64)))
@@ -203,22 +192,25 @@ def _check_free_cell(spec: MazeSpec, cell: tuple[int, int], what: str) -> None:
 
 @functools.lru_cache(maxsize=16)
 def _hop_tables(shape: tuple[int, int], wall_bytes: bytes) -> tuple:
-    """``hop_table`` and ``next_hop_table`` of one wall grid, read-only.
+    """``hop_table``, ``next_hop_table`` and the (H, W) free-cell id grid.
 
-    Cached by wall grid, so every spec on one grid shares both tables. Each
-    BFS round moves every source's frontier one hop by shifting the flat grid
-    by +-1 and +-W; the border is wall, so no free cell's shift wraps. Then
-    one pass over the hops gives every free cell its next hop.
+    Read-only and cached by wall grid, so every spec on one grid shares them.
+    Each BFS round moves every source's frontier one hop by shifting the flat
+    grid by +-1 and +-W; the border is wall, so no free cell's shift wraps.
+    The free columns of that grid are ``hop_table``, and one pass over each
+    neighbour's column gives every free cell its next hop.
     """
     h, w = shape
     free = ~np.frombuffer(wall_bytes, dtype=bool)
-    cells = np.flatnonzero(free).astype(
-        np.promote_types(np.int16, np.min_scalar_type(-h * w)))
-    hops = np.full((len(cells), h * w), -1, dtype=cells.dtype)
-    frontier = np.zeros(hops.shape, dtype=bool)
-    frontier[np.arange(len(cells)), cells] = True
+    cells = np.flatnonzero(free)
+    n = len(cells)
+    ids = np.full(h * w, -1, dtype=np.promote_types(np.int16, np.min_scalar_type(-n)))
+    ids[cells] = np.arange(n)
+    grid = np.full((n, h * w), -1, dtype=ids.dtype)
+    frontier = np.zeros(grid.shape, dtype=bool)
+    frontier[np.arange(n), cells] = True
     unseen = free & ~frontier
-    hops[frontier] = 0
+    grid[frontier] = 0
     reach, d = np.empty_like(frontier), 0
     while frontier.any():
         d += 1
@@ -229,32 +221,30 @@ def _hop_tables(shape: tuple[int, int], wall_bytes: bytes) -> tuple:
         reach[:, :-1] |= frontier[:, 1:]
         np.logical_and(reach, unseen, out=frontier)
         unseen &= ~frontier
-        hops[frontier] = d
-    to = np.tile(cells, (len(cells), 1))  # the source maps to itself
-    closer = hops[:, cells] - 1  # -1 only at the source, where walls would match
+        grid[frontier] = d
+    hops = grid[:, cells]
+    to = np.tile(ids[cells], (n, 1))  # the source maps to itself
+    closer = hops - 1  # -1 only at the source, where walls would match
     for off in (1, -1, w, -w):  # assigned last, up/down/left/right's first wins
-        near = hops[:, cells + off]
-        np.copyto(to, cells + off, where=(near == closer) & (near >= 0))
-    nxt = np.full(hops.shape, -1, dtype=cells.dtype)
-    nxt[:, cells] = to
-    hops.flags.writeable = nxt.flags.writeable = False
-    return hops.reshape(len(cells), h, w), nxt
+        near = grid[:, cells + off]
+        np.copyto(to, ids[cells + off], where=(near == closer) & (near >= 0))
+    hops.flags.writeable = to.flags.writeable = ids.flags.writeable = False
+    return hops, to, ids.reshape(shape)
 
 
 def hop_table(spec: MazeSpec) -> np.ndarray:
-    """(free cells, H, W) read-only BFS hops: row i from free cell i, -1 on walls."""
+    """(N, N) read-only BFS hops between free cells, by free-cell id."""
     return spec._hops
 
 
 def next_hop_table(spec: MazeSpec) -> np.ndarray:
-    """(free cells, H * W) read-only: row i maps each flat cell r * W + c to the
-    first of its up/down/left/right neighbours one hop closer to free cell i;
-    free cell i maps to itself and walls to -1."""
+    """(N, N) read-only: row g maps each free-cell id s to the id of the first
+    of s's up/down/left/right neighbours one hop closer to g; g maps to itself."""
     return _hop_tables(spec.shape, spec.walls.tobytes())[1]
 
 
 def distance_field(spec: MazeSpec, source: tuple[int, int]) -> np.ndarray:
-    """4-connected BFS hop counts from one cell; -1 marks unreachable. Read-only."""
+    """BFS hops from one free cell to each, in ``free_cells()`` order. Read-only."""
     _check_free_cell(spec, source, "distance_field")
     return spec._hops[spec._ids[source]]
 
@@ -264,7 +254,7 @@ def bfs_distance(spec: MazeSpec, s: State, g: State) -> int:
     cs, cg = cell_of(spec, s), cell_of(spec, g)
     _check_free_cell(spec, cs, "bfs_distance")
     _check_free_cell(spec, cg, "bfs_distance")
-    return int(spec._hops[spec._ids[cs]][cg])  # free cells are connected
+    return int(spec._hops[spec._ids[cs], spec._ids[cg]])  # free cells are connected
 
 
 def shortest_cell_path(spec: MazeSpec, s: State, g: State) -> list[tuple[int, int]]:
@@ -273,11 +263,11 @@ def shortest_cell_path(spec: MazeSpec, s: State, g: State) -> list[tuple[int, in
     _check_free_cell(spec, goal, "shortest_cell_path")
     if start not in spec._free_set:
         raise Unreachable(f"no path between cells {start} and {goal}")
-    w, to = spec.shape[1], next_hop_table(spec)[spec._ids[goal]].tolist()
-    path = [start[0] * w + start[1]]
+    to = next_hop_table(spec)[spec._ids[goal]].tolist()
+    path = [int(spec._ids[start])]
     while (cell := to[path[-1]]) != path[-1]:
         path.append(cell)
-    return [divmod(cell, w) for cell in path]
+    return [spec._free[cell] for cell in path]
 
 
 def optimal_trajectory(spec: MazeSpec, task: Task) -> np.ndarray:
@@ -289,11 +279,6 @@ def optimal_trajectory(spec: MazeSpec, task: Task) -> np.ndarray:
     cells = shortest_cell_path(spec, task.start, task.goal)
     states = [cell_center(spec, c) for c in cells[:-1]] + [task.goal]
     return np.asarray(states, dtype=np.float64)
-
-
-def random_free_cell(spec: MazeSpec, rng: np.random.Generator) -> tuple[int, int]:
-    cells = spec.free_cells()
-    return cells[int(rng.integers(len(cells)))]
 
 
 # ---- builtin layouts ----------------------------------------------------------
@@ -374,9 +359,8 @@ def builtin_layout(name: str) -> MazeSpec:
     cell = 1.0
     spec = MazeSpec(name=name, walls=walls, cell_size=cell, max_episode_steps=1,
                     goal_radius=GOAL_RADIUS_CELLS * cell, tasks=())
-    tasks = []
-    for start_cell, goal_cell in _CANONICAL_CELLS[name]:
-        tasks.append(Task(cell_center(spec, start_cell), cell_center(spec, goal_cell)))
+    tasks = [Task(cell_center(spec, start_cell), cell_center(spec, goal_cell))
+             for start_cell, goal_cell in _CANONICAL_CELLS[name]]
     longest = max(bfs_distance(spec, t.start, t.goal) for t in tasks)
     return MazeSpec(name=name, walls=walls, cell_size=cell,
                     max_episode_steps=EPISODE_BUDGET_FACTOR * longest,

@@ -49,6 +49,7 @@ from .autodiff import (
     init_mlp,
     mlp_apply,
 )
+from .data import _number_error
 
 __all__ = [
     "KINDS",
@@ -346,8 +347,11 @@ def tensors_from_text(text: str) -> dict[str, np.ndarray]:
             if len(row) != width:
                 raise ValueError(f"line {pos + k + 1} has {len(row)} numbers, "
                                  f"expected {width}, in tensor '{name}'")
-        out[name] = np.array([float(x) for row in rows for x in row],
-                             dtype=np.float64).reshape(dims)
+        try:
+            flat = [float(x) for row in rows for x in row]
+        except ValueError:
+            raise _number_error(rows, pos + 1, f", in tensor '{name}'") from None
+        out[name] = np.array(flat, dtype=np.float64).reshape(dims)
         pos += n_rows
     return out
 

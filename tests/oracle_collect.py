@@ -1,9 +1,10 @@
 """Dataset collection as it was before the one table-driven rollout: test-only.
 
 Copies of ``data.expert_action``, ``data.collect_navigate``,
-``data.collect_stitch`` and the NumPy-indexed BFS ``maze.distance_field``,
-verbatim except that the BFS keeps its own cache (so comparing the two never
-reads one array twice) and the stitch collector measures spans with it.
+``data.collect_stitch``, ``maze.random_free_cell`` and the NumPy-indexed BFS
+``maze.distance_field`` (an (H, W) grid, -1 on walls), verbatim except that
+the BFS keeps its own cache (so comparing the two never reads one array
+twice) and the stitch collector measures spans with it.
 ``dataset_of`` joins one-trajectory datasets, as the old
 ``Dataset(trajectories)`` constructor did.
 Every expert step here goes through ``maze.cell_of``, this module's own
@@ -31,6 +32,11 @@ def dataset_of(trajectories: list[Dataset]) -> Dataset:
     return Dataset(np.concatenate([t.states for t in trajectories]),
                    np.concatenate([t.actions for t in trajectories]),
                    np.concatenate([t.lengths for t in trajectories]))
+
+
+def random_free_cell(spec: MazeSpec, rng: np.random.Generator) -> tuple[int, int]:
+    cells = spec.free_cells()
+    return cells[int(rng.integers(len(cells)))]
 
 
 _FIELDS = weakref.WeakKeyDictionary()  # spec -> {source cell: distance array}
@@ -111,8 +117,8 @@ def collect_navigate(spec: MazeSpec, n_transitions: int, noise_scale: float,
     trajectories = []
     total = 0
     while total < n_transitions:
-        s = maze.cell_center(spec, maze.random_free_cell(spec, rng))
-        goal = maze.cell_center(spec, maze.random_free_cell(spec, rng))
+        s = maze.cell_center(spec, random_free_cell(spec, rng))
+        goal = maze.cell_center(spec, random_free_cell(spec, rng))
         states = [s]
         actions = []
         for _ in range(spec.max_episode_steps):
@@ -122,7 +128,7 @@ def collect_navigate(spec: MazeSpec, n_transitions: int, noise_scale: float,
             actions.append(a)
             if (math.hypot(s[0] - goal[0], s[1] - goal[1])
                     <= spec.goal_radius):
-                goal = maze.cell_center(spec, maze.random_free_cell(spec, rng))
+                goal = maze.cell_center(spec, random_free_cell(spec, rng))
         trajectories.append(Dataset(np.array(states), np.array(actions),
                                     [len(actions)]))
         total += len(actions)

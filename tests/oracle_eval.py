@@ -4,9 +4,10 @@ A test-only reference: each task rolls its trials out on its own, and each
 trial steps through the scalar ``maze.step``. The current ``evaluate`` must
 reproduce its report exactly. Its start jitter, temporal alignment and
 landscape sample points are the library's per-trial and per-cell loops from
-before the vectorized free-cell ids, verbatim, and its reference paths walk
-``oracle_collect.next_cell`` one hop at a time, as the library did before
-``maze.next_hop_table``.
+before the vectorized free-cell ids, verbatim, except that the alignment reads
+the (H, W) BFS grid of ``oracle_collect.distance_field``; its reference paths
+walk ``oracle_collect.next_cell`` one hop at a time, as the library did
+before ``maze.next_hop_table``.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from mazegcrl.evaluation import (
 )
 from mazegcrl.maze import MazeSpec, Task
 from mazegcrl.training import LearnerState
-from tests.oracle_collect import next_cell
+from tests.oracle_collect import distance_field, next_cell
 
 
 def optimal_trajectory(spec: MazeSpec, task: Task) -> np.ndarray:
@@ -67,7 +68,7 @@ def temporal_alignment(value_fn, spec: MazeSpec, goal) -> float:
     centers = np.array([maze.cell_center(spec, c) for c in cells])
     vals = value_fn(centers, goal)
     goal_cell = maze.cell_of(spec, goal)
-    field = maze.distance_field(spec, goal_cell)
+    field = distance_field(spec, goal_cell)
     oracle = -np.array([field[c] for c in cells], dtype=np.float64)
     return _spearman(vals, oracle)
 

@@ -7,7 +7,8 @@ tensor was formatted in one call. The library's text must equal these by
 bytes. ``dataset_from_text`` is the reader as it was before it streamed its
 input: it splits the whole text into lines first. It differs only in
 rejecting a ``T 0`` marker at its own line. The library must accept what it
-accepts, with equal arrays, and reject the rest with the same message.
+accepts, with equal arrays, and reject the rest with the same message; an
+entry that is not a number is named by its line, converted here one at a time.
 """
 
 from itertools import chain
@@ -54,7 +55,10 @@ def dataset_from_text(text: str) -> Dataset:
     head = lines[0].split()
     if len(head) != 5 or head[0] != "GCRL-DSET" or head[1] != "v1":
         raise ValueError("bad dataset header")
-    state_dim, action_dim, n_traj = int(head[2]), int(head[3]), int(head[4])
+    try:
+        state_dim, action_dim, n_traj = (int(x) for x in head[2:])
+    except ValueError as err:
+        raise ValueError(f"bad dataset header at line 1: {err}") from None
     pos = 1
     trajectories = []
     for i in range(n_traj):
@@ -78,7 +82,14 @@ def dataset_from_text(text: str) -> Dataset:
                      if len(row) != w)
             raise ValueError(f"line {pos + k + 1} has {len(rows[k])} numbers, "
                              f"expected {widths[k]}")
-        flat = np.array(list(map(float, chain.from_iterable(rows))))
+        flat = []
+        for k, row in enumerate(rows):
+            for x in row:
+                try:
+                    flat.append(float(x))
+                except ValueError as err:
+                    raise ValueError(f"line {pos + k + 1}: {err}") from None
+        flat = np.array(flat)
         n_pairs = length * (state_dim + action_dim)
         pairs = flat[:n_pairs].reshape(length, state_dim + action_dim)
         states = np.vstack((pairs[:, :state_dim], flat[n_pairs:]))

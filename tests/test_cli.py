@@ -335,6 +335,21 @@ def test_train_rejects_a_dataset_of_another_layout_before_writing(tmp_path):
     assert not (tmp_path / "run").exists()
 
 
+def test_train_rejects_a_non_finite_action_before_writing(tmp_path):
+    ds = data.collect_navigate(maze.builtin_layout("medium"), 2000, 0.2, 0)
+    actions = ds.actions.copy()
+    actions[1234, 1] = np.nan
+    data.write_dataset(data.Dataset(ds.states, actions, ds.lengths),
+                       tmp_path / "nan.dset")
+    r = run_cli("train", "--data", str(tmp_path / "nan.dset"), "--out",
+                str(tmp_path / "run"), "--set", "train.steps=200")
+    assert r.returncode == 2
+    x = float(actions[1234, 0])
+    assert r.stderr.splitlines()[0] == ("numeric: dataset transition 1234 has a "
+                                        f"non-finite action ({x!r}, nan)")
+    assert not (tmp_path / "run").exists()
+
+
 def test_train_rejects_mismatched_dataset(tmp_path):
     bad = data.Dataset(np.zeros((3, 4)), np.zeros((2, 2)), [2])
     path = tmp_path / "bad.dset"

@@ -711,6 +711,25 @@ def test_dataset_row_width_checked(row, line):
         data.dataset_from_text("\n".join(lines) + "\n")
 
 
+@pytest.mark.parametrize("row, line, message", [
+    ("GCRL-DSET v1 x 2 1", 1, "bad dataset header at line 1: invalid literal "
+                              "for int() with base 10: 'x'"),
+    ("0.1 zz", 4, "line 4: could not convert string to float: 'zz'"),
+    ("nan 0.5", 5, None),  # NaN and inf stay readable
+], ids=["header", "action-row", "nan"])
+def test_dataset_entry_not_a_number_names_its_line(row, line, message):
+    lines = ["GCRL-DSET v1 2 2 1", "T 1", "0.5 0.5", "0.1 0.1", "2.5 -inf"]
+    lines[line - 1] = row
+    text = "\n".join(lines) + "\n"
+    if message is None:
+        assert np.isnan(data.dataset_from_text(text).states[1, 0])
+        return
+    for read in (data.dataset_from_text, oracle_io.dataset_from_text):
+        with pytest.raises(ValueError) as err:
+            read(text)
+        assert str(err.value) == message
+
+
 def test_dataset_negative_trajectory_length_rejected():
     text = "GCRL-DSET v1 2 2 1\nT -1\n0.5 0.5\n"
     with pytest.raises(ValueError, match="expected trajectory marker at line 2"):

@@ -240,7 +240,8 @@ def test_free_cells_cached_in_row_major_order(name):
     # the same draws pick the same cells as indexing the argwhere list
     rng_a, rng_b = np.random.default_rng(4), np.random.default_rng(4)
     for _ in range(50):
-        assert maze.random_free_cell(spec, rng_a) == free[int(rng_b.integers(len(free)))]
+        assert oracle_collect.random_free_cell(spec, rng_a) == \
+            free[int(rng_b.integers(len(free)))]
 
 
 def test_bfs_matches_dijkstra_oracle():
@@ -272,13 +273,43 @@ def test_bfs_symmetry_and_triangle():
                          ids=[*maze.LAYOUT_NAMES, "corridor", "medium3"])
 def test_distance_field_equals_the_numpy_indexed_bfs(spec):
     table = maze.hop_table(spec)
-    assert table.shape == (len(spec.free_cells()), *spec.shape)
+    assert table.shape == (len(spec.free_cells()),) * 2
     for row, source in zip(table, spec.free_cells()):
         got = maze.distance_field(spec, source)
-        want = oracle_collect.distance_field(spec, source)
-        assert got is not want and got.dtype == np.int16
+        want = oracle_collect.distance_field(spec, source)[~spec.walls]  # by id
+        assert got.dtype == np.int16
         assert got.shape == want.shape and (got == want).all(), source
         assert np.shares_memory(got, table) and (row == want).all()  # a table row
+
+
+CUSTOM_GRID = """\
+#######
+#.....#
+#.#.#.#
+#.....#
+###.###
+#.....#
+#######"""
+
+
+@pytest.mark.parametrize("spec", [builtin_layout(n) for n in maze.LAYOUT_NAMES]
+                         + [MazeSpec("custom", maze.text_to_grid(CUSTOM_GRID),
+                                     0.5, 40, 0.25, ())],
+                         ids=[*maze.LAYOUT_NAMES, "custom"])
+def test_bfs_tables_are_free_cell_square_and_consistent(spec):
+    hops, to = maze.hop_table(spec), maze.next_hop_table(spec)
+    n = len(spec.free_cells())
+    off = ~np.eye(n, dtype=bool)
+    assert hops.shape == to.shape == (n, n)
+    assert not hops.flags.writeable and not to.flags.writeable
+    assert (hops == hops.T).all() and (np.diag(hops) == 0).all()
+    assert (hops[off] >= 1).all()
+    assert (np.diag(to) == np.arange(n)).all()  # the goal maps to itself
+    assert (np.take_along_axis(hops, to.astype(np.intp), axis=1)[off]
+            == hops[off] - 1).all()
+    cells = np.array(spec.free_cells())
+    steps = np.abs(cells[to] - cells).sum(axis=-1)  # s to its next hop, per goal
+    assert (steps[off] == 1).all()
 
 
 @pytest.mark.parametrize("name", maze.LAYOUT_NAMES)
@@ -292,15 +323,16 @@ def test_hop_table_rows_are_read_only():
     spec = builtin_layout("medium")
     row = maze.distance_field(spec, spec.free_cells()[3])
     with pytest.raises(ValueError, match="read-only"):
-        row[spec.free_cells()[0]] = 7
+        row[0] = 7
     with pytest.raises(ValueError, match="read-only"):
-        maze.hop_table(spec)[0, 1, 1] = 7
+        maze.hop_table(spec)[0, 1] = 7
     with pytest.raises(ValueError, match="read-only"):
-        maze.next_hop_table(spec)[0, 11] = 7
+        maze.next_hop_table(spec)[0, 1] = 7
     with pytest.raises(TypeError, match="read-only"):  # as the collector reads it
-        memoryview(maze.next_hop_table(spec)[3])[11] = 7
-    assert (row == oracle_collect.distance_field(spec, spec.free_cells()[3])).all()
-    assert maze.next_hop_table(spec)[0, 11] == 11  # free cell 0 is (1, 1)
+        memoryview(maze.next_hop_table(spec)[3])[1] = 7
+    want = oracle_collect.distance_field(spec, spec.free_cells()[3])[~spec.walls]
+    assert (row == want).all()
+    assert maze.next_hop_table(spec)[0, 0] == 0  # free cell 0 maps to itself
 
 
 def test_specs_on_one_wall_grid_share_one_hop_table():
@@ -317,14 +349,12 @@ def test_specs_on_one_wall_grid_share_one_hop_table():
 def test_next_hop_table_and_shortest_path_all_pairs(name):
     spec = builtin_layout(name)
     free = spec.free_cells()
-    w = spec.shape[1]
     table = maze.next_hop_table(spec)
-    assert table.shape == (len(free), spec.walls.size)
-    assert (table[:, spec.walls.ravel()] == -1).all()  # walls hold -1
+    assert table.shape == (len(free), len(free))
     for row, goal in zip(table, free):
         dist = oracle_collect.distance_field(spec, goal)
-        for cell in free:
-            hop = divmod(int(row[cell[0] * w + cell[1]]), w)
+        for cell, hop in zip(free, row.tolist()):
+            hop = free[hop]
             if cell == goal:
                 assert hop == cell
                 continue
@@ -337,9 +367,10 @@ def test_next_hop_table_and_shortest_path_all_pairs(name):
     for a in free:
         sa = maze.cell_center(spec, a)
         dist = maze.distance_field(spec, a)
-        for b in free[::stride]:
+        for i in range(0, len(free), stride):
+            b = free[i]
             path = maze.shortest_cell_path(spec, maze.cell_center(spec, b), sa)
-            assert len(path) == dist[b] + 1
+            assert len(path) == dist[i] + 1
             assert path[0] == b and path[-1] == a
     wall = (0, 0)
     with pytest.raises(maze.Unreachable):

@@ -386,13 +386,21 @@ def test_tensor_round_trip_bit_exact(tmp_path):
     ("a 2 3 4\n" + "1 2 3 4\n" * 6,
      "tensor 'a' header at line 1: expected at most two nonnegative integer "
      "dims, got '2 3 4'"),
-], ids=["short-row", "bad-dim", "3-d"])
+    ("b 1\n0\na 2\n1 x\n",
+     "line 4: could not convert string to float: 'x', in tensor 'a'"),
+], ids=["short-row", "bad-dim", "3-d", "not-a-number"])
 def test_tensor_reader_names_the_line_and_the_tensor(text, message):
-    # these once read "cannot reshape array", "invalid literal for int()" and
-    # (3-D) "tensor file ends at line 2"
+    # these once read "cannot reshape array", "invalid literal for int()",
+    # (3-D) "tensor file ends at line 2" and (no line) "could not convert"
     with pytest.raises(ValueError) as err:
         V.tensors_from_text(text)
     assert str(err.value) == message
+
+
+def test_tensor_reader_keeps_nan_and_inf():
+    # aborted checkpoints hold them
+    back = V.tensors_from_text("a 3\nnan inf -inf\n")["a"]
+    assert np.isnan(back[0]) and back[1] == np.inf and back[2] == -np.inf
 
 
 @pytest.mark.parametrize("tree", [{"b": np.ones(2), "a": np.zeros((0,))},
