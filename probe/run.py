@@ -10,8 +10,11 @@ Run from the root of a checkout::
 Each config below trains once per seed with ``cli.cmd_train`` to the last
 of ``--steps``, evaluating at every step listed, on the default dataset
 (100k transitions, data seed 100) of its layout and style. ``--set`` lines
-apply to every run after the config's own. The JSON output holds per-task
-alignment and success at each checkpoint, and their means over seeds.
+apply to every run after the config's own. The process writes every dataset
+file first, then runs the (config, seed) trainings on a fork pool of up to
+``os.cpu_count()`` workers; the output does not depend on their number. The
+JSON output holds per-task alignment and success at each checkpoint, and
+their means over seeds.
 ``--table A B`` prints the means of two outputs side by side with B - A.
 """
 
@@ -19,6 +22,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import multiprocessing
+import os
 import sys
 import tempfile
 from pathlib import Path
@@ -42,25 +47,36 @@ def _ints(text: str) -> list[int]:
     return [int(x) for x in text.split(",")]
 
 
-def run_config(lines: list[str], steps: list[int], seeds: list[int], work: Path,
-               datasets: dict) -> dict:
-    runs = {}
+def plan(lines: list[str], steps: list[int], seeds: list[int], work: Path) -> list:
+    """One (config, dataset file, steps) job per seed; any dataset file the
+    jobs need and the parent has not written yet, written here."""
+    jobs = []
     for seed in seeds:
         config = cli.load_config([], lines + [
             f"train.seed={seed}", f"train.steps={steps[-1]}",
             f"run.eval_every={steps[0]}", f"run.out_dir={work / str(seed)}"])
         key = (config.layout, config.style, config.transitions, config.data_seed)
-        if key not in datasets:
-            path = work.parent / f"{'_'.join(map(str, key))}.dset"
+        path = work.parent / f"{'_'.join(map(str, key))}.dset"
+        if not path.exists():
             cli.cmd_gen_data(config, path)
-            datasets[key] = datamod.read_dataset(path)
-        cli.cmd_train(config, datasets[key])
-        reports = evaluation.report_from_csv(
-            (Path(config.out_dir) / "report.csv").read_text())
-        by_step = {r.checkpoint_step: r for r in reports}
-        runs[seed] = {step: {"alignment": by_step[step].task_alignment,
-                             "success": by_step[step].task_success}
-                      for step in steps}
+        jobs.append((config, path, steps))
+    return jobs
+
+
+def train(job) -> dict:
+    """Per-task alignment and success at each step of one job's run."""
+    config, path, steps = job
+    cli.cmd_train(config, datamod.read_dataset(path))
+    reports = evaluation.report_from_csv(
+        (Path(config.out_dir) / "report.csv").read_text())
+    by_step = {r.checkpoint_step: r for r in reports}
+    return {step: {"alignment": by_step[step].task_alignment,
+                   "success": by_step[step].task_success}
+            for step in steps}
+
+
+def summary(lines: list[str], steps: list[int], seeds: list[int], runs: list) -> dict:
+    runs = dict(zip(seeds, runs))
     mean = {step: {k: sum(sum(runs[s][step][k]) / len(runs[s][step][k])
                           for s in seeds) / len(seeds)
                    for k in ("alignment", "success")}
@@ -99,12 +115,21 @@ def main(argv=None) -> int:
     if steps[0] < 1 or steps != sorted(set(steps)) or any(s % steps[0] for s in steps):
         parser.error("--steps must be positive and ascend, each a multiple of the first")
     result = {"steps": steps, "seeds": args.seeds, "set": args.set, "configs": {}}
-    datasets: dict = {}
     with tempfile.TemporaryDirectory() as tmp:
+        jobs = [job for name in CONFIGS
+                for job in plan(CONFIGS[name] + args.set, steps, args.seeds,
+                                Path(tmp) / name)]
+        # forked once every dataset is written: the parent runs no thread, and
+        # each worker keeps its BLAS pinned to one thread
+        workers = min(os.cpu_count() or 1, len(jobs))
+        with multiprocessing.get_context("fork").Pool(workers) as pool:
+            runs = iter(pool.map(train, jobs, chunksize=1))
+            pool.close()
+            pool.join()
         for name in CONFIGS:
-            work = Path(tmp) / name
-            result["configs"][name] = run_config(CONFIGS[name] + args.set, steps,
-                                                 args.seeds, work, datasets)
+            result["configs"][name] = summary(
+                CONFIGS[name] + args.set, steps, args.seeds,
+                [next(runs) for _ in args.seeds])
             for step, mean in result["configs"][name]["mean"].items():
                 print(f"{name} step {step}: alignment {mean['alignment']:.4f} "
                       f"success {mean['success']:.4f}", file=sys.stderr)

@@ -49,7 +49,6 @@ __all__ = [
     "cmd_eval",
     "cmd_ablate",
     "cmd_landscape",
-    "read_metrics_csv",
     "read_summary_csv",
     "read_runs_csv",
     "main",
@@ -162,7 +161,6 @@ _KEYS = {
     "train.hierarchical": "train.hierarchical",
     "train.rep_grad_from_policy": "train.rep_grad_from_policy",
     "train.objective": "train.objective",
-    "train.normalize_inputs": "train.normalize_inputs",
     "train.seed": "train.seed",
     "train.dtype": "train.dtype",
     "arch.kind": "train.arch_kind",
@@ -303,10 +301,6 @@ _SUMMARY = _CELL | {"n_seeds": 0, "n_ok": 0, "success_mean": 0.0,
                     "success_std": 0.0, "alignment_mean": 0.0,
                     "alignment_std": 0.0, "kendall_mean": 0.0,
                     "kendall_std": 0.0}
-
-
-def read_metrics_csv(text: str) -> list[dict]:
-    return evalmod.table_from_csv("metrics", _METRICS, text)
 
 
 def cmd_train(config: RunConfig, dataset: datamod.Dataset) -> dict:

@@ -33,7 +33,6 @@ and an in-trajectory goal lies ``goal - index[i]`` steps ahead of s_t.
 from __future__ import annotations
 
 import functools
-import io
 import math
 from array import array
 from dataclasses import dataclass, field
@@ -61,8 +60,6 @@ __all__ = [
     "coverage",
     "write_dataset",
     "read_dataset",
-    "dataset_to_text",
-    "dataset_from_text",
 ]
 
 GOAL_SOURCES = ("cur", "traj", "geom", "rand")
@@ -295,8 +292,6 @@ def _rewind(rng: np.random.Generator, saved, block, used: int):
 def _stored(states: array, actions: array, lengths: list, state_dim: int,
             action_dim: int) -> Dataset:
     """The Dataset over two flat float64 buffers, viewed without a copy."""
-    if not lengths:  # before the reshape: a file may declare any dims then
-        raise ValueError("dataset must contain at least one trajectory")
     n = sum(lengths)
     return Dataset(np.frombuffer(states).reshape(n + len(lengths), state_dim),
                    np.frombuffer(actions).reshape(n, action_dim), lengths)
@@ -431,10 +426,6 @@ def _dataset_blocks(dataset: Dataset):
         yield f"T {n}\n" + (pair_rows * n + state_row) % tuple(flat.tolist())
 
 
-def dataset_to_text(dataset: Dataset) -> str:
-    return "".join(_dataset_blocks(dataset))
-
-
 def _content_lines(lines):
     """The lines of ``text.strip().split("\n")``, from the lines of a file."""
     blank, started = 0, False
@@ -470,6 +461,9 @@ def _parse_dataset(lines) -> Dataset:
         state_dim, action_dim, n_traj = map(int, head[2:])
     except ValueError as err:
         raise ValueError(f"bad dataset header at line 1: {err}") from None
+    if min(state_dim, action_dim, n_traj) < 1:
+        raise ValueError(f"bad dataset header at line 1: dims and trajectory "
+                         f"count must be at least 1, got {' '.join(head[2:])}")
     states, actions, lengths = array("d"), array("d"), []
     pos = 1  # lines read
     for i in range(n_traj):
@@ -504,10 +498,6 @@ def _parse_dataset(lines) -> Dataset:
         raise ValueError(f"line {pos + 1} follows the last of the {n_traj} "
                          f"trajectories the header declares")
     return _stored(states, actions, lengths, state_dim, action_dim)
-
-
-def dataset_from_text(text: str) -> Dataset:
-    return _parse_dataset(io.StringIO(text))
 
 
 def write_dataset(dataset: Dataset, path) -> None:

@@ -44,7 +44,6 @@ __all__ = [
     "report_to_csv",
     "report_from_csv",
     "landscape_to_csv",
-    "landscape_from_csv",
     "format_value",
     "parse_value",
     "table_to_csv",
@@ -322,9 +321,3 @@ def landscape_to_csv(grid: LandscapeGrid) -> str:
     return table_to_csv(_LANDSCAPE, (
         dict(zip(_LANDSCAPE, point))
         for point in zip(grid.xs, grid.ys, grid.values)))
-
-
-def landscape_from_csv(text: str):
-    rows = table_from_csv("landscape", _LANDSCAPE, text)
-    return tuple(np.array([row[col] for row in rows])
-                 for col in _LANDSCAPE)

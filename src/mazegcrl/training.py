@@ -29,8 +29,6 @@ takes one Adam step per parameter group and smooths the target.
 ``LearnerState.groups()`` is the one place that defines the groups, under
 the names the checkpoint uses: "value" (value heads and bottleneck),
 "high" (hierarchical only) and "low".
-``step_losses`` builds the same graph and reads the row ``train_step``
-would log, without a backward sweep.
 
 Each group's parameters, its Adam moments and the target heads are each
 one flat buffer (``LearnerState.buffers``, ``AdamState.m`` and ``.v``), so
@@ -94,7 +92,6 @@ __all__ = [
     "expectile_weights",
     "awr_weights",
     "continuity_threshold",
-    "step_losses",
     "train_step",
     "METRIC_FIELDS",
 ]
@@ -126,7 +123,6 @@ class TrainConfig:
     hierarchical: bool = True
     rep_grad_from_policy: bool = True
     objective: str = "awr"             # "awr" | "bc"
-    normalize_inputs: bool = True
     seed: int = 0
     value_hidden: tuple = (64, 64)
     policy_hidden: tuple = (64, 64)
@@ -265,14 +261,11 @@ def init_learner(config: TrainConfig, spec: MazeSpec) -> LearnerState:
     low = make_policy(rng, POINT_DIM + low_cond, config.policy_hidden, POINT_DIM,
                       dtype)
 
-    if config.normalize_inputs:
-        h, w = spec.shape
-        center = np.array([w * spec.cell_size / 2.0, h * spec.cell_size / 2.0],
-                          dtype=dtype)
-        scale = center.copy()
-    else:
-        center = np.zeros(POINT_DIM, dtype=dtype)
-        scale = np.ones(POINT_DIM, dtype=dtype)
+    # inputs centred on the maze and scaled by its half extent, into [-1, 1]
+    h, w = spec.shape
+    center = np.array([w * spec.cell_size / 2.0, h * spec.cell_size / 2.0],
+                      dtype=dtype)
+    scale = center.copy()
 
     target = copy.deepcopy(arch)
     state = LearnerState(config=config, arch=arch, target_arch=target,
@@ -578,17 +571,6 @@ def _metrics(graph: _Graph, step: int) -> dict[str, float]:
         node = graph.losses.get(name)
         metrics[_LOSS_NAMES[name]] = nan if node is None else float(node.value)
     return metrics
-
-
-def step_losses(state: LearnerState, batch: dict) -> dict[str, float]:
-    """The metrics row ``train_step`` would log for ``batch``, without ``step``.
-
-    Updates nothing. The tape is released before returning, so the graph is
-    freed at once instead of waiting for the cycle collector.
-    """
-    graph = _graph(state, batch)
-    graph.tape.release()
-    return _metrics(graph, state.step)
 
 
 # ---- optimization step -----------------------------------------------------------------

@@ -59,7 +59,6 @@ __all__ = [
     "value",
     "score",
     "interval_union_measure",
-    "tensors_to_text",
     "tensors_from_text",
     "write_tensors",
     "read_tensors",
@@ -317,12 +316,9 @@ def _tensor_blocks(tree: dict[str, np.ndarray]):
                + (row * len(rows)) % tuple(rows.ravel().tolist()))
 
 
-def tensors_to_text(tree: dict[str, np.ndarray]) -> str:
-    return "".join(_tensor_blocks(tree))
-
-
 def tensors_from_text(text: str) -> dict[str, np.ndarray]:
-    """Parse ``tensors_to_text``; a ValueError names the line and the tensor."""
+    """Parse the text ``write_tensors`` writes; a ValueError names the line and
+    the tensor."""
     # only the final newline goes: a zero-size tensor's rows are empty lines
     lines = text.removesuffix("\n").split("\n")
     out: dict[str, np.ndarray] = {}

@@ -78,7 +78,6 @@ _KEYS = {
     "train.hierarchical": _train_field("hierarchical", _parse_bool),
     "train.rep_grad_from_policy": _train_field("rep_grad_from_policy", _parse_bool),
     "train.objective": _train_field("objective", str),
-    "train.normalize_inputs": _train_field("normalize_inputs", _parse_bool),
     "train.seed": _train_field("seed", int),
     "train.dtype": _train_field("dtype", str),
     "arch.kind": _train_field("arch_kind", str),

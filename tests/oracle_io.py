@@ -1,12 +1,12 @@
 """Reference text writers for datasets and checkpoints, one float at a time,
 and the reference dataset reader.
 
-Test-only copy of ``data.dataset_to_text`` (with ``_fmt_row``) and
-``values.tensors_to_text`` as they were before each trajectory and each
-tensor was formatted in one call. The library's text must equal these by
-bytes. ``dataset_from_text`` is the reader as it was before it streamed its
-input: it splits the whole text into lines first. It differs only in
-rejecting a ``T 0`` marker at its own line. The library must accept what it
+Test-only copies of the text ``data.write_dataset`` and
+``values.write_tensors`` write, as it was formatted before each trajectory and
+each tensor took one call. The library's files must equal these by bytes.
+``dataset_from_text`` is the reader as it was before it streamed its input: it
+splits the whole text into lines first. It differs only in rejecting a ``T 0``
+marker at its own line. The library must accept what it
 accepts, with equal arrays, and reject the rest with the same message; an
 entry that is not a number is named by its line, converted here one at a time.
 """
@@ -59,6 +59,9 @@ def dataset_from_text(text: str) -> Dataset:
         state_dim, action_dim, n_traj = (int(x) for x in head[2:])
     except ValueError as err:
         raise ValueError(f"bad dataset header at line 1: {err}") from None
+    if min(state_dim, action_dim, n_traj) < 1:
+        raise ValueError(f"bad dataset header at line 1: dims and trajectory "
+                         f"count must be at least 1, got {' '.join(head[2:])}")
     pos = 1
     trajectories = []
     for i in range(n_traj):

@@ -24,7 +24,6 @@ from mazegcrl.cli import (
     config_lines,
     load_config,
     parse_config_lines,
-    read_metrics_csv,
     read_runs_csv,
     read_summary_csv,
 )
@@ -239,6 +238,16 @@ def test_unknown_dtype_exits_2_before_writing(tmp_path, verb):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_raw_input_key_exits_2_before_writing(tmp_path):
+    # inputs are always centred and scaled by the maze's half extent
+    r = run_cli("train", "--data", str(tmp_path / "x.dset"), "--out",
+                str(tmp_path / "out"), "--set", "train.normalize_inputs=true")
+    assert r.returncode == 2
+    assert r.stderr.splitlines()[0] == \
+        "config: unknown configuration key 'train.normalize_inputs'", r.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_gen_data_giant_stitch_flags_uncovered_task(tmp_path):
     cfg = tiny_config("env.layout=giant", "data.style=stitch",
                       "data.transitions=20000", "data.segment_len=8")
@@ -284,7 +293,7 @@ def test_identical_runs_produce_identical_bytes(tmp_path):
 def test_metrics_csv_round_trip(tmp_path):
     _gen_and_train(tmp_path)
     text = (tmp_path / "run" / "metrics.csv").read_text()
-    rows = read_metrics_csv(text)
+    rows = E.table_from_csv("metrics", cli._METRICS, text)
     assert [r["step"] for r in rows] == [10, 20, 30, 40]
     assert all(np.isfinite(r["td_loss"]) for r in rows)
 
@@ -314,8 +323,9 @@ def test_train_abort_keeps_a_loadable_checkpoint_and_parseable_logs(
     state = T.load_state_tree(
         T.init_learner(cfg.train, maze.builtin_layout(cfg.layout)), saved)
     assert state.step == 2
-    assert [r["step"] for r in read_metrics_csv((out / "metrics.csv").read_text())] \
-        == [1, 2]
+    metrics = E.table_from_csv("metrics", cli._METRICS,
+                               (out / "metrics.csv").read_text())
+    assert [r["step"] for r in metrics] == [1, 2]
     reports = E.report_from_csv((out / "report.csv").read_text())
     assert [r.checkpoint_step for r in reports] == [1, 2]
     manifest = json.loads((out / "manifest.json").read_text())
@@ -531,7 +541,8 @@ def test_landscape_constant_bias_and_walls_absent(tmp_path):
     write_tensors(tree, ckpt)
     out = tmp_path / "land.csv"
     cmd_landscape(cfg, ckpt, out, task=0)
-    xs, ys, vals = E.landscape_from_csv(out.read_text())
+    table = E.table_from_csv("landscape", E._LANDSCAPE, out.read_text())
+    xs, ys, vals = (np.array([row[col] for row in table]) for col in E._LANDSCAPE)
     spec = maze.builtin_layout("medium")
     res = cfg.landscape_resolution
     assert len(vals) == len(spec.free_cells()) * res * res
@@ -551,13 +562,14 @@ def test_landscape_rejects_wall_goal(tmp_path):
 # ---- process-level behavior --------------------------------------------------------------
 
 
-def run_python(*args):
+def run_python(*args, unset=()):
     # the child imports the package from where this process imported it
     root = str(Path(mazegcrl.__file__).parents[1])
     path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
+    env = {k: v for k, v in os.environ.items() if k not in unset}
     return subprocess.run([sys.executable, *args],
                           capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=path))
+                          env=dict(env, PYTHONPATH=path))
 
 
 def run_cli(*args):
@@ -578,6 +590,22 @@ def test_suite_imports_the_package_pythonpath_names(tmp_path):
                        timeout=120)
     assert mark.exists(), r.stdout + r.stderr
     assert mark.read_text() == str(stub)
+
+
+@pytest.mark.parametrize("order, warned", [("numpy, mazegcrl", 1),
+                                           ("mazegcrl, numpy", 0)])
+def test_numpy_imported_first_warns_that_blas_is_not_pinned(order, warned):
+    # with no thread count in the environment, numpy loaded first starts its
+    # BLAS threads before the package can pin them to one
+    r = run_python("-W", "always", "-c", f"import {order}",
+                   unset=("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                          "MKL_NUM_THREADS"))
+    assert r.returncode == 0, r.stderr
+    lines = [line for line in r.stderr.splitlines() if "RuntimeWarning" in line]
+    assert len(lines) == warned, r.stderr
+    for line in lines:
+        assert "numpy was imported before mazegcrl" in line
+        assert "OPENBLAS_NUM_THREADS=1" in line
 
 
 def test_no_module_imports_scipy():

@@ -46,7 +46,7 @@ def test_dataset_flat_index_covers_all_transitions():
     assert ds.states[ds.end, 0].tolist() == [3] * 3 + [5] * 5
 
 
-def test_dataset_stores_each_state_once():
+def test_dataset_stores_each_state_once(tmp_path):
     caller = [synthetic_trajectory(n) for n in (1, 4, 1, 2)]
     for traj in caller:
         traj.actions[:] = np.arange(traj.n_transitions)[:, None] + 0.5
@@ -66,9 +66,10 @@ def test_dataset_stores_each_state_once():
         assert np.array_equal(view_a, actions)
     assert ds.lengths.tolist() == [1, 4, 1, 2]
     spec = maze.builtin_layout("medium")
+    data.write_dataset(collect_navigate(spec, 500, 0.5, seed=0),
+                       tmp_path / "navigate.dset")
     for got in (collect_stitch(spec, 500, 4, 0.5, seed=0),
-                data.dataset_from_text(data.dataset_to_text(
-                    collect_navigate(spec, 500, 0.5, seed=0)))):
+                data.read_dataset(tmp_path / "navigate.dset")):
         assert sum(len(s) for s, _ in data.walk(got)) == len(got.states)
         for view_s, view_a in data.walk(got):
             assert np.shares_memory(view_s, got.states)
@@ -241,7 +242,8 @@ def assert_same_bytes(spec, n, noise, seed, segment_len=None):
     else:
         got = collect_stitch(spec, n, segment_len, noise, seed)
         want = oracle_collect.collect_stitch(spec, n, segment_len, noise, seed)
-    same = data.dataset_to_text(got) == data.dataset_to_text(want)  # no text diff
+    same = all(a.tobytes() == b.tobytes() for a, b in zip(  # no array diff
+        (got.states, got.actions, got.lengths), (want.states, want.actions, want.lengths)))
     assert same, (spec.name, n, noise, seed, segment_len)
 
 
@@ -644,7 +646,8 @@ def test_dataset_file_round_trip_bit_exact(tmp_path):
         assert np.array_equal(aa, ab)
     # the file holds the reference text, and writing again reproduces it
     assert path.read_text() == oracle_io.dataset_to_text(ds)
-    assert data.dataset_to_text(back) == data.dataset_to_text(ds)
+    data.write_dataset(back, tmp_path / "again.dset")
+    assert (tmp_path / "again.dset").read_text() == path.read_text()
 
 
 @pytest.mark.parametrize("name", ["medium", "giant"])
@@ -694,21 +697,23 @@ def test_read_dataset_peak_memory_at_most_file_plus_twice_store(tmp_path):
     assert peak <= path.stat().st_size + 2 * _store_bytes(back)
 
 
-def test_dataset_header_checked():
+def test_dataset_header_checked(tmp_path):
+    (tmp_path / "nope.dset").write_text("NOPE v1 2 2 1\nT 1\n0 0\n0 0\n1 1\n")
     with pytest.raises(ValueError, match="header"):
-        data.dataset_from_text("NOPE v1 2 2 1\nT 1\n0 0\n0 0\n1 1\n")
+        data.read_dataset(tmp_path / "nope.dset")
 
 
 @pytest.mark.parametrize("row, line", [
     ("2.5", 5),          # one number short in the final state
     ("0.1 0.1 0.1", 4),  # one number too many in an action row
 ])
-def test_dataset_row_width_checked(row, line):
+def test_dataset_row_width_checked(tmp_path, row, line):
     lines = ["GCRL-DSET v1 2 2 1", "T 1", "0.5 0.5", "0.1 0.1", "2.5 2.5"]
     lines[line - 1] = row
+    (tmp_path / "wide.dset").write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match=f"line {line} has {len(row.split())} "
                                          f"numbers, expected 2"):
-        data.dataset_from_text("\n".join(lines) + "\n")
+        data.read_dataset(tmp_path / "wide.dset")
 
 
 @pytest.mark.parametrize("row, line, message", [
@@ -717,33 +722,55 @@ def test_dataset_row_width_checked(row, line):
     ("0.1 zz", 4, "line 4: could not convert string to float: 'zz'"),
     ("nan 0.5", 5, None),  # NaN and inf stay readable
 ], ids=["header", "action-row", "nan"])
-def test_dataset_entry_not_a_number_names_its_line(row, line, message):
+def test_dataset_entry_not_a_number_names_its_line(tmp_path, row, line, message):
     lines = ["GCRL-DSET v1 2 2 1", "T 1", "0.5 0.5", "0.1 0.1", "2.5 -inf"]
     lines[line - 1] = row
     text = "\n".join(lines) + "\n"
+    path = tmp_path / "entry.dset"
+    path.write_text(text)
     if message is None:
-        assert np.isnan(data.dataset_from_text(text).states[1, 0])
+        assert np.isnan(data.read_dataset(path).states[1, 0])
         return
-    for read in (data.dataset_from_text, oracle_io.dataset_from_text):
+    for read, source in ((data.read_dataset, path),
+                         (oracle_io.dataset_from_text, text)):
         with pytest.raises(ValueError) as err:
-            read(text)
+            read(source)
         assert str(err.value) == message
 
 
-def test_dataset_negative_trajectory_length_rejected():
-    text = "GCRL-DSET v1 2 2 1\nT -1\n0.5 0.5\n"
+@pytest.mark.parametrize("head", ["-1 2 1", "2 -2 1", "0 2 1", "2 0 1", "2 2 -1",
+                                  "2 2 0"])
+def test_dataset_header_dims_and_count_below_one_refused(tmp_path, head):
+    # each header is followed by one valid trajectory; the refusal names the
+    # header, not a row the declared dims or count would misread
+    text = f"GCRL-DSET v1 {head}\nT 1\n0.5 0.5\n0.1 0.1\n2.5 2.5\n"
+    path = tmp_path / "head.dset"
+    path.write_text(text)
+    message = (f"bad dataset header at line 1: dims and trajectory count must "
+               f"be at least 1, got {head}")
+    for read, source in ((data.read_dataset, path),
+                         (oracle_io.dataset_from_text, text)):
+        with pytest.raises(ValueError) as err:
+            read(source)
+        assert str(err.value) == message
+
+
+def test_dataset_negative_trajectory_length_rejected(tmp_path):
+    (tmp_path / "neg.dset").write_text("GCRL-DSET v1 2 2 1\nT -1\n0.5 0.5\n")
     with pytest.raises(ValueError, match="expected trajectory marker at line 2"):
-        data.dataset_from_text(text)
+        data.read_dataset(tmp_path / "neg.dset")
 
 
-def test_dataset_content_after_the_declared_trajectories_rejected():
+def test_dataset_content_after_the_declared_trajectories_rejected(tmp_path):
     one = "T 1\n0.5 0.5\n0.1 0.1\n2.5 2.5\n"
     text = "GCRL-DSET v1 2 2 1\n" + one + one
+    path = tmp_path / "after.dset"
+    path.write_text(text)
     with pytest.raises(ValueError, match="line 6 follows the last of the 1 "
                                          "trajectories"):
-        data.dataset_from_text(text)
-    two = data.dataset_from_text(text.replace(" 1\n", " 2\n", 1))
-    assert two.n_transitions == 2
+        data.read_dataset(path)
+    path.write_text(text.replace(" 1\n", " 2\n", 1))
+    assert data.read_dataset(path).n_transitions == 2
 
 
 def test_write_dataset_peak_memory_is_one_block(tmp_path):

@@ -515,7 +515,8 @@ def test_landscape_csv_round_trip():
     fn = lambda states, g: -np.hypot(states[:, 0] - g[0], states[:, 1] - g[1])
     grid = E.value_landscape(fn, spec, spec.tasks[0].goal, resolution=2)
     text = E.landscape_to_csv(grid)
-    xs, ys, vals = E.landscape_from_csv(text)
+    table = E.table_from_csv("landscape", E._LANDSCAPE, text)
+    xs, ys, vals = (np.array([row[col] for row in table]) for col in E._LANDSCAPE)
     assert np.array_equal(xs, grid.xs)
     assert np.array_equal(ys, grid.ys)
     assert np.array_equal(vals, grid.values)

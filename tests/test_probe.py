@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import re
+import sys
 import time
 from pathlib import Path
 
@@ -15,6 +16,8 @@ def load(name: str):
     spec = importlib.util.spec_from_file_location(f"probe_{name}",
                                                   PROBE / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    # registered, so a worker process can unpickle the functions it is sent
+    sys.modules[spec.name] = module
     spec.loader.exec_module(module)
     return module
 

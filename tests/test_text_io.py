@@ -1,6 +1,7 @@
 """Dataset, checkpoint and CSV text: the writers against their references."""
 
 import re
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -57,6 +58,12 @@ def tensor_trees(draw):
     return tree
 
 
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    """A directory the writers under test write into, one file per test."""
+    return tmp_path_factory.mktemp("text")
+
+
 EDGE_DATASET = dataset_of([
     data.Dataset(np.array([SPECIAL[:2], SPECIAL[2:4]]), np.array([SPECIAL[4:6]]), [1]),
     data.Dataset(np.array(SEVENTEEN_DIGITS[:6]).reshape(3, 2),
@@ -72,8 +79,9 @@ EDGE_TREE = {"scalar": np.array(0.1), "vec": np.array(SPECIAL),
 @settings(max_examples=200, deadline=None)
 @given(dataset=datasets())
 @example(dataset=EDGE_DATASET)
-def test_dataset_text_equals_reference_bytes(dataset):
-    assert data.dataset_to_text(dataset) == oracle_io.dataset_to_text(dataset)
+def test_dataset_text_equals_reference_bytes(dataset, files):
+    data.write_dataset(dataset, files / "written.dset")
+    assert (files / "written.dset").read_text() == oracle_io.dataset_to_text(dataset)
 
 
 # lines that break a dataset file's layout where they land
@@ -85,7 +93,7 @@ ODD_LINES = ("", "  ", "\t", "\x0c", "T 0", "T 1", "T 2", "T -1", "T x", "T",
 def dataset_texts(draw):
     """Dataset files, some intact, most with a few lines inserted, dropped,
     replaced or cut, and whitespace before and after."""
-    lines = data.dataset_to_text(draw(datasets())).split("\n")
+    lines = oracle_io.dataset_to_text(draw(datasets())).split("\n")
     for _ in range(draw(st.integers(0, 3))):
         i = draw(st.integers(0, len(lines) - 1))
         edit = draw(st.sampled_from(("insert", "drop", "replace")))
@@ -100,9 +108,9 @@ def dataset_texts(draw):
     return draw(pad) + text + draw(pad)
 
 
-def _outcome(read, text: str):
+def _outcome(read, source):
     try:
-        ds = read(text)
+        ds = read(source)
     except ValueError as err:
         return str(err)
     return [(a.dtype, a.shape, a.tobytes())
@@ -115,22 +123,24 @@ def _outcome(read, text: str):
 @example(text="\n\nGCRL-DSET v1 2 0 1\nT 1\n0.5 0.5\n\n2.5 2.5\n \n")
 @example(text="GCRL-DSET v1 1 1 2\nT 1\n1\n2\n3\n\n\nT 1\n")
 @example(text="GCRL-DSET v1 -1 2 0\n")
-def test_streamed_reader_decides_as_the_reference_reader(text):
+def test_streamed_reader_decides_as_the_reference_reader(text, files):
     # same arrays, or the same error; the reader never holds every line
-    assert _outcome(data.dataset_from_text, text) == \
+    (files / "read.dset").write_text(text)
+    assert _outcome(data.read_dataset, files / "read.dset") == \
         _outcome(oracle_io.dataset_from_text, text)
 
 
 @settings(max_examples=200, deadline=None)
 @given(tree=tensor_trees())
 @example(tree=EDGE_TREE)
-def test_tensor_text_equals_reference_bytes(tree):
-    assert V.tensors_to_text(tree) == oracle_io.tensors_to_text(tree)
+def test_tensor_text_equals_reference_bytes(tree, files):
+    V.write_tensors(tree, files / "written.txt")
+    assert (files / "written.txt").read_text() == oracle_io.tensors_to_text(tree)
 
 
-def test_three_dim_tensor_rejected():
+def test_three_dim_tensor_rejected(tmp_path):
     with pytest.raises(ValueError, match="more than 2 dimensions"):
-        V.tensors_to_text({"cube": np.zeros((1, 1, 1))})
+        V.write_tensors({"cube": np.zeros((1, 1, 1))}, tmp_path / "cube.txt")
 
 
 # ---- CSV tables -------------------------------------------------------------------
@@ -174,11 +184,14 @@ def _landscapes(draw):
     return SimpleNamespace(xs=xs, ys=ys, values=vs)
 
 
+read_metrics = partial(E.table_from_csv, "metrics", cli._METRICS)
+read_landscape = partial(E.table_from_csv, "landscape", E._LANDSCAPE)
+
 # name -> (objects, new writer, reference writer, reader, objects as read back)
 TABLES = {
     "metrics": (_rows(cli._METRICS),
                 lambda rows: E.table_to_csv(cli._METRICS, rows),
-                oracle_csv.metrics_csv, cli.read_metrics_csv, lambda rows: rows),
+                oracle_csv.metrics_csv, read_metrics, lambda rows: rows),
     "runs": (_rows(cli._RUNS, arch=ARCHS, style=STYLES,
                    status=st.sampled_from(("ok", "failed"))).map(_failed_rows_are_nan),
              lambda rows: E.table_to_csv(cli._RUNS, rows),
@@ -190,7 +203,8 @@ TABLES = {
                lambda text: [vars(r) for r in E.report_from_csv(text)],
                lambda reports: [vars(r) for r in reports]),
     "landscape": (_landscapes(), E.landscape_to_csv, oracle_csv.landscape_to_csv,
-                  lambda text: [a.tolist() for a in E.landscape_from_csv(text)],
+                  lambda text: [[row[col] for row in read_landscape(text)]
+                                for col in E._LANDSCAPE],
                   lambda g: [g.xs.tolist(), g.ys.tolist(), g.values.tolist()]),
 }
 
@@ -224,7 +238,7 @@ SUMMARY_HEAD = ("arch,hierarchical,continuity_weight,style,n_seeds,n_ok,success_
 
 
 @pytest.mark.parametrize("read, text, message", [
-    (cli.read_metrics_csv, METRICS_HEAD + "100,0.5,0\n",
+    (read_metrics, METRICS_HEAD + "100,0.5,0\n",
      "metrics line 2 has 3 cells, expected 7"),
     (cli.read_runs_csv, RUNS_HEAD + "LAN,false,0,stitch,0\n",
      "runs line 2 has 5 cells, expected 9"),
@@ -238,7 +252,7 @@ SUMMARY_HEAD = ("arch,hierarchical,continuity_weight,style,n_seeds,n_ok,success_
      "100,0,1,0.5,0.5\n100,1,1\n", "report line 3 has 3 cells, expected 5"),
     (E.report_from_csv, "step,task_id,success_rate,kendall,temporal_alignment\n"
      "1e2,0,1,0.5,0.5\n", "report line 2: invalid literal for int()"),
-    (E.landscape_from_csv, "x,y,value\n0.5,0.5\n",
+    (read_landscape, "x,y,value\n0.5,0.5\n",
      "landscape line 2 has 2 cells, expected 3"),
 ], ids=["metrics-short", "runs-short", "runs-bool", "summary-bool", "summary-long",
         "report-short", "report-int", "landscape-short"])
@@ -261,4 +275,5 @@ def test_float32_landscape_reads_back_exactly():
     grid = SimpleNamespace(xs=np.array([0.5, 1.5, 2.5]), ys=np.zeros(3), values=values)
     text = E.landscape_to_csv(grid)
     assert text.splitlines()[1] == "0.5,0,0.10000000149011612"
-    assert E.landscape_from_csv(text)[2].astype(np.float32).tobytes() == values.tobytes()
+    back = np.array([row["value"] for row in read_landscape(text)], dtype=np.float32)
+    assert back.tobytes() == values.tobytes()

@@ -270,7 +270,7 @@ def test_step_graph_is_freed_without_the_cycle_collector(medium, monkeypatch):
 @pytest.mark.parametrize("overrides", [
     dict(arch_kind="LAN", hierarchical=True, continuity_weight=1.0),
     dict(arch_kind="LAN", hierarchical=False, objective="bc")], ids=config_id)
-def test_step_losses_frees_its_graph_without_the_cycle_collector(
+def test_a_released_step_graph_is_freed_without_the_cycle_collector(
         medium, monkeypatch, overrides):
     spec, ds = medium
     cfg = TrainConfig(batch_size=32, **overrides)
@@ -286,20 +286,23 @@ def test_step_losses_frees_its_graph_without_the_cycle_collector(
     monkeypatch.setattr(autodiff.Tape, "__init__", remember)
     gc.disable()
     try:
-        assert math.isfinite(T.step_losses(state, batch)["low_policy_loss"])
+        graph = T._graph(state, batch)
+        graph.tape.release()
+        assert math.isfinite(T._metrics(graph, state.step)["low_policy_loss"])
+        del graph
         assert len(tapes) == 1 and tapes[0]() is None
     finally:
         gc.enable()
 
 
 @pytest.mark.parametrize("overrides", CONFIGS, ids=config_id)
-def test_step_losses_is_the_train_step_row_and_updates_nothing(medium, overrides):
+def test_graph_metrics_are_the_train_step_row_and_update_nothing(medium, overrides):
     spec, ds = medium
     cfg = TrainConfig(batch_size=32, seed=3, **overrides)
     state = init_learner(cfg, spec)
     for batch in batches(spec, ds, cfg, 2):
         before = {k: v.tobytes() for k, v in T.state_tree(state).items()}
-        row = T.step_losses(state, batch)
+        row = T._metrics(T._graph(state, batch), state.step)
         assert {k: v.tobytes() for k, v in T.state_tree(state).items()} == before
         state, metrics = train_step(state, batch)
         assert list(row) == [k for k in metrics if k != "step"]

@@ -15,7 +15,6 @@ from mazegcrl.training import (
     awr_weights,
     continuity_threshold,
     init_learner,
-    step_losses,
     train_step,
 )
 from mazegcrl.values import ValueArchitecture, value
@@ -38,16 +37,23 @@ def make_batch(rng, size=8, spread=4.0):
 
 
 def loss(state, batch, name, **overrides):
-    """One entry of ``step_losses`` under config fields ``overrides``."""
+    """One entry of the row ``train_step`` would log, under config fields
+    ``overrides``, without a step."""
     state.config = replace(state.config, **overrides)
-    return step_losses(state, batch)[name]
+    return T._metrics(T._graph(state, batch), state.step)[name]
+
+
+def raw_inputs(state):
+    """The learner with its input normalizer set to the identity."""
+    state.norm_center[...] = 0.0
+    state.norm_scale[...] = 1.0
+    return state
 
 
 def constant_value_learner(spec, const, **cfg_kwargs):
     """MLP learner whose online and target values are a fixed constant."""
-    cfg = TrainConfig(arch_kind="MLP", hierarchical=False,
-                      normalize_inputs=False, **cfg_kwargs)
-    state = init_learner(cfg, spec)
+    cfg = TrainConfig(arch_kind="MLP", hierarchical=False, **cfg_kwargs)
+    state = raw_inputs(init_learner(cfg, spec))
     for net in (state.arch.nets["trunk"], state.target_arch.nets["trunk"]):
         for w in net.weights:
             w[...] = 0.0
@@ -139,7 +145,7 @@ def test_td_rejects_nonfinite_parameters():
     state.arch.nets["trunk"].biases[-1][...] = np.nan
     rng = np.random.default_rng(0)
     with pytest.raises(GraphError, match="non-finite"):
-        step_losses(state, make_batch(rng))
+        T._graph(state, make_batch(rng))
 
 
 def test_td_near_half_expectile_is_symmetric():
@@ -172,9 +178,9 @@ def test_continuity_hinge_values():
     # value function V(s, g) = s_x; batch mean 100 makes the threshold 2.0,
     # so a gap of 3 costs 9 - 4 = 5 and a gap of 0.5 costs nothing
     spec = corridor_spec(4)
-    cfg = TrainConfig(arch_kind="MLP", hierarchical=False,
-                      normalize_inputs=False, discount=0.99, dtype="float64")
-    state = init_learner(cfg, spec)
+    cfg = TrainConfig(arch_kind="MLP", hierarchical=False, discount=0.99,
+                      dtype="float64")
+    state = raw_inputs(init_learner(cfg, spec))
     trunk = MlpParams([np.array([[1.0], [0.0], [0.0], [0.0]])], [np.zeros(1)])
     state.arch = ValueArchitecture("MLP", {"trunk": trunk})
     batch = make_batch(np.random.default_rng(0), size=1)
@@ -203,8 +209,8 @@ def test_awr_weights_mean_one_and_clip():
 
 def test_high_policy_loss_zero_advantage_is_mean_nll():
     spec = corridor_spec(4)
-    cfg = TrainConfig(arch_kind="MLP", hierarchical=True, normalize_inputs=False)
-    state = init_learner(cfg, spec)
+    cfg = TrainConfig(arch_kind="MLP", hierarchical=True)
+    state = raw_inputs(init_learner(cfg, spec))
     # constant value -> zero advantages -> unit weights -> plain mean NLL
     for net in (state.arch.nets["trunk"],):
         for w in net.weights:
@@ -222,16 +228,16 @@ def test_flat_row_has_no_high_policy_loss():
     spec = corridor_spec(4)
     cfg = TrainConfig(arch_kind="MLP", hierarchical=False)
     state = init_learner(cfg, spec)
-    row = step_losses(state, make_batch(np.random.default_rng(0)))
-    assert np.isnan(row["high_policy_loss"])
-    assert np.isfinite(row["low_policy_loss"])
+    batch = make_batch(np.random.default_rng(0))
+    metrics = T._metrics(T._graph(state, batch), state.step)
+    assert np.isnan(metrics["high_policy_loss"])
+    assert np.isfinite(metrics["low_policy_loss"])
 
 
 def test_low_policy_loss_zero_residual_gaussian_nll():
     spec = corridor_spec(4)
-    cfg = TrainConfig(arch_kind="MLP", hierarchical=False, normalize_inputs=False,
-                      dtype="float64")
-    state = init_learner(cfg, spec)
+    cfg = TrainConfig(arch_kind="MLP", hierarchical=False, dtype="float64")
+    state = raw_inputs(init_learner(cfg, spec))
     low = state.low
     for w in low.net.weights:
         w[...] = 0.0
@@ -435,7 +441,8 @@ def test_losses_finite_on_random_batches():
     rng = np.random.default_rng(11)
     for _ in range(1000):
         batch = make_batch(rng, size=8, spread=9.0)
-        assert np.isfinite(list(step_losses(state, batch).values())).all()
+        metrics = T._metrics(T._graph(state, batch), state.step)
+        assert np.isfinite(list(metrics.values())).all()
 
 
 def test_mlp_value_is_independent_of_rep():
