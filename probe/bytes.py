@@ -18,8 +18,13 @@ a 2x2 ``ablate`` grid (MLP, LAN x navigate, stitch). It prints
 ``sha256  relative-path`` for every file written and for each command's
 stdout (``<label>.stdout``), with the temporary directory's path and the
 train manifests' timestamps removed.
+
+It then runs a fixed set of inputs the CLI must refuse (``refusals``), on
+those files or on edited copies of them, and prints for each one line
+``refuse <label>: exit <status>; <first stderr line>; leaves [<files>]``,
+the files being those the command left behind.
 ``diff`` of two checkouts' output is the check that a change kept every
-output byte.
+output byte and every refusal.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from mazegcrl import cli  # noqa: E402
+from mazegcrl import cli, data as datamod, values  # noqa: E402
 
 STEPS = 40
 DATA = ["data.transitions=2000"]
@@ -62,6 +67,8 @@ FULL_SIZE = {  # label -> the sets of a full-size dataset, data seed 1
                          "data.transitions=50000"],
     "large-navigate-100k": ["env.layout=large", "data.style=navigate"],
 }
+REFUSE_RUN = ["train.steps=2", "run.eval_trials=1"]
+LAN_RUN = RUN + TRAINS["lan-hier-wc1"][1]
 TIMESTAMP = re.compile(r'^ *"(started|finished)": .*\n', re.M)
 
 
@@ -114,6 +121,48 @@ def commands(tmp: Path) -> list[tuple[str, list[str]]]:
     return cmds
 
 
+def refusals(tmp: Path) -> list[tuple[str, list[str]]]:
+    """(label, argv) of each refusal, in run order; writes the edited inputs
+    they read under ``tmp/refuse``, from the files ``commands`` left in ``tmp``."""
+    ref, nav = tmp / "refuse", str(tmp / "data" / "navigate.dset")
+    ref.mkdir()
+    dataset = datamod.read_dataset(nav)
+    dataset.actions[3] = float("nan")
+    datamod.write_dataset(dataset, ref / "nan-action.dset")
+    (ref / "bad-header.dset").write_text("GCRL-DSET v1 2 2 0\n")
+    ckpt = tmp / "train" / "lan-hier-wc1-float32" / f"ckpt_{STEPS:08d}.txt"
+    for label, name, value in (("nan-checkpoint", "value/phi_s.w0", float("nan")),
+                               ("checkpoint-counter", "step", -4.0)):
+        tree = values.read_tensors(ckpt)
+        tree[name][...] = value
+        values.write_tensors(tree, ref / f"{label}.txt")
+
+    def train(label, data_path, lines):
+        return (label, ["train", "--data", str(data_path), "--out",
+                        str(ref / label), *_sets(REFUSE_RUN + lines)])
+
+    def evaluate(label, ckpt_path, lines):
+        return (label, ["eval", "--ckpt", str(ckpt_path), "--out",
+                        str(ref / f"{label}.csv"), *_sets(LAN_RUN + lines)])
+
+    return [
+        ("unknown-key", ["gen-data", "--out", str(ref / "unknown-key.dset"),
+                         *_sets(["data.no_such_key=1"])]),
+        train("negative-seed", nav, ["train.seed=-1"]),
+        train("nan-goal-ratio", nav, ["train.value_goal_ratios=nan,0,0,1"]),
+        train("nan-action", ref / "nan-action.dset", []),
+        train("other-layout", tmp / "data" / "giant-stitch.dset", []),
+        train("bad-header", ref / "bad-header.dset", []),
+        evaluate("nan-checkpoint", ref / "nan-checkpoint.txt", []),
+        evaluate("checkpoint-shape", ckpt, ["arch.latent_dim=32"]),
+        evaluate("checkpoint-counter", ref / "checkpoint-counter.txt", []),
+    ]
+
+
+def _files(tmp: Path) -> set[str]:
+    return {p.relative_to(tmp).as_posix() for p in tmp.rglob("*") if p.is_file()}
+
+
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -140,6 +189,14 @@ def main() -> int:
             if path.name == "manifest.json":
                 data = TIMESTAMP.sub("", data.decode()).encode()
             lines.append(f"{_sha(data)}  {path.relative_to(tmp).as_posix()}")
+        for label, argv in refusals(tmp):
+            before, err = _files(tmp), io.StringIO()
+            with (contextlib.redirect_stdout(io.StringIO()),
+                  contextlib.redirect_stderr(err)):
+                status = cli.main(argv)
+            first = err.getvalue().replace(name, "<tmp>").split("\n")[0]
+            left = sorted(_files(tmp) - before)
+            lines.append(f"refuse {label}: exit {status}; {first}; leaves {left}")
     print("\n".join(lines))
     return 0
 

@@ -6,6 +6,11 @@ reversed pass with no recursion. Only the primitives needed by the value
 architectures and losses in this package are provided; this is not a
 general-purpose autodiff engine.
 
+A graph is acyclic: a node holds its tape's owner token, not the tape, and
+a backward closure only its input nodes and arrays (it adds gradients with
+``accumulate``). So reference counting frees a graph once the caller lets
+go of it, whether or not a backward sweep ran.
+
 ``ARRAYS`` is the forward half of the primitives on plain arrays, under
 the same names and signatures, so a forward written once against an
 ``ops`` argument runs on a tape (to be differentiated) or on arrays (read
@@ -36,8 +41,10 @@ import numpy as np
 
 __all__ = [
     "GraphError",
+    "NonFiniteError",
     "Tape",
     "Node",
+    "accumulate",
     "ARRAYS",
     "MlpParams",
     "AdamState",
@@ -64,13 +71,17 @@ class GraphError(ValueError):
     """Shape mismatch, non-finite value, or tape misuse."""
 
 
+class NonFiniteError(GraphError):
+    """A NaN or infinity where a finite value is required."""
+
+
 class Node:
     """One value in the graph, created through Tape methods."""
 
-    __slots__ = ("tape", "value", "grad", "name", "needs_grad", "_backward")
+    __slots__ = ("owner", "value", "grad", "name", "needs_grad", "_backward")
 
-    def __init__(self, tape, value, name, needs_grad, backward=None):
-        self.tape = tape
+    def __init__(self, owner, value, name, needs_grad, backward=None):
+        self.owner = owner
         self.value = value
         self.grad = None
         self.name = name
@@ -118,14 +129,24 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad.reshape(shape)
 
 
+def accumulate(node: Node, grad: np.ndarray) -> None:
+    """Add ``grad`` to ``node``'s gradient; backward closures call it."""
+    if not node.needs_grad:
+        return
+    if node.grad is None:
+        node.grad = grad.copy() if grad.base is not None else grad
+    else:
+        node.grad = node.grad + grad
+
+
 class Tape:
     """Execution-ordered primitive graph with a single backward sweep."""
 
     def __init__(self, dtype=np.float64):
         self.nodes: list[Node] = []
         self.dtype = np.dtype(dtype)
+        self._owner = object()  # held by this tape's nodes instead of the tape
         self._ran_backward = False
-        self._released = False
 
     # ---- node construction -------------------------------------------------
 
@@ -133,16 +154,12 @@ class Tape:
         return np.asarray(value, dtype=self.dtype)
 
     def _register(self, value, name, inputs, backward):
-        value = self._cast(value)
         needs = any(inp.needs_grad for inp in inputs)
-        node = Node(self, value, f"{name}#{len(self.nodes)}", needs,
-                    backward if needs else None)
-        self.nodes.append(node)
-        return node
+        return self._node(self._cast(value), name, needs, backward if needs else None)
 
     def _check_same_tape(self, name, *nodes):
         for n in nodes:
-            if n.tape is not self:
+            if n.owner is not self._owner:
                 raise GraphError(f"{name}: input from a different tape")
 
     def _check_broadcast(self, name: str, a: Node, b: Node) -> None:
@@ -154,33 +171,25 @@ class Tape:
 
     def leaf(self, value, name="leaf") -> Node:
         """Trainable input; gradient is accumulated here. Its value is not checked."""
-        return self._new_leaf(self._cast(value), name, True)
+        return self._node(self._cast(value), name, True)
 
     def constant(self, value, name="const") -> Node:
         """Input that never receives gradient."""
         value = self._cast(value)
         if not np.all(np.isfinite(value)):
-            raise GraphError(f"non-finite constant '{name}'")
-        return self._new_leaf(value, name, False)
+            raise NonFiniteError(f"non-finite constant '{name}'")
+        return self._node(value, name, False)
 
-    def _new_leaf(self, value, name, needs_grad):
-        node = Node(self, value, f"{name}#{len(self.nodes)}", needs_grad, None)
+    def _node(self, value, name, needs_grad, backward=None):
+        node = Node(self._owner, value, f"{name}#{len(self.nodes)}", needs_grad, backward)
         self.nodes.append(node)
         return node
 
     def primitive(self, value, inputs, backward, name="custom") -> Node:
-        """Hook for caller-defined primitives with a hand-coded backward."""
+        """Hook for caller-defined primitives with a hand-coded backward, which
+        hands gradients to ``inputs`` with ``accumulate`` and holds no tape."""
         self._check_same_tape(name, *inputs)
         return self._register(value, name, inputs, backward)
-
-    @staticmethod
-    def _accum(node: Node, grad: np.ndarray):
-        if not node.needs_grad:
-            return
-        if node.grad is None:
-            node.grad = grad.copy() if grad.base is not None else grad
-        else:
-            node.grad = node.grad + grad
 
     # ---- primitives ----------------------------------------------------------
 
@@ -188,8 +197,8 @@ class Tape:
         self._check_broadcast("add", a, b)
 
         def backward(g):
-            self._accum(a, _unbroadcast(g, a.shape))
-            self._accum(b, _unbroadcast(g, b.shape))
+            accumulate(a, _unbroadcast(g, a.shape))
+            accumulate(b, _unbroadcast(g, b.shape))
 
         return self._register(a.value + b.value, "add", (a, b), backward)
 
@@ -197,8 +206,8 @@ class Tape:
         self._check_broadcast("sub", a, b)
 
         def backward(g):
-            self._accum(a, _unbroadcast(g, a.shape))
-            self._accum(b, _unbroadcast(-g, b.shape))
+            accumulate(a, _unbroadcast(g, a.shape))
+            accumulate(b, _unbroadcast(-g, b.shape))
 
         return self._register(a.value - b.value, "sub", (a, b), backward)
 
@@ -207,15 +216,15 @@ class Tape:
 
         def backward(g):
             if a.needs_grad:
-                self._accum(a, _unbroadcast(g * b.value, a.shape))
+                accumulate(a, _unbroadcast(g * b.value, a.shape))
             if b.needs_grad:
-                self._accum(b, _unbroadcast(g * a.value, b.shape))
+                accumulate(b, _unbroadcast(g * a.value, b.shape))
 
         return self._register(a.value * b.value, "mul", (a, b), backward)
 
     def neg(self, a: Node) -> Node:
         def backward(g):
-            self._accum(a, -g)
+            accumulate(a, -g)
 
         return self._register(-a.value, "neg", (a,), backward)
 
@@ -226,9 +235,9 @@ class Tape:
 
         def backward(g):
             if a.needs_grad:
-                self._accum(a, g @ b.value.T)
+                accumulate(a, g @ b.value.T)
             if b.needs_grad:
-                self._accum(b, a.value.T @ g)
+                accumulate(b, a.value.T @ g)
 
         return self._register(a.value @ b.value, "matmul", (a, b), backward)
 
@@ -256,11 +265,11 @@ class Tape:
                 local += x2
                 g = np.multiply(g, local, out=local)
             if b.needs_grad:
-                self._accum(b, g.sum(axis=(0,)))
+                accumulate(b, g.sum(axis=(0,)))
             if x.needs_grad:
-                self._accum(x, g @ w.value.T)
+                accumulate(x, g @ w.value.T)
             if w.needs_grad:
-                self._accum(w, x.value.T @ g)
+                accumulate(w, x.value.T @ g)
 
         return self._register(out, "dense", (x, w, b), backward)
 
@@ -273,9 +282,9 @@ class Tape:
 
         def backward(g):
             if a.needs_grad:
-                self._accum(a, g[:, :na])
+                accumulate(a, g[:, :na])
             if b.needs_grad:
-                self._accum(b, g[:, na:])
+                accumulate(b, g[:, na:])
 
         return self._register(np.concatenate([a.value, b.value], axis=1),
                               "concat", (a, b), backward)
@@ -287,7 +296,7 @@ class Tape:
         def backward(g):
             full = np.zeros_like(a.value)
             full[:, start:stop] = g
-            self._accum(a, full)
+            accumulate(a, full)
 
         return self._register(a.value[:, start:stop].copy(), "slice_cols", (a,), backward)
 
@@ -317,7 +326,7 @@ class Tape:
                     full[src][lo:hi] += g[at:at + hi - lo]
                 at += hi - lo
             for src, grad in full.items():
-                self._accum(src, grad)
+                accumulate(src, grad)
 
         return self._register(value, "take_rows", sources, backward)
 
@@ -326,7 +335,7 @@ class Tape:
             raise GraphError(f"reshape: cannot view {a.shape} as {shape}")
 
         def backward(g):
-            self._accum(a, g.reshape(a.shape))
+            accumulate(a, g.reshape(a.shape))
 
         return self._register(a.value.reshape(shape), "reshape", (a,), backward)
 
@@ -335,13 +344,13 @@ class Tape:
         mask = a.value > 0.0
 
         def backward(g):
-            self._accum(a, g * mask)
+            accumulate(a, g * mask)
 
         return self._register(np.where(mask, a.value, 0.0), "relu", (a,), backward)
 
     def square(self, a: Node) -> Node:
         def backward(g):
-            self._accum(a, g * (2.0 * a.value))
+            accumulate(a, g * (2.0 * a.value))
 
         return self._register(a.value * a.value, "square", (a,), backward)
 
@@ -349,7 +358,7 @@ class Tape:
         out = np.exp(a.value)
 
         def backward(g):
-            self._accum(a, g * out)
+            accumulate(a, g * out)
 
         return self._register(out, "exp", (a,), backward)
 
@@ -357,7 +366,7 @@ class Tape:
         out = 1.0 / (1.0 + np.exp(-a.value))
 
         def backward(g):
-            self._accum(a, g * out * (1.0 - out))
+            accumulate(a, g * out * (1.0 - out))
 
         return self._register(out, "sigmoid", (a,), backward)
 
@@ -374,24 +383,26 @@ class Tape:
 
         def backward(g):
             denom = np.sqrt(sq + NORM_GRAD_EPS)
-            self._accum(a, (g / denom)[:, None] * a.value)
+            accumulate(a, (g / denom)[:, None] * a.value)
 
         return self._register(out, "l2norm_rows", (a,), backward)
 
     def reduce_sum(self, a: Node, axis: int | None = None) -> Node:
+        dtype = self.dtype
+
         def backward(g):
             if axis is None:
-                self._accum(a, np.full(a.shape, g, dtype=self.dtype))
+                accumulate(a, np.full(a.shape, g, dtype=dtype))
             else:
-                self._accum(a, np.broadcast_to(np.expand_dims(g, axis), a.shape))
+                accumulate(a, np.broadcast_to(np.expand_dims(g, axis), a.shape))
 
         return self._register(a.value.sum(axis=axis), "sum", (a,), backward)
 
     def reduce_mean(self, a: Node) -> Node:
-        n = a.value.size
+        n, dtype = a.value.size, self.dtype
 
         def backward(g):
-            self._accum(a, np.full(a.shape, g / n, dtype=self.dtype))
+            accumulate(a, np.full(a.shape, g / n, dtype=dtype))
 
         return self._register(a.value.mean(), "mean", (a,), backward)
 
@@ -404,7 +415,7 @@ class Tape:
             full = np.zeros_like(a.value)
             np.put_along_axis(full, np.expand_dims(idx, axis),
                               np.expand_dims(g, axis), axis=axis)
-            self._accum(a, full)
+            accumulate(a, full)
 
         return self._register(out, "max", (a,), backward)
 
@@ -412,41 +423,22 @@ class Tape:
         inside = (a.value >= lo) & (a.value <= hi)
 
         def backward(g):
-            self._accum(a, g * inside)
+            accumulate(a, g * inside)
 
         return self._register(np.clip(a.value, lo, hi), "clip", (a,), backward)
 
     def stop_gradient(self, a: Node) -> Node:
-        node = Node(self, a.value, f"stopgrad#{len(self.nodes)}", False, None)
-        self.nodes.append(node)
-        return node
+        return self._node(a.value, "stopgrad", False)
 
     # ---- backward sweep ------------------------------------------------------
 
-    def release(self) -> None:
-        """Drop the tape's node list and every backward closure.
-
-        Nodes point at their tape and closures at their input nodes, so a
-        built graph is a reference cycle that only the cycle collector would
-        free. Once released, nodes, closures and tape are freed when the
-        caller lets go of them; node values and gradients stay readable, but
-        no backward sweep can run any more. Callers that only read values
-        release the tape themselves; ``backward`` releases it after its sweep.
-        """
-        for node in self.nodes:
-            node._backward = None
-        self.nodes = []
-        self._released = True
-
     def backward(self, output: Node, seed=None) -> None:
-        """One reversed sweep; afterwards the graph is released.
-
-        Gradients stay readable through ``grad``. A sweep on a released tape
-        (a second backward, or after ``release``) is an error.
-        """
-        if self._released:
+        """One reversed sweep, then the graph is released: it drops each node's
+        closure and the node list, so only the nodes a caller holds stay alive,
+        with their values and gradients (``grad``). A second sweep is an error."""
+        if self._ran_backward:
             raise GraphError("backward: this tape's graph was released")
-        if output.tape is not self:
+        if output.owner is not self._owner:
             raise GraphError("backward: output from a different tape")
         if seed is None:
             if output.value.size != 1:
@@ -457,15 +449,15 @@ class Tape:
             if seed.shape != output.value.shape:
                 raise GraphError("backward: seed shape mismatch")
         if not np.all(np.isfinite(output.value)):
-            raise GraphError(f"non-finite output at node '{output.name}'")
+            raise NonFiniteError(f"non-finite output at node '{output.name}'")
         if output.needs_grad:
             output.grad = seed
         for node in reversed(self.nodes):
             if node.grad is not None and node._backward is not None:
                 node._backward(node.grad)
             node._backward = None
+        self.nodes = []
         self._ran_backward = True
-        self.release()
 
     def grad(self, node: Node) -> np.ndarray:
         if not self._ran_backward:
@@ -602,13 +594,13 @@ def flatten(arrays: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
 
 
 def require_finite(flat: np.ndarray, parts: dict[str, np.ndarray], what: str):
-    """Raise GraphError "<what> '<name>'" naming the first of ``parts``, the
+    """Raise NonFiniteError "<what> '<name>'" naming the first of ``parts``, the
     named arrays laid out in turn in ``flat``, that holds a non-finite value."""
     finite = np.isfinite(flat)
     if not finite.all():
         ends = np.cumsum([p.size for p in parts.values()])
         name = list(parts)[np.searchsorted(ends, finite.argmin(), side="right")]
-        raise GraphError(f"{what} '{name}'")
+        raise NonFiniteError(f"{what} '{name}'")
 
 
 @dataclass

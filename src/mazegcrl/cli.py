@@ -33,7 +33,7 @@ import numpy as np
 
 from . import __version__, data as datamod, evaluation as evalmod, maze
 from . import training as trainmod
-from .autodiff import GraphError
+from .autodiff import GraphError, NonFiniteError
 from .maze import MazeError
 from .training import LearnerState, TrainConfig
 from .values import read_tensors, write_tensors
@@ -317,8 +317,8 @@ def cmd_train(config: RunConfig, dataset: datamod.Dataset) -> dict:
     finite = np.isfinite(dataset.actions).all(axis=1)
     if not finite.all():
         i = int(np.argmin(finite))
-        raise GraphError(f"dataset transition {i} has a non-finite action "
-                         f"{tuple(dataset.actions[i].tolist())}")
+        raise NonFiniteError(f"dataset transition {i} has a non-finite action "
+                             f"{tuple(dataset.actions[i].tolist())}")
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     cfg = config.train
@@ -353,9 +353,7 @@ def cmd_train(config: RunConfig, dataset: datamod.Dataset) -> dict:
                     np.random.default_rng([cfg.seed, 2, step])))
             if step in ckpt_at:
                 write_tensors(trainmod.state_tree(state), out / f"ckpt_{step:08d}.txt")
-    except GraphError as err:
-        if "non-finite" not in str(err):
-            raise
+    except NonFiniteError as err:
         error = str(err)
         write_tensors(trainmod.state_tree(state),
                       out / f"ckpt_abort_{state.step:08d}.txt")
@@ -378,7 +376,7 @@ def cmd_train(config: RunConfig, dataset: datamod.Dataset) -> dict:
         manifest["error"] = error
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
     if error is not None:
-        raise GraphError(error)
+        raise NonFiniteError(error)
     print(f"trained {total} steps; protocol success "
           f"{manifest['final_eval']['success']:.3f}; outputs in {out}")
     return manifest
@@ -471,7 +469,7 @@ def _run_cell(config, kind, hier, wc, style, dataset, out: Path,
         run.out_dir = str(out / name)
         try:
             manifest = cmd_train(run, dataset)
-        except (GraphError, MazeError, ValueError) as err:
+        except ValueError as err:
             print(f"cell {name} failed: {err}", file=sys.stderr)
             runs.append(cell | {"seed": seed, "success": nan, "alignment": nan,
                                 "kendall": nan, "status": "failed"})
@@ -571,6 +569,12 @@ def _dispatch(args) -> int:
     return 0
 
 
+# exception type -> the category of main's stderr line; the first match wins
+_CATEGORIES = ((ConfigError, "config"), (OSError, "io"), (MazeError, "env"),
+               (NonFiniteError, "numeric"), (GraphError, "dims"),
+               (ValueError, "config"))
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -582,17 +586,9 @@ def main(argv=None) -> int:
         return 0
     try:
         return _dispatch(args)
-    except ConfigError as err:
-        print(f"config: {err}", file=sys.stderr)
-    except OSError as err:
-        print(f"io: {err}", file=sys.stderr)
-    except MazeError as err:
-        print(f"env: {err}", file=sys.stderr)
-    except GraphError as err:
-        category = "numeric" if "non-finite" in str(err) else "dims"
+    except (OSError, ValueError) as err:
+        category = next(c for kind, c in _CATEGORIES if isinstance(err, kind))
         print(f"{category}: {err}", file=sys.stderr)
-    except ValueError as err:
-        print(f"config: {err}", file=sys.stderr)
     return 2
 
 

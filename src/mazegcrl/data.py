@@ -75,11 +75,11 @@ class GoalSampleRatios(NamedTuple):
     geom: float
     rand: float
 
-    def validate(self) -> "GoalSampleRatios":
-        if any(r < 0 for r in self):
-            raise ValueError(f"goal ratios must be nonnegative, got {tuple(self)}")
+    def validate(self, what: str = "goal ratios") -> "GoalSampleRatios":
+        if not all(0.0 <= r < math.inf for r in self):
+            raise ValueError(f"{what} must be finite and nonnegative, got {tuple(self)}")
         if abs(sum(self) - 1.0) > 1e-9:
-            raise ValueError(f"goal ratios must sum to 1, got {tuple(self)}")
+            raise ValueError(f"{what} must sum to 1, got {tuple(self)}")
         return self
 
 

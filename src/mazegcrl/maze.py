@@ -91,6 +91,7 @@ class MazeSpec:
     _free_set: frozenset = field(init=False, repr=False)
     _ids: np.ndarray = field(init=False, repr=False)  # (H, W) free-cell id, -1 on walls
     _hops: np.ndarray = field(init=False, repr=False)  # hop_table(self)
+    _next_hops: np.ndarray = field(init=False, repr=False)  # next_hop_table(self)
 
     def __post_init__(self):
         walls = np.asarray(self.walls, dtype=bool)
@@ -108,8 +109,9 @@ class MazeSpec:
         object.__setattr__(self, "_free_set", frozenset(self._free))
         if not self._free:
             raise MazeError(f"layout '{self.name}': no free cells")
-        hops, _, ids = _hop_tables(walls.shape, walls.tobytes())
+        hops, next_hops, ids = _hop_tables(walls.shape, walls.tobytes())
         object.__setattr__(self, "_hops", hops)
+        object.__setattr__(self, "_next_hops", next_hops)
         object.__setattr__(self, "_ids", ids)
         if (hops[0] < 0).any():
             raise MazeError(f"layout '{self.name}': free cells are not connected")
@@ -240,7 +242,7 @@ def hop_table(spec: MazeSpec) -> np.ndarray:
 def next_hop_table(spec: MazeSpec) -> np.ndarray:
     """(N, N) read-only: row g maps each free-cell id s to the id of the first
     of s's up/down/left/right neighbours one hop closer to g; g maps to itself."""
-    return _hop_tables(spec.shape, spec.walls.tobytes())[1]
+    return spec._next_hops
 
 
 def distance_field(spec: MazeSpec, source: tuple[int, int]) -> np.ndarray:

@@ -64,6 +64,7 @@ from .autodiff import (
     LiftedMlp,
     MlpParams,
     Node,
+    NonFiniteError,
     Tape,
     adam_step,
     flatten,
@@ -74,6 +75,7 @@ from .autodiff import (
 )
 from .maze import POINT_DIM, MazeSpec
 from .values import (  # noqa: F401  (value is re-exported as training.value)
+    KINDS,
     ValueArchitecture,
     _score,
     make_subgoal_rep,
@@ -152,7 +154,7 @@ class TrainConfig:
         if not 0.0 <= self.lr < math.inf or self.batch_size <= 0 or self.total_steps < 0:
             raise ValueError("lr must be finite and nonnegative; batch_size "
                              "positive; total_steps >= 0")
-        if self.arch_kind not in ("MLP", "LAN", "IQE", "MRN", "Hilbert"):
+        if self.arch_kind not in KINDS:
             raise ValueError(f"unknown arch_kind '{self.arch_kind}'")
         if self.objective not in ("awr", "bc"):
             raise ValueError("objective must be 'awr' or 'bc'")
@@ -176,7 +178,7 @@ class TrainConfig:
                 raise ValueError(f"{key} takes {len(datamod.GOAL_SOURCES)} values "
                                  f"({', '.join(datamod.GOAL_SOURCES)}), "
                                  f"got {len(ratios)}")
-            datamod.GoalSampleRatios(*ratios).validate()
+            datamod.GoalSampleRatios(*ratios).validate(key)
         return self
 
 
@@ -553,7 +555,7 @@ def _graph(state: LearnerState, batch: dict) -> _Graph:
 
 def _check_finite(x: float, what: str, step: int) -> None:
     if not math.isfinite(x):
-        raise GraphError(f"{what}: non-finite at training step {step}")
+        raise NonFiniteError(f"{what}: non-finite at training step {step}")
 
 
 _LOSS_NAMES = {"value": "value_loss", "high": "high_policy_loss",
@@ -626,10 +628,12 @@ def load_state_tree(state: LearnerState, tree: dict[str, np.ndarray]) -> Learner
 
     Each tensor is cast to the learner's dtype, so a checkpoint written at
     either dtype loads. A checkpoint holding NaN or inf (an aborted run's),
-    or a value the cast overflows, raises GraphError naming its first
-    non-finite tensor.
+    or a value the cast overflows, raises NonFiniteError naming its first
+    non-finite tensor, and a step or Adam count not a whole number >= 0
+    raises GraphError naming it.
     """
     own = state_tree(state)
+    counters = {"step", *(f"opt_{name}/count" for name in state.opt)}
     if set(own) != set(tree):
         missing = set(own) ^ set(tree)
         raise GraphError(f"checkpoint does not match configuration: {sorted(missing)[:4]}")
@@ -640,7 +644,10 @@ def load_state_tree(state: LearnerState, tree: dict[str, np.ndarray]) -> Learner
             raise GraphError(f"checkpoint tensor '{name}' has shape {src.shape}, "
                              f"expected {arr.shape}")
         if not np.isfinite(src).all():
-            raise GraphError(f"checkpoint tensor '{name}' is non-finite")
+            raise NonFiniteError(f"checkpoint tensor '{name}' is non-finite")
+        if name in counters and not (src >= 0 and src == np.floor(src)):
+            raise GraphError(f"checkpoint tensor '{name}' must be a nonnegative "
+                             f"integer, got {float(src)!r}")
         arr[...] = src  # counters are synthesized views; restored for real below
     for name, opt in state.opt.items():
         opt.count = int(tree[f"opt_{name}/count"])

@@ -46,6 +46,7 @@ from .autodiff import (
     MlpParams,
     Node,
     Tape,
+    accumulate,
     init_mlp,
     mlp_apply,
 )
@@ -265,6 +266,7 @@ def _iqe_measure_node(tape: Tape, u: Node, v: Node) -> Node:
     """Interval-union measure as a custom primitive with exact subgradients."""
     measure, (index, starts, v_sorted, ends, cover) = interval_union_measure(
         u.value, v.value)
+    dtype = tape.dtype  # the closure must not hold the tape
 
     def backward(g):
         nl, bk = starts.shape
@@ -277,19 +279,19 @@ def _iqe_measure_node(tape: Tape, u: Node, v: Node) -> Node:
             owner[j] = np.where(moved[j - 1], owner[0] + (j - 1) * bk, owner[j - 1])
         # extending a run moves the edge off its owner's end
         taken = np.bincount(owner[moved & ~fresh], minlength=nl * bk)
-        d_end = ((fresh | moved) - taken.reshape(nl, bk)).astype(tape.dtype)
+        d_end = ((fresh | moved) - taken.reshape(nl, bk)).astype(dtype)
         g = g.reshape(1, bk)
         # 0 - fresh keeps zeros +0.0; -1.0 * fresh would give -0.0 and so
         # flip the sign of zero gradients
-        grad_start = g * np.subtract(0.0, fresh, dtype=tape.dtype)
+        grad_start = g * np.subtract(0.0, fresh, dtype=dtype)
         grad_end = g * d_end
         win_u = starts >= v_sorted
-        grad_u = np.empty(nl * bk, dtype=tape.dtype)
-        grad_v = np.empty(nl * bk, dtype=tape.dtype)
+        grad_u = np.empty(nl * bk, dtype=dtype)
+        grad_v = np.empty(nl * bk, dtype=dtype)
         grad_u[index] = grad_start + grad_end * win_u
         grad_v[index] = grad_end * ~win_u
-        tape._accum(u, grad_u.reshape(u.shape))
-        tape._accum(v, grad_v.reshape(v.shape))
+        accumulate(u, grad_u.reshape(u.shape))
+        accumulate(v, grad_v.reshape(v.shape))
 
     return tape.primitive(measure, (u, v), backward, name="iqe_union")
 

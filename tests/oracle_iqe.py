@@ -8,7 +8,7 @@ same input gradients, byte for byte.
 
 import numpy as np
 
-from mazegcrl.autodiff import Node, Tape
+from mazegcrl.autodiff import Node, Tape, accumulate
 
 
 def interval_union_measure(u: np.ndarray, v: np.ndarray):
@@ -58,7 +58,7 @@ def _iqe_measure_node(tape: Tape, u: Node, v: Node) -> Node:
         grad_ends = np.zeros_like(u.value)
         np.put_along_axis(grad_starts, order, gs, axis=-1)
         np.put_along_axis(grad_ends, order, ge, axis=-1)
-        tape._accum(u, grad_starts + grad_ends * win_u)
-        tape._accum(v, grad_ends * (~win_u))
+        accumulate(u, grad_starts + grad_ends * win_u)
+        accumulate(v, grad_ends * (~win_u))
 
     return tape.primitive(measure, (u, v), backward, name="iqe_union")

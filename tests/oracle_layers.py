@@ -21,6 +21,7 @@ from mazegcrl.autodiff import (
     GraphError,
     Node,
     Tape,
+    accumulate,
 )
 from mazegcrl.training import LearnerState, _graph, _metrics
 
@@ -46,7 +47,7 @@ def tape_gelu(self: Tape, a: Node) -> Node:
         local = (1.0 - t * t) * (0.5 * _GELU_C0 + (1.5 * _GELU_K) * x2)
         local *= x
         local += 0.5 * (1.0 + t)
-        self._accum(a, g * local)
+        accumulate(a, g * local)
 
     return self._register(0.5 * x * (1.0 + t), "gelu", (a,), backward)
 

@@ -1,5 +1,8 @@
 """Tape, primitive ops, MLP, Adam, and the finite-difference oracle."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -130,20 +133,27 @@ def test_backward_releases_the_graph():
     y = tape.reduce_sum(tape.square(x))
     tape.backward(y)
     assert tape.nodes == [] and y._backward is None
+    assert float(y.value) == 5.0
     assert np.array_equal(tape.grad(x), [2.0, 4.0])
     with pytest.raises(GraphError, match="released"):
         tape.backward(y)
 
 
-def test_release_frees_the_graph_and_keeps_values():
-    tape = Tape()
-    x = tape.leaf([1.0, 2.0])
-    y = tape.reduce_sum(tape.square(x))
-    tape.release()
-    assert tape.nodes == [] and y._backward is None
-    assert float(y.value) == 5.0
-    with pytest.raises(GraphError, match="released"):
-        tape.backward(y)
+def test_a_tape_dropped_without_backward_is_freed_without_the_cycle_collector():
+    # nodes once held their tape and closures the tape, so only gc freed it
+    gc.disable()
+    try:
+        tape = Tape()
+        w, b = tape.leaf(np.ones((2, 3))), tape.leaf(np.zeros(3))
+        h = tape.dense(tape.constant(np.eye(2)), w, b, act=True)
+        y = tape.reduce_mean(tape.take_rows([(h, 0, 1), (h, 1, 2), (h, 0, 2)]))
+        refs = [weakref.ref(tape)] + [weakref.ref(n._backward) for n in tape.nodes
+                                      if n._backward is not None]
+        assert len(refs) == 4 and np.isfinite(y.value)
+        del tape, w, b, h, y
+        assert [r() for r in refs] == [None] * 4
+    finally:
+        gc.enable()
 
 
 def test_backward_requires_scalar_without_seed():

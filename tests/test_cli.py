@@ -307,7 +307,7 @@ def test_train_abort_keeps_a_loadable_checkpoint_and_parseable_logs(
     def third_call_fails(state, batch):
         calls.append(state.step)
         if len(calls) == 3:
-            raise T.GraphError("value_loss: non-finite at training step 3")
+            raise T.NonFiniteError("value_loss: non-finite at training step 3")
         return real(state, batch)
 
     monkeypatch.setattr(T, "train_step", third_call_fails)
@@ -683,6 +683,22 @@ def test_goal_ratios_of_the_wrong_length_exit_2_naming_the_key(
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("key, values", [("value_goal_ratios", "nan,0,0,1"),
+                                         ("policy_goal_ratios", "nan,nan,nan,nan"),
+                                         ("value_goal_ratios", "inf,0,0,1")])
+def test_non_finite_goal_ratios_exit_2_naming_the_key(tmp_path, capsys, key,
+                                                      values):
+    # NaN passed both the sign and the sum test, and train exited 0
+    cmd_gen_data(tiny_config(), tmp_path / "d.dset")
+    sets = [a for kv in TINY + [f"train.{key}={values}"] for a in ("--set", kv)]
+    assert cli.main(["train", "--data", str(tmp_path / "d.dset"),
+                     "--out", str(tmp_path / "run"), *sets]) == 2
+    ratios = tuple(float(v) for v in values.split(","))
+    assert capsys.readouterr().err.splitlines() == [
+        f"config: {key} must be finite and nonnegative, got {ratios}"]
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("setting, message", [
     ("arch.value_hidden=0,64", "value_hidden widths must be at least 1, got (0, 64)"),
     ("arch.policy_hidden=0", "policy_hidden widths must be at least 1, got (0,)"),
@@ -797,6 +813,37 @@ def test_non_finite_checkpoint_exits_2_naming_the_tensor(tmp_path):
         assert r.returncode == 2
         assert r.stderr.splitlines()[0] == message, r.stderr
         assert not (tmp_path / "o.csv").exists()
+
+
+def test_a_graph_error_whose_text_says_non_finite_exits_with_dims(tmp_path, capsys):
+    # the category once came from the message text, and read "numeric" here
+    _gen_and_train(tmp_path, "train.steps=0")
+    tree = read_tensors(tmp_path / "run" / "ckpt_00000000.txt")
+    tree["non-finite"] = np.zeros(1)
+    write_tensors(tree, tmp_path / "extra.txt")
+    assert cli.main(["eval", "--ckpt", str(tmp_path / "extra.txt"),
+                     "--out", str(tmp_path / "o.csv")]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "dims: checkpoint does not match configuration: ['non-finite']"]
+    assert not (tmp_path / "o.csv").exists()
+
+
+@pytest.mark.parametrize("name, value", [("step", -4.0), ("step", 2.5),
+                                         ("opt_value/count", -2.0)])
+def test_a_bad_checkpoint_counter_exits_2_naming_the_tensor(tmp_path, capsys,
+                                                            name, value):
+    # -4 failed in NumPy's seeding as "config: expected non-negative
+    # integer", 2.5 loaded as step 2, and a count of -2 loaded silently
+    _gen_and_train(tmp_path, "train.steps=3")
+    tree = read_tensors(tmp_path / "run" / "ckpt_00000003.txt")
+    tree[name][...] = value
+    write_tensors(tree, tmp_path / "bad.txt")
+    assert cli.main(["eval", "--ckpt", str(tmp_path / "bad.txt"), "--out",
+                     str(tmp_path / "o.csv"), "--set", "run.eval_trials=2"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"dims: checkpoint tensor '{name}' must be a nonnegative integer, "
+        f"got {value!r}"]
+    assert not (tmp_path / "o.csv").exists()
 
 
 def test_cli_gen_data_succeeds(tmp_path):

@@ -418,6 +418,15 @@ def test_ratios_validation():
     GoalSampleRatios(0.2, 0.0, 0.5, 0.3).validate()
 
 
+@pytest.mark.parametrize("ratios", [(math.nan, 0, 0, 1), (math.nan,) * 4,
+                                    (math.inf, 0, 0, 1)])
+def test_sample_goals_refuses_non_finite_ratios(ratios):
+    # NaN passed both the sign and the sum test, and every row drew "cur"
+    ds = dataset_of([synthetic_trajectory(10)])
+    with pytest.raises(ValueError, match="goal ratios must be finite and nonnegative"):
+        sample_goals(ds, np.arange(5), ratios, 0.99, np.random.default_rng(0))
+
+
 def test_sample_goal_cur_branch():
     ds = dataset_of([synthetic_trajectory(10)])
     rng = np.random.default_rng(0)

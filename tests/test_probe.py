@@ -67,6 +67,16 @@ def test_byte_probe_prints_the_same_hashes_on_every_run(capsys, monkeypatch):
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1]
     lines = outputs[0].splitlines()
+    refused = [line for line in lines if line.startswith("refuse ")]
+    lines = lines[:len(lines) - len(refused)]
+    assert [line.split(":")[0] for line in refused] == [
+        f"refuse {label}" for label in (
+            "unknown-key", "negative-seed", "nan-goal-ratio", "nan-action",
+            "other-layout", "bad-header", "nan-checkpoint", "checkpoint-shape",
+            "checkpoint-counter")]
+    # each exits 2 with a "<category>: <message>" line and writes nothing
+    assert all(re.fullmatch(r"refuse \S+: exit 2; \w+: .+; leaves \[\]", line)
+               for line in refused), refused
     assert all(re.fullmatch(r"[0-9a-f]{64}  \S+", line) for line in lines)
     paths = [line.split("  ")[1] for line in lines]
     labels = [label for label, _ in bytes_probe.commands(Path("tmp"))]

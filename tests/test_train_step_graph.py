@@ -268,14 +268,18 @@ def test_step_graph_is_freed_without_the_cycle_collector(medium, monkeypatch):
 
 
 @pytest.mark.parametrize("overrides", [
-    dict(arch_kind="LAN", hierarchical=True, continuity_weight=1.0),
+    *(dict(arch_kind=kind, hierarchical=True, continuity_weight=1.0)
+      for kind in values.KINDS),
     dict(arch_kind="LAN", hierarchical=False, objective="bc")], ids=config_id)
-def test_a_released_step_graph_is_freed_without_the_cycle_collector(
+def test_a_step_graph_is_freed_without_the_cycle_collector(
         medium, monkeypatch, overrides):
+    # a graph only read, with no backward sweep, was a reference cycle
     spec, ds = medium
     cfg = TrainConfig(batch_size=32, **overrides)
     state = init_learner(cfg, spec)
-    (batch,) = batches(spec, ds, cfg, 1)
+    batch_list = batches(spec, ds, cfg, 1)
+    if cfg.continuity_weight:
+        activate_continuity(state, batch_list)
     tapes = []
     init = autodiff.Tape.__init__
 
@@ -286,11 +290,15 @@ def test_a_released_step_graph_is_freed_without_the_cycle_collector(
     monkeypatch.setattr(autodiff.Tape, "__init__", remember)
     gc.disable()
     try:
-        graph = T._graph(state, batch)
-        graph.tape.release()
-        assert math.isfinite(T._metrics(graph, state.step)["low_policy_loss"])
+        graph = T._graph(state, batch_list[0])
+        row = T._metrics(graph, state.step)
+        assert math.isfinite(row["low_policy_loss"])
+        assert not cfg.continuity_weight or row["continuity_loss"] > 0.0
+        refs = [weakref.ref(n._backward) for n in graph.tape.nodes
+                if n._backward is not None]
+        assert len(tapes) == 1 and refs
         del graph
-        assert len(tapes) == 1 and tapes[0]() is None
+        assert tapes[0]() is None and [r() for r in refs] == [None] * len(refs)
     finally:
         gc.enable()
 
@@ -374,7 +382,7 @@ def test_float32_step_never_computes_in_float64(medium, monkeypatch, overrides):
     if overrides["continuity_weight"]:
         activate_continuity(state, batch_list)
     seen, nodes = [], []
-    register, accum, backward = (autodiff.Tape._register, autodiff.Tape._accum,
+    register, accum, backward = (autodiff.Tape._register, autodiff.accumulate,
                                  autodiff.Tape.backward)
     plain, plain_score = T.mlp_apply, T.score
 
@@ -401,7 +409,8 @@ def test_float32_step_never_computes_in_float64(medium, monkeypatch, overrides):
         return out
 
     monkeypatch.setattr(autodiff.Tape, "_register", checked_register)
-    monkeypatch.setattr(autodiff.Tape, "_accum", staticmethod(checked_accum))
+    for module in (autodiff, values):
+        monkeypatch.setattr(module, "accumulate", checked_accum)
     monkeypatch.setattr(autodiff.Tape, "backward", keep_nodes)
     for module in (values, T):
         monkeypatch.setattr(module, "mlp_apply", checked_plain)
